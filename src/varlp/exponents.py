@@ -17,7 +17,7 @@ can also run on irregular exponents and watch what breaks.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Callable, Optional, Sequence
 
 from .report import CheckReport
@@ -97,6 +97,19 @@ class Exponent:
             breakpoints=self.breakpoints, dim=self.dim,
             working_radius=self.working_radius,
         )
+
+    def sup_near(self, s: float) -> float:
+        """The largest value p takes arbitrarily close to s.
+
+        Exact for the constant and piecewise-constant kinds (at a breakpoint
+        both neighbouring pieces count); p_plus, a certified upper bound,
+        for every other kind.
+        """
+        if self.kind != "piecewise-constant":
+            return self.p_plus
+        vals = self.params["values"]
+        return max(vals[bisect_left(self.breakpoints, s)],
+                   vals[bisect_right(self.breakpoints, s)])
 
     def constant_value_on(self, intervals: Sequence[tuple[float, float]]) -> Optional[float]:
         """The single value p takes on the given open intervals, or None.

@@ -6,7 +6,10 @@ instead of hammering them adaptively.  Functions with unbounded support
 additionally carry a certified power-law majorant (coef, exponent, r_from)
 meaning |f(x)| <= coef * |x|**exponent for |x| >= r_from, which is what the
 norm layer uses to truncate whole-line integrals with a provable tail
-bound.
+bound.  Functions unbounded near a point s carry a certified local
+majorant (coef, exponent, s) meaning |f(x)| <= coef * |x - s|**exponent for
+0 < |x - s| <= 1, which lets the norm layer refuse a modular that cannot be
+certified integrable near s instead of integrating an infinite quantity.
 
 The catalog is closed on purpose: arbitrary user lambdas have no reliable
 singularity metadata.  Compositions (linear combinations, sign products,
@@ -22,6 +25,7 @@ from .geometry import Ball, unit_ball_volume
 from .quadrature import integrate_ball
 
 PowerTail = tuple[float, float, float]  # (coef, exponent, r_from)
+LocalMajorant = tuple[float, float, float]  # (coef, exponent, center)
 
 
 class EvaluationDomainError(ValueError):
@@ -32,18 +36,20 @@ class Func:
     """One catalog function; immutable, safe to share and evaluate concurrently."""
 
     __slots__ = ("kind", "params", "support_radius", "singular_points", "even",
-                 "power_tail", "_fn", "_children")
+                 "power_tail", "local_majorant", "_fn", "_children")
 
     def __init__(self, kind: str, params: dict, fn: Callable[[float], float],
                  support_radius: float, singular_points: Sequence[float],
                  even: bool, power_tail: Optional[PowerTail] = None,
-                 children: tuple = ()):
+                 children: tuple = (),
+                 local_majorant: Optional[LocalMajorant] = None):
         self.kind = kind
         self.params = params
         self.support_radius = support_radius
         self.singular_points = tuple(sorted(set(float(s) for s in singular_points)))
         self.even = even
         self.power_tail = power_tail
+        self.local_majorant = local_majorant
         self._fn = fn
         self._children = children
 
@@ -167,17 +173,19 @@ def power(a: float) -> Func:
     if a == 0.0:
         return constant(1.0)
 
+    local = None
     if a < 0.0:
         def fn(x: float) -> float:
             if x == 0.0:
                 raise EvaluationDomainError("|x|^a with a < 0 is unbounded at 0")
             return abs(x) ** a
+        local = (1.0, a, 0.0)
     else:
         def fn(x: float) -> float:
             return abs(x) ** a
 
     return Func("power", {"a": a}, fn, math.inf, (0.0,), even=True,
-                power_tail=(1.0, a, 1.0))
+                power_tail=(1.0, a, 1.0), local_majorant=local)
 
 
 def sign_func() -> Func:
@@ -250,7 +258,8 @@ def lincomb(terms: Sequence[Func], coeffs: Sequence[float]) -> Func:
     return Func("linear-combination",
                 {"coeffs": [c for c, _ in live]},
                 fn, support, pts, even=all(g.even for _, g in live),
-                power_tail=tail, children=tuple(g for _, g in live))
+                power_tail=tail, children=tuple(g for _, g in live),
+                local_majorant=_combine_local(live))
 
 
 def with_sign(base: Func) -> Func:
@@ -262,7 +271,8 @@ def with_sign(base: Func) -> Func:
 
     return Func("product-with-sign", {}, fn, base.support_radius,
                 (0.0, *base.singular_points), even=False,
-                power_tail=base.power_tail, children=(base,))
+                power_tail=base.power_tail, children=(base,),
+                local_majorant=base.local_majorant)
 
 
 def abs_power(base: Func, exponent: float = 1.0) -> Func:
@@ -279,9 +289,35 @@ def abs_power(base: Func, exponent: float = 1.0) -> Func:
     if base.power_tail is not None:
         c, a, r0 = base.power_tail
         tail = (c ** exponent, a * exponent, r0)
+    local = None
+    if base.local_majorant is not None:
+        c, a, s = base.local_majorant
+        local = (c ** exponent, a * exponent, s)
     return Func("pointwise-abs", {"power": exponent}, fn, base.support_radius,
                 base.singular_points, even=base.even, power_tail=tail,
-                children=(base,))
+                children=(base,), local_majorant=local)
+
+
+def _combine_local(live: list[tuple[float, Func]]) -> Optional[LocalMajorant]:
+    """Triangle-inequality local majorant of a weighted sum near the one
+    center its unbounded terms share.
+
+    Bounded terms enter through their sup on |x - s| <= 1, which |x - s|^a
+    (a < 0) dominates there.  Unbounded terms around different centers have
+    no single-center majorant, and none is claimed.
+    """
+    local = [(w, g.local_majorant) for w, g in live if g.local_majorant is not None]
+    if not local:
+        return None
+    centers = {m[2] for _, m in local}
+    if len(centers) > 1:
+        return None
+    s = centers.pop()
+    a_star = min(m[1] for _, m in local)
+    coef = sum(abs(w) * m[0] for w, m in local)
+    coef += sum(abs(w) * g.abs_bound_on(max(abs(s) - 1.0, 0.0), abs(s) + 1.0)
+                for w, g in live if g.local_majorant is None)
+    return (coef, a_star, s)
 
 
 def _combine_tails(weighted: list[tuple[float, Optional[PowerTail]]]) -> Optional[PowerTail]:

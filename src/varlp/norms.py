@@ -8,8 +8,18 @@ root of modular = 1 and plain bisection finds it with a guaranteed bracket.
 
 Whole-line modulars of compactly supported functions are exact; functions
 with a certified power-law tail get a cutoff radius chosen so the analytic
-tail bound sits below the tolerance, and that bound is folded into the
-reported error.  Anything else is refused rather than silently truncated.
+tail bound sits below a quarter of the modular tolerance, which the
+reported error covers.  A function with a certified local majorant
+c |x - s|^a is refused when |f|^p cannot be certified integrable near s,
+judged with the largest exponent value taken near s.
+Anything else is refused rather than silently truncated.
+
+A solve runs its ~30 modular passes (one per lambda tried) over nearly the
+same quadrature nodes, so it keeps a node table from x to (|f(x)|, p(x))
+and evaluates f and p once per distinct node; each pass recomputes only
+the power (|f(x)| / lambda) ** p(x), so results are bit-identical to
+evaluating f and p in every pass.  The table belongs to the solve and is
+dropped when it returns.
 
 All computations are pure; there are no module-level caches, so concurrent
 calls are safe.
@@ -47,16 +57,6 @@ class NormResult:
     bracket: tuple[float, float]
 
 
-def _integrand(f, e: Exponent, lam: float):
-    ffn = f.evaluate
-    pfn = e.evaluate
-
-    def h(x: float) -> float:
-        return (abs(ffn(x)) / lam) ** pfn(x)
-
-    return h
-
-
 def _tail_bound(coef: float, a: float, p_minus: float, dim: int, R: float) -> float:
     """Bound for the modular of a power tail coef * |x|^a beyond radius R.
 
@@ -67,17 +67,38 @@ def _tail_bound(coef: float, a: float, p_minus: float, dim: int, R: float) -> fl
     return dim * unit_ball_volume(dim) * coef ** p_minus * R ** decay / (-decay)
 
 
-def _modular_pieces(f, e: Exponent, domain: Domain, lam: float,
-                    tol: float) -> tuple[list[tuple[float, float]], float]:
-    """Radial integration pieces [(inner, outer), ...] plus a certified tail
-    error for the part of the whole line that is cut off."""
+def _contains(domain: Domain, s: float) -> bool:
+    """Whether the closed domain holds the radius |s|."""
     if isinstance(domain, Ball):
-        return [(0.0, domain.radius)], 0.0
+        return abs(s) <= domain.radius
     if isinstance(domain, DyadicRing):
-        return [(domain.inner, domain.outer)], 0.0
+        return domain.inner <= abs(s) <= domain.outer
+    return True
+
+
+def _modular_pieces(f, e: Exponent, domain: Domain, lam: float,
+                    tol: float) -> list[tuple[float, float]]:
+    """Radial integration pieces [(inner, outer), ...]; on the whole line
+    the cutoff leaves a certified tail below tol / 4."""
+    local = getattr(f, "local_majorant", None)
+    if local is not None:
+        coef, a, s = local
+        # near s, |f|^p <= (coef |x - s|^a)^p, integrable when a p + codim > 0
+        # for the largest p taken near s
+        codim = domain.dim if s == 0.0 else 1
+        p_near = e.sup_near(s)
+        if _contains(domain, s) and a * p_near + codim <= 0.0:
+            raise NotInSpaceError(
+                f"local majorant {coef:g}*|x-{s:g}|^{a:g} is not certifiably "
+                f"integrable to the power {p_near:g} in dimension {domain.dim}"
+            )
+    if isinstance(domain, Ball):
+        return [(0.0, domain.radius)]
+    if isinstance(domain, DyadicRing):
+        return [(domain.inner, domain.outer)]
     R = f.support_radius
     if math.isfinite(R):
-        return ([(0.0, R)], 0.0) if R > 0.0 else ([], 0.0)
+        return [(0.0, R)] if R > 0.0 else []
     tail = getattr(f, "power_tail", None)
     if tail is None:
         raise NotInSpaceError(
@@ -86,7 +107,7 @@ def _modular_pieces(f, e: Exponent, domain: Domain, lam: float,
     coef, a, r_from = tail
     dim = domain.dim
     if coef == 0.0:
-        return [(0.0, max(r_from, 1.0))], 0.0
+        return [(0.0, max(r_from, 1.0))]
     if a >= 0.0 or a * e.p_minus + dim >= 0.0:
         raise NotInSpaceError(
             f"tail majorant {coef:g}*|x|^{a:g} is not certifiably integrable "
@@ -95,7 +116,7 @@ def _modular_pieces(f, e: Exponent, domain: Domain, lam: float,
     c_eff = coef / lam
     budget = tol / 4.0
     # march the cutoff along the fixed grid r_from * 4^j so that nearby lambda
-    # values land on the same domain and point caches stay warm
+    # values land on the same domain and reuse the solve's node table
     R_cut = max(r_from, 1.0)
     for _ in range(520):
         if c_eff * R_cut ** a <= 1.0 and \
@@ -104,41 +125,63 @@ def _modular_pieces(f, e: Exponent, domain: Domain, lam: float,
         R_cut *= 4.0
     else:
         raise NotInSpaceError("tail bound did not fall below tolerance")
-    return [(0.0, R_cut)], _tail_bound(c_eff, a, e.p_minus, dim, R_cut)
+    return [(0.0, R_cut)]
 
 
-def _modular(f, e: Exponent, domain: Domain, lam: float,
-             tol: float) -> tuple[float, float]:
-    pieces, tail_err = _modular_pieces(f, e, domain, lam, tol)
+def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
+                    table: dict[float, tuple[float, float]]):
+    """rho(lam) -> modular of f / lam, for the passes of one solve.
+
+    The integrand and its breakpoints are built once.  The first pass to
+    reach a quadrature node stores |f(x)| and p(x) in the caller's node
+    table and every later pass reads them back, so f and p run once per
+    distinct node; only (|f(x)| / lam) ** p(x) is recomputed, with the
+    same operations as without the table, so every value keeps its last
+    bit.
+    """
+    ffn = f.evaluate
+    pfn = e.evaluate
+    lam = 1.0
+
+    def h(x: float) -> float:
+        hit = table.get(x)
+        if hit is None:
+            hit = table[x] = (abs(ffn(x)), pfn(x))
+        return (hit[0] / lam) ** hit[1]
+
     integrand = AdhocFunc(
-        _integrand(f, e, lam),
+        h,
         singular_points=(*f.singular_points, *e.breakpoints),
         support_radius=f.support_radius,
         even=getattr(f, "even", False) and e.dim >= 2,
     )
-    total, err = 0.0, tail_err
-    try:
-        for inner, outer in pieces:
-            if inner == 0.0 and domain.dim == 1:
-                res = integrate_interval(integrand, -outer, outer,
-                                         breakpoints=(0.0, *integrand.singular_points),
-                                         tol=tol)
-            else:
-                res = integrate_shell(integrand, inner, outer, tol=tol, dim=domain.dim)
-            total += res.value
-            err += res.abs_error_bound
-    except OverflowError:
-        return math.inf, math.inf
-    if not math.isfinite(total):
-        return math.inf, math.inf
-    return total, err
+    line_breaks = (0.0, *integrand.singular_points)
+
+    def rho(at: float) -> float:
+        nonlocal lam
+        lam = at
+        pieces = _modular_pieces(f, e, domain, lam, tol)
+        total = 0.0
+        try:
+            for inner, outer in pieces:
+                if inner == 0.0 and domain.dim == 1:
+                    res = integrate_interval(integrand, -outer, outer,
+                                             breakpoints=line_breaks, tol=tol)
+                else:
+                    res = integrate_shell(integrand, inner, outer, tol=tol,
+                                          dim=domain.dim)
+                total += res.value
+        except OverflowError:
+            return math.inf
+        return total if math.isfinite(total) else math.inf
+
+    return rho
 
 
 def modular(f, e: Exponent, domain: Domain = FULL_LINE,
             tol: float = 1e-9) -> float:
     """The modular: integral of |f(x)|^p(x) over the domain."""
-    value, _ = _modular(f, e, domain, 1.0, tol)
-    return value
+    return _modular_passes(f, e, domain, tol, {})(1.0)
 
 
 def _seed_lambda(f, e: Exponent, domain: Domain) -> float:
@@ -170,10 +213,17 @@ def luxemburg_norm(f, e: Exponent, domain: Domain = FULL_LINE,
     out (which does not happen for catalog inputs).
     """
     mod_tol = min(tol, MODULAR_TOL)
+    table: dict[float, tuple[float, float]] = {}
+    try:
+        return _bisect(_modular_passes(f, e, domain, mod_tol, table),
+                       f, e, domain, mod_tol)
+    finally:
+        # the table is the solve's: an error's stored traceback holds the
+        # solve's frames, and through them the table
+        table.clear()
 
-    def rho(lam: float) -> float:
-        return _modular(f, e, domain, lam, mod_tol)[0]
 
+def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float) -> NormResult:
     rho1 = rho(1.0)
     if rho1 <= ZERO_MODULAR_FLOOR:
         return NormResult(0.0, 0.0, 0, (0.0, 0.0))

@@ -14,8 +14,9 @@ costs one partial panel instead of a full adaptive pass.  Operator outputs
 are exposed as lazy evaluables with jump metadata and certified power-law
 tails, so the norm layer can integrate them like any catalog function.
 
-Images memoize their point values (results are pure, so concurrent reads
-and redundant recomputation are both harmless); the memo lives on the
+Images keep no point memo: a Luxemburg solve already evaluates its
+integrand once per distinct quadrature node, and distinct solves rarely
+share a node.  The shell tables are the only state, built lazily on the
 image instance, never at module level.
 """
 
@@ -194,9 +195,7 @@ class OperatorImage:
     Satisfies the same evaluable protocol as catalog functions: it carries
     jump radii (the origin, the symbol's jumps, and the reflected jump
     radii of the input), a support radius when the output provably
-    vanishes far out, and a certified power tail otherwise.  Point values
-    are cached, so the repeated modular passes of a norm bisection reuse
-    every previously computed sample.
+    vanishes far out, and a certified power tail otherwise.
     """
 
     KINDS = ("hardy", "dual_hardy", "commutator_hardy", "commutator_dual_hardy")
@@ -211,7 +210,6 @@ class OperatorImage:
         self.b = b
         self.dim = dim
         self.tol = tol
-        self._cache: dict[float, tuple[float, float]] = {}
 
         self._table_f = _ShellTable(f, dim, tol)
         self._bf = pointwise_product(b, f) if b is not None else None
@@ -285,6 +283,8 @@ class OperatorImage:
     # -- evaluation -------------------------------------------------------------
 
     def _compute(self, x: float) -> tuple[float, float]:
+        if x == 0.0:
+            raise ValueError("operator images are defined away from the origin")
         t = abs(x)
         n = self.dim
         if self.kind == "hardy":
@@ -308,20 +308,14 @@ class OperatorImage:
         return bx * vf - vbf, abs(bx) * ef + ebf
 
     def evaluate(self, x: float) -> float:
-        if x == 0.0:
-            raise ValueError("operator images are defined away from the origin")
-        hit = self._cache.get(x)
-        if hit is None:
-            hit = self._compute(x)
-            self._cache[x] = hit
-        return hit[0]
+        return self._compute(x)[0]
 
     def __call__(self, x: float) -> float:
         return self.evaluate(x)
 
     def sample(self, x: float) -> OperatorSample:
-        value = self.evaluate(x)
-        return OperatorSample(x, value, self._cache[x][1])
+        value, err = self._compute(x)
+        return OperatorSample(x, value, err)
 
     # -- certified sup bounds on shells ------------------------------------------
 

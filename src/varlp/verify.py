@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from . import funcs
 from .config import ExperimentConfig
 from .exponents import Exponent, constant_exponent, r_p_constant
@@ -160,6 +158,9 @@ def diening_families() -> list[tuple[str, list[tuple[float, float]], list[float]
 
 
 def minkowski_lists(seed: int, count: int = 50) -> list[list[Func]]:
+    # numpy is the package's only use of it, so `import varlp` does not load it
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     lists = []
     for _ in range(count):
@@ -681,24 +682,18 @@ def _run_lemma23(cfg: ExperimentConfig) -> CheckReport:
     return merge_reports("lemma2.3", parts)
 
 
-_SUBSET_CACHE: dict = {}
-
-
 def _run_subsets(cfg: ExperimentConfig) -> tuple[CheckReport, CheckReport]:
-    key = id(cfg)
-    if key not in _SUBSET_CACHE:
-        pairs = subset_pairs(cfg.grid("subset_pair_count"))
-        parts24, parts25 = [], []
-        for name, e in _exponents_for(cfg, ("const2", "pw23")):
-            r24, r25 = check_subset_ratios(e, pairs, cfg.grid("p0_grid"),
-                                           tol=cfg.tol,
-                                           rel_tol=cfg.stmt_tol("lemma2.5", "rel_tol"),
-                                           label=f"{name} ")
-            parts24.append(r24)
-            parts25.append(r25)
-        _SUBSET_CACHE[key] = (merge_reports("lemma2.4", parts24),
-                              merge_reports("lemma2.5", parts25))
-    return _SUBSET_CACHE[key]
+    pairs = subset_pairs(cfg.grid("subset_pair_count"))
+    parts24, parts25 = [], []
+    for name, e in _exponents_for(cfg, ("const2", "pw23")):
+        r24, r25 = check_subset_ratios(e, pairs, cfg.grid("p0_grid"),
+                                       tol=cfg.tol,
+                                       rel_tol=cfg.stmt_tol("lemma2.5", "rel_tol"),
+                                       label=f"{name} ")
+        parts24.append(r24)
+        parts25.append(r25)
+    return (merge_reports("lemma2.4", parts24),
+            merge_reports("lemma2.5", parts25))
 
 
 def _run_prop31(cfg: ExperimentConfig, p0_override: Optional[float] = None) -> CheckReport:
@@ -722,24 +717,18 @@ def _run_prop32(cfg: ExperimentConfig) -> CheckReport:
     return merge_reports("prop3.2", parts)
 
 
-_EQUIV_CACHE: dict = {}
-
-
 def _run_equivalences(cfg: ExperimentConfig) -> tuple[CheckReport, CheckReport]:
-    key = id(cfg)
-    if key not in _EQUIV_CACHE:
-        grid = _radius_grid(cfg.grid("equiv_radius_k"))
-        parts3, parts4 = [], []
-        for name, e in _exponents_for(cfg, ("const2", "pw23")):
-            r3, r4 = check_norm_equivalences(e, equivalence_bank(), grid,
-                                             tol=cfg.tol,
-                                             cap=cfg.stmt_tol("prop3.4", "cap"),
-                                             label=f"{name} ")
-            parts3.append(r3)
-            parts4.append(r4)
-        _EQUIV_CACHE[key] = (merge_reports("prop3.3", parts3),
-                             merge_reports("prop3.4", parts4))
-    return _EQUIV_CACHE[key]
+    grid = _radius_grid(cfg.grid("equiv_radius_k"))
+    parts3, parts4 = [], []
+    for name, e in _exponents_for(cfg, ("const2", "pw23")):
+        r3, r4 = check_norm_equivalences(e, equivalence_bank(), grid,
+                                         tol=cfg.tol,
+                                         cap=cfg.stmt_tol("prop3.4", "cap"),
+                                         label=f"{name} ")
+        parts3.append(r3)
+        parts4.append(r4)
+    return (merge_reports("prop3.3", parts3),
+            merge_reports("prop3.4", parts4))
 
 
 def _run_thm41_forward(cfg: ExperimentConfig) -> CheckReport:
@@ -784,16 +773,18 @@ def _run_thm51(cfg: ExperimentConfig) -> CheckReport:
                          boundary_tol=cfg.stmt_tol("thm5.1", "boundary_tol"))
 
 
-_REGISTRY: dict[str, Callable[[ExperimentConfig], CheckReport]] = {
+# a checker, or (sweep, index) for two statements that one sweep reports
+_REGISTRY: dict[str, Callable[[ExperimentConfig], CheckReport]
+                | tuple[Callable[[ExperimentConfig], tuple], int]] = {
     "eq1.1": _run_eq11,
     "lemma2.2": _run_lemma22,
     "lemma2.3": _run_lemma23,
-    "lemma2.4": lambda cfg: _run_subsets(cfg)[0],
-    "lemma2.5": lambda cfg: _run_subsets(cfg)[1],
+    "lemma2.4": (_run_subsets, 0),
+    "lemma2.5": (_run_subsets, 1),
     "prop3.1": _run_prop31,
     "prop3.2": _run_prop32,
-    "prop3.3": lambda cfg: _run_equivalences(cfg)[0],
-    "prop3.4": lambda cfg: _run_equivalences(cfg)[1],
+    "prop3.3": (_run_equivalences, 0),
+    "prop3.4": (_run_equivalences, 1),
     "thm4.1-forward": _run_thm41_forward,
     "thm4.1-converse-identity": _run_thm41_identity,
     "lemma5.1": _run_lemma51,
@@ -801,13 +792,28 @@ _REGISTRY: dict[str, Callable[[ExperimentConfig], CheckReport]] = {
 }
 
 
-def run_statement(statement_id: str, cfg: ExperimentConfig, **kwargs) -> CheckReport:
+def run_statement(statement_id: str, cfg: ExperimentConfig,
+                  memo: Optional[dict] = None, **kwargs) -> CheckReport:
+    """One statement's report.
+
+    A paired sweep's reports are kept in ``memo`` when one is given, so the
+    second statement of the pair costs nothing; run_all passes one memo per
+    call, and without one every call runs its sweep afresh.
+    """
     if statement_id not in _REGISTRY:
         raise KeyError(f"unknown statement id {statement_id!r}; "
                        f"known: {', '.join(STATEMENT_IDS)}")
     if statement_id == "prop3.1" and "p0" in kwargs:
         return _run_prop31(cfg, p0_override=kwargs["p0"])
-    return _REGISTRY[statement_id](cfg)
+    entry = _REGISTRY[statement_id]
+    if not isinstance(entry, tuple):
+        return entry(cfg)
+    sweep, index = entry
+    if memo is None:
+        return sweep(cfg)[index]
+    if sweep not in memo:
+        memo[sweep] = sweep(cfg)
+    return memo[sweep][index]
 
 
 def run_all(cfg: ExperimentConfig) -> list[CheckReport]:
@@ -815,9 +821,8 @@ def run_all(cfg: ExperimentConfig) -> list[CheckReport]:
     if set(_REGISTRY) != set(STATEMENT_IDS):
         missing = set(STATEMENT_IDS) ^ set(_REGISTRY)
         raise RuntimeError(f"statement coverage broken; mismatched ids: {missing}")
-    _SUBSET_CACHE.clear()
-    _EQUIV_CACHE.clear()
-    return [run_statement(sid, cfg) for sid in STATEMENT_IDS]
+    memo: dict = {}
+    return [run_statement(sid, cfg, memo=memo) for sid in STATEMENT_IDS]
 
 
 def summary_table(reports: Sequence[CheckReport]) -> str:

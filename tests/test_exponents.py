@@ -124,3 +124,14 @@ def test_log_holder_oscillating_tail_fails():
 def test_log_holder_jump_fails_locally():
     rep = log_holder_check(piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0]))
     assert not rep.passed
+
+
+def test_sup_near_is_exact_for_piecewise_exponents():
+    pw = piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0])
+    assert pw.sup_near(0.0) == 2.0
+    assert pw.sup_near(1.0) == 3.0   # both neighbouring pieces count
+    assert pw.sup_near(2.0) == 3.0
+    assert pw.sup_near(5.0) == 2.0
+    assert constant_exponent(4.0).sup_near(0.0) == 4.0
+    smooth = smooth_exponent("sin_loglog")
+    assert smooth.sup_near(0.0) == smooth.p_plus

@@ -99,3 +99,19 @@ def test_power_tail_metadata():
     # majorant must dominate the actual values far out
     for x in (10.0, 1e3, 1e6):
         assert abs(f.evaluate(x)) <= coef * x ** a + 1e-12
+
+
+def test_local_majorant_metadata():
+    assert power(-0.5).local_majorant == (1.0, -0.5, 0.0)
+    assert power(0.5).local_majorant is None
+    assert chi_ball(1.0).local_majorant is None
+    assert with_sign(power(-0.5)).local_majorant == (1.0, -0.5, 0.0)
+    assert abs_power(power(-0.5), 2.0).local_majorant == (1.0, -1.0, 0.0)
+    # the worst exponent wins; bounded terms add their sup on |x| <= 1
+    mix = lincomb([power(-0.5), power(-0.25), chi_ball(2.0)], [2.0, -1.0, 3.0])
+    assert mix.local_majorant == (6.0, -0.5, 0.0)
+    assert lincomb([chi_ball(1.0), power(2.0)], [1.0, 1.0]).local_majorant is None
+    # the majorant holds on 0 < |x| <= 1
+    c, a, s = mix.local_majorant
+    for x in (1e-6, -0.01, 0.3, -1.0):
+        assert abs(mix.evaluate(x)) <= c * abs(x - s) ** a

@@ -1,15 +1,19 @@
 """The modular / Luxemburg-norm engine and the duality pairing bracket."""
 
 import math
+import traceback
+from collections import Counter
 
 import pytest
 
-from varlp import (FULL_LINE, Ball, DyadicRing, NotInSpaceError, catalog_bank,
-                   chi_ball, chi_interval, chi_norm, constant,
-                   constant_exponent, dual_pairing_sup, dyadic_step, lincomb,
-                   luxemburg_norm, modular, piecewise_exponent, power,
-                   sign_func, smooth_exponent)
-from varlp.funcs import abs_power
+from varlp import (FULL_LINE, Ball, DyadicRing, Exponent, NotInSpaceError,
+                   QuadratureNonConvergence, catalog_bank, chi_ball,
+                   chi_interval, chi_norm, constant, constant_exponent,
+                   dual_pairing_sup, dyadic_step, lincomb, luxemburg_norm,
+                   modular, piecewise_exponent, power, scaled_ball, sign_func,
+                   smooth_exponent)
+from varlp.funcs import AdhocFunc, abs_power
+from varlp.operators import OperatorImage
 
 E2 = constant_exponent(2.0)
 PW23 = piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0])
@@ -189,3 +193,103 @@ def test_duality_sandwich_across_catalog():
         assert lower <= rp * nf + 1e-6, name
         assert lower >= nf * (1.0 - 1e-4), name  # extremizer nearly attains
         assert abs(upper - rp * nf) <= 1e-9 * max(1.0, nf)
+
+
+# NormResult reprs recorded before the per-solve node table existed: the
+# table must keep every bit of value, error bound, iteration count and bracket
+PINNED_SOLVES = {
+    "chi02_pw23": (
+        lambda: luxemburg_norm(chi_interval(0.0, 2.0), PW23),
+        "NormResult(value=1.3247179614221927, abs_error_bound=4.518006848360226e-09, "
+        "bisection_iters=27, bracket=(1.3247179569870453, 1.32471796585734))"),
+    "dyadic_step_pw23_line": (
+        lambda: luxemburg_norm(dyadic_step(), PW23, FULL_LINE),
+        "NormResult(value=1795494966748.8606, abs_error_bound=6600.350123561822, "
+        "bisection_iters=40, bracket=(1795494960247.2627, 1795494973250.4585))"),
+    "power_tail_ring_smooth": (
+        lambda: luxemburg_norm(power(-1.0), smooth_exponent("inv_one_plus_abs"),
+                               DyadicRing(2)),
+        "NormResult(value=0.6564358389005065, abs_error_bound=2.840071677770273e-09, "
+        "bisection_iters=27, bracket=(0.6564358361065388, 0.6564358416944742))"),
+    "commutator_hardy_const2": (
+        lambda: luxemburg_norm(OperatorImage("commutator_hardy", chi_ball(1.0),
+                                             b=sign_func()), E2),
+        "NormResult(value=3.999999988824129, abs_error_bound=1.1405870894771069e-08, "
+        "bisection_iters=27, bracket=(3.999999977648258, 4.0))"),
+    "scaled_ball_2d": (
+        lambda: luxemburg_norm(scaled_ball(1.0, dim=2), constant_exponent(3.0, dim=2),
+                               Ball(2.0, 2)),
+        "NormResult(value=0.29368386567583427, abs_error_bound=1.054588132680192e-09, "
+        "bisection_iters=28, bracket=(0.2936838646420145, 0.29368386670965396))"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SOLVES))
+def test_solves_are_bit_identical_to_pinned(name):
+    solve, want = PINNED_SOLVES[name]
+    assert repr(solve()) == want
+
+
+def test_solve_evaluates_f_and_p_once_per_node():
+    base = lincomb([chi_interval(0.0, 1.0), scaled_ball(2.0)], [1.0, 3.0])
+    exp = smooth_exponent("inv_one_plus_abs")
+    f_calls, p_calls = Counter(), Counter()
+
+    def fn(x):
+        f_calls[x] += 1
+        return base.evaluate(x)
+
+    def pn(x):
+        p_calls[x] += 1
+        return exp.evaluate(x)
+
+    f = AdhocFunc(fn, base.singular_points, base.support_radius,
+                  abs_bound_fn=base.abs_bound_on)
+    e = Exponent("custom-evaluable", {}, pn, exp.p_minus, exp.p_plus,
+                 breakpoints=exp.breakpoints)
+    res = luxemburg_norm(f, e)
+    assert res.bisection_iters > 10  # many passes over the same nodes
+    assert f_calls and set(f_calls.values()) == {1}
+    assert p_calls == f_calls
+    assert res.value == luxemburg_norm(base, exp).value
+
+
+def test_node_table_is_emptied_when_a_pass_raises():
+    nasty = AdhocFunc(lambda x: math.sin(1.0 / x) if x != 0.0 else 0.0,
+                      (0.0,), 1.0)
+    with pytest.raises(QuadratureNonConvergence) as info:
+        luxemburg_norm(nasty, E2, Ball(1.0), tol=1e-13)
+    tables = [frame.f_locals["table"] for frame, _ in
+              traceback.walk_tb(info.value.__traceback__)
+              if "table" in frame.f_locals]
+    assert tables and not any(tables)
+
+
+def test_non_integrable_local_singularity_is_refused():
+    # |x|^(-2) and |x|^(-1.2) are not integrable at the origin
+    with pytest.raises(NotInSpaceError):
+        luxemburg_norm(power(-1.0), E2)
+    with pytest.raises(NotInSpaceError):
+        luxemburg_norm(power(-0.6), E2, Ball(1.0))
+    with pytest.raises(NotInSpaceError):
+        luxemburg_norm(lincomb([power(-0.6), chi_ball(2.0)], [2.0, 1.0]), E2, Ball(1.0))
+    # away from the singularity, or integrable at it: still a norm
+    assert abs(luxemburg_norm(power(-1.0), E2, DyadicRing(2)).value
+               - math.sqrt(0.5)) <= 1e-7
+    # oracle: (2 int_0^1 x^(-0.8) dx)^(1/2) = 10^(1/2)
+    assert abs(luxemburg_norm(power(-0.4), E2, Ball(1.0)).value
+               - math.sqrt(10.0)) <= 1e-6
+    # p = 2 near the origin although p_plus = 3: still integrable there;
+    # oracle: (2 int_0^(1/2) x^(-0.8) dx)^(1/2) = (10 / 2^0.2)^(1/2)
+    assert abs(luxemburg_norm(power(-0.4), PW23, Ball(0.5)).value
+               - math.sqrt(10.0 * 0.5 ** 0.2)) <= 1e-6
+    # p = 3 just left of the origin: |x|^(-1.2) is not integrable there
+    with pytest.raises(NotInSpaceError):
+        luxemburg_norm(power(-0.4), piecewise_exponent([0.0], [3.0, 2.0]), Ball(0.5))
+
+
+def test_huge_function_overflowing_at_unit_scale_keeps_its_norm():
+    # (1e200)^2 overflows in the pass at lambda = 1; that pass reads as an
+    # infinite modular and the bracket moves up, it is no refusal
+    res = luxemburg_norm(lincomb([chi_interval(0.0, 1.0)], [1e200]), E2)
+    assert abs(res.value - 1e200) <= 1e-7 * 1e200

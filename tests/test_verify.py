@@ -145,3 +145,36 @@ def test_report_dict_shape():
     assert set(d) == {"statement_id", "pass", "empirical_constant",
                       "fitted_exponent", "witnesses", "notes"}
     assert d["pass"] is True and d["witnesses"] == [["w", 1.0, 2.0]]
+
+
+def test_statement_reports_follow_grid_changes():
+    # a second call on the same config must not return a stale report
+    cfg = ExperimentConfig()
+    cfg.grids["subset_pair_count"] = 10
+    first = run_statement("lemma2.4", cfg).to_dict()
+    cfg.grids["subset_pair_count"] = 20
+    second = run_statement("lemma2.4", cfg).to_dict()
+    assert first != second
+    fresh = ExperimentConfig(grids={"subset_pair_count": 20})
+    assert run_statement("lemma2.4", fresh).to_dict() == second
+
+
+def test_paired_statements_share_one_sweep_through_a_memo(monkeypatch):
+    import varlp.verify as verify
+    calls = []
+    inner = verify.check_subset_ratios
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "check_subset_ratios", counted)
+    cfg = ExperimentConfig(grids={"subset_pair_count": 10})
+    memo = {}
+    r24 = run_statement("lemma2.4", cfg, memo=memo)
+    sweeps = len(calls)
+    r25 = run_statement("lemma2.5", cfg, memo=memo)
+    assert len(calls) == sweeps  # lemma2.5 came from the memo
+    assert (r24.statement_id, r25.statement_id) == ("lemma2.4", "lemma2.5")
+    run_statement("lemma2.5", cfg)
+    assert len(calls) == 2 * sweeps  # no memo, no sharing
