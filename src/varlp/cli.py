@@ -22,7 +22,7 @@ from .norms import NormResult, luxemburg_norm, modular
 from .operators import (commutator_dual_hardy, commutator_hardy, dual_hardy,
                         hardy, maximal)
 from .spaces import (cbmo_classical_norm, cbmo_inf_norm, cbmo_star_norm,
-                     cbmo_var_norm, herz_norm)
+                     cbmo_var_norm, default_radius_grid, herz_norm)
 from .verify import STATEMENT_IDS, run_all, run_statement, summary_table
 
 
@@ -120,7 +120,7 @@ def _cmd_cbmo(args) -> int:
     cfg = _load_config(args.config)
     f = cfg.func(args.f)
     tol = args.tol if args.tol is not None else cfg.tol
-    grid = [2.0 ** k for k in range(args.kmin, args.kmax + 1)]
+    grid = default_radius_grid(args.kmin, args.kmax)
     if args.variant == "classical":
         res = cbmo_classical_norm(f, args.p_classical, grid, tol=tol)
         label = f"classical p={args.p_classical:g}"

@@ -27,7 +27,10 @@ def unit_ball_volume(dim: int) -> float:
 
 @dataclass(frozen=True)
 class Ball:
-    """Open ball B(0, radius) centered at the origin."""
+    """Open ball B(0, radius) centered at the origin.
+
+    Like a dyadic ring it has inner and outer radii, here 0 and radius.
+    """
 
     radius: float
     dim: int = 1
@@ -37,6 +40,14 @@ class Ball:
             raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
+
+    @property
+    def inner(self) -> float:
+        return 0.0
+
+    @property
+    def outer(self) -> float:
+        return self.radius
 
     @property
     def measure(self) -> float:

@@ -33,10 +33,9 @@ from typing import Sequence
 
 from .exponents import Exponent, r_p_constant
 from .funcs import AdhocFunc
-from .geometry import FULL_LINE, Ball, Domain, DyadicRing, unit_ball_volume
+from .geometry import FULL_LINE, Domain, FullLine, unit_ball_volume
 from .quadrature import integrate_interval, integrate_shell
 
-ZERO_MODULAR_FLOOR = 1e-14
 BRACKET_EXPANSIONS = 200
 MODULAR_TOL = 1e-11
 
@@ -69,11 +68,7 @@ def _tail_bound(coef: float, a: float, p_minus: float, dim: int, R: float) -> fl
 
 def _contains(domain: Domain, s: float) -> bool:
     """Whether the closed domain holds the radius |s|."""
-    if isinstance(domain, Ball):
-        return abs(s) <= domain.radius
-    if isinstance(domain, DyadicRing):
-        return domain.inner <= abs(s) <= domain.outer
-    return True
+    return isinstance(domain, FullLine) or domain.inner <= abs(s) <= domain.outer
 
 
 def _modular_pieces(f, e: Exponent, domain: Domain, lam: float,
@@ -92,9 +87,7 @@ def _modular_pieces(f, e: Exponent, domain: Domain, lam: float,
                 f"local majorant {coef:g}*|x-{s:g}|^{a:g} is not certifiably "
                 f"integrable to the power {p_near:g} in dimension {domain.dim}"
             )
-    if isinstance(domain, Ball):
-        return [(0.0, domain.radius)]
-    if isinstance(domain, DyadicRing):
+    if not isinstance(domain, FullLine):
         return [(domain.inner, domain.outer)]
     R = f.support_radius
     if math.isfinite(R):
@@ -185,9 +178,7 @@ def modular(f, e: Exponent, domain: Domain = FULL_LINE,
 
 
 def _seed_lambda(f, e: Exponent, domain: Domain) -> float:
-    if isinstance(domain, Ball):
-        radius, measure = domain.radius, domain.measure
-    elif isinstance(domain, DyadicRing):
+    if not isinstance(domain, FullLine):
         radius, measure = domain.outer, domain.measure
     else:
         radius = f.support_radius
@@ -207,10 +198,11 @@ def luxemburg_norm(f, e: Exponent, domain: Domain = FULL_LINE,
                    tol: float = 1e-9) -> NormResult:
     """inf{lambda > 0 : modular(f / lambda) <= 1}, by bracketed bisection.
 
-    Returns 0 when the modular of f itself sits below the zero-detection
-    floor.  Raises NotInSpaceError when no scaling can make the modular
-    finite, and BracketExpansionError if the geometric bracket search gives
-    out (which does not happen for catalog inputs).
+    Returns 0 exactly when the modular of f is 0 (f vanishes almost
+    everywhere, or |f|^p underflows).  Raises NotInSpaceError when no
+    scaling can make the modular finite, and BracketExpansionError if the
+    geometric bracket search gives out (which does not happen for catalog
+    inputs).
     """
     mod_tol = min(tol, MODULAR_TOL)
     table: dict[float, tuple[float, float]] = {}
@@ -225,7 +217,7 @@ def luxemburg_norm(f, e: Exponent, domain: Domain = FULL_LINE,
 
 def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float) -> NormResult:
     rho1 = rho(1.0)
-    if rho1 <= ZERO_MODULAR_FLOOR:
+    if rho1 == 0.0:
         return NormResult(0.0, 0.0, 0, (0.0, 0.0))
 
     lam0 = _seed_lambda(f, e, domain)
@@ -277,18 +269,15 @@ def chi_norm(region, e: Exponent, tol: float = 1e-9) -> NormResult:
     Uses the closed form measure^(1/p) whenever the exponent is constant
     across the region; falls back to the bisection engine otherwise.
     """
-    if isinstance(region, Ball):
-        if region.dim == 1:
-            components = [(-region.radius, region.radius)]
-        else:
-            components = [(0.0, region.radius)]
-    elif isinstance(region, DyadicRing):
-        if region.dim == 1:
-            components = [(-region.outer, -region.inner), (region.inner, region.outer)]
-        else:
-            components = [(region.inner, region.outer)]
+    if isinstance(region, FullLine):
+        raise TypeError("chi_norm needs a Ball or DyadicRing, got the whole space")
+    a, b = region.inner, region.outer
+    if region.dim > 1:
+        components = [(a, b)]
+    elif a == 0.0:
+        components = [(-b, b)]
     else:
-        raise TypeError(f"chi_norm needs a Ball or DyadicRing, got {type(region)!r}")
+        components = [(-b, -a), (a, b)]
 
     p_const = e.constant_value_on(components)
     if p_const is not None:
@@ -334,18 +323,15 @@ def _pairing_integral(f, g, tol: float) -> float:
 
 
 def dual_pairing_sup(f, e: Exponent, dual_bank: Sequence,
-                     tol: float = 1e-9,
-                     include_extremizer: bool = True) -> tuple[float, float]:
+                     tol: float = 1e-9) -> tuple[float, float]:
     """Bracket for the associate-norm supremum sup |int f g| over the unit
     ball of the conjugate space.
 
     lower: best pairing over the supplied bank (each member normalized by
-    its conjugate norm), optionally sharpened by the analytic extremizer.
+    its conjugate norm), sharpened by the analytic extremizer.
     upper: (1 + 1/p_minus + 1/p_plus) times the norm of f.  The true
     supremum lies in between; it is bracketed, never computed.
     """
-    if not dual_bank and not include_extremizer:
-        raise ValueError("dual bank is empty and the extremizer is disabled")
     nf = luxemburg_norm(f, e, tol=tol)
     if nf.value == 0.0:
         return 0.0, 0.0
@@ -356,10 +342,9 @@ def dual_pairing_sup(f, e: Exponent, dual_bank: Sequence,
         if ng.value <= 0.0:
             continue
         lower = max(lower, abs(_pairing_integral(f, g, tol)) / ng.value)
-    if include_extremizer:
-        g_star = dual_extremizer(f, e, nf.value)
-        ng = luxemburg_norm(g_star, e_conj, tol=tol)
-        if ng.value > 0.0:
-            lower = max(lower, abs(_pairing_integral(f, g_star, tol)) / ng.value)
+    g_star = dual_extremizer(f, e, nf.value)
+    ng = luxemburg_norm(g_star, e_conj, tol=tol)
+    if ng.value > 0.0:
+        lower = max(lower, abs(_pairing_integral(f, g_star, tol)) / ng.value)
     upper = r_p_constant(e) * nf.value
     return lower, upper

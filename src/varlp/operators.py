@@ -182,6 +182,18 @@ class _ShellTable:
         return val, err
 
 
+def _jump_points(*gs) -> tuple[float, ...]:
+    """The origin and +-|s| for every jump s and finite support radius s of
+    the given functions, sorted."""
+    pts = {0.0}
+    for g in gs:
+        for s in g.singular_points:
+            pts.update((abs(s), -abs(s)))
+        if math.isfinite(g.support_radius):
+            pts.update((g.support_radius, -g.support_radius))
+    return tuple(sorted(pts))
+
+
 def _combine_power_terms(terms: list[tuple[float, float]], r0: float) -> tuple[float, float]:
     """Majorize sum_i c_i |x|^(a_i) by a single c |x|^a valid for |x| >= r0."""
     a_star = max(a for _, a in terms)
@@ -215,24 +227,8 @@ class OperatorImage:
         self._bf = pointwise_product(b, f) if b is not None else None
         self._table_bf = _ShellTable(self._bf, dim, tol) if b is not None else None
 
-        pts = {0.0}
-        for s in f.singular_points:
-            pts.add(abs(s))
-            pts.add(-abs(s))
-        if math.isfinite(f.support_radius):
-            pts.add(f.support_radius)
-            pts.add(-f.support_radius)
-        if b is not None:
-            pts.update(b.singular_points)
-            for s in b.singular_points:
-                pts.add(abs(s))
-                pts.add(-abs(s))
-            if math.isfinite(b.support_radius):
-                pts.add(b.support_radius)
-                pts.add(-b.support_radius)
-        self.singular_points = tuple(sorted(pts))
+        self.singular_points = _jump_points(f) if b is None else _jump_points(f, b)
         self.even = (b.even if b is not None else True)
-        self._totals_ready = False
         self.support_radius = math.inf
         self.power_tail = None
         self._derive_far_field()
@@ -361,30 +357,22 @@ class OperatorImage:
 
 def hardy(f, x: float, tol: float = 1e-9, dim: int = 1) -> OperatorSample:
     """|x|^(-n) times the integral of f over the ball |y| <= |x|."""
-    if x == 0.0:
-        raise ValueError("the averaging operator is undefined at the origin")
     return OperatorImage("hardy", f, dim=dim, tol=tol).sample(x)
 
 
 def dual_hardy(f, x: float, tol: float = 1e-9, dim: int = 1) -> OperatorSample:
     """Integral of f(y) / |y|^n over |y| > |x|."""
-    if x == 0.0:
-        raise ValueError("the dual averaging operator is undefined at the origin")
     return OperatorImage("dual_hardy", f, dim=dim, tol=tol).sample(x)
 
 
 def commutator_hardy(b, f, x: float, tol: float = 1e-9, dim: int = 1) -> OperatorSample:
     """|x|^(-n) int_{|y|<=|x|} (b(x) - b(y)) f(y) dy."""
-    if x == 0.0:
-        raise ValueError("the commutator is undefined at the origin")
     return OperatorImage("commutator_hardy", f, b=b, dim=dim, tol=tol).sample(x)
 
 
 def commutator_dual_hardy(b, f, x: float, tol: float = 1e-9,
                           dim: int = 1) -> OperatorSample:
     """int_{|y|>|x|} (b(x) - b(y)) f(y) / |y|^n dy."""
-    if x == 0.0:
-        raise ValueError("the commutator is undefined at the origin")
     return OperatorImage("commutator_dual_hardy", f, b=b, dim=dim, tol=tol).sample(x)
 
 
@@ -392,9 +380,22 @@ def commutator_dual_hardy(b, f, x: float, tol: float = 1e-9,
 # centered maximal function
 # ---------------------------------------------------------------------------
 
-# Ratio between the r^(-n)-normalized supremum and the ball-average
-# supremum computed here: r^(-n) * integral = v_n * average.
-AVERAGE_TO_RPOW_FACTOR = unit_ball_volume
+def _inner_edges(x: float, r: float) -> tuple[float, float]:
+    """The window [x - r, x + r] with each float edge rounded toward x.
+
+    fl(x - r) and fl(x + r) may round outward, and a window wider than 2r
+    would overestimate the average; the exact TwoSum error tells which
+    way each edge rounded, and one step toward x moves it inside.
+    """
+    edges = []
+    for b in (-r, r):
+        s = x + b
+        bb = s - x
+        err = (x - (s - bb)) + (b - bb)  # x + b == s + err exactly
+        if err != 0.0 and (err > 0.0) == (b < 0.0):
+            s = math.nextafter(s, x)
+        edges.append(s)
+    return edges[0], edges[1]
 
 
 def maximal(f, x: float, radius_grid: Optional[Sequence[float]] = None,
@@ -404,9 +405,11 @@ def maximal(f, x: float, radius_grid: Optional[Sequence[float]] = None,
     The supremum is taken over a geometric radius grid enriched with the
     critical radii at which the ball boundary crosses a jump of f, so the
     grid error is one-sided (an underestimate) and the exact optimum is hit
-    whenever it occurs at such a crossing.  Averages are normalized by the
-    ball measure; multiply by the unit-ball volume for the r^(-n)
-    convention.
+    whenever it occurs at such a crossing.  In dimension 1 each window's
+    float edges are rounded toward x, so the integral never covers more
+    than the window even where x +- r loses its last bits.  Averages are
+    normalized by the ball measure; multiply by the unit-ball volume for
+    the r^(-n) convention.
     """
     if dim >= 2 and x != 0.0:
         raise ValueError("off-center maximal averages are only available in dim 1")
@@ -432,18 +435,19 @@ def maximal(f, x: float, radius_grid: Optional[Sequence[float]] = None,
     if dim == 1:
         acc = 0.0
         acc_err = 0.0
-        prev = 0.0
+        prev_lo = prev_hi = x
         for r in grid:
-            left = integrate_interval(absf, x - r, x - prev,
+            lo, hi = _inner_edges(x, r)
+            left = integrate_interval(absf, lo, prev_lo,
                                       breakpoints=f.singular_points, tol=tol)
-            right = integrate_interval(absf, x + prev, x + r,
+            right = integrate_interval(absf, prev_hi, hi,
                                        breakpoints=f.singular_points, tol=tol)
             acc += left.value + right.value
             acc_err += left.abs_error_bound + right.abs_error_bound
             avg = acc / (2.0 * r)
             if avg > best:
                 best, best_err = avg, acc_err / (2.0 * r)
-            prev = r
+            prev_lo, prev_hi = lo, hi
     else:
         for r in grid:
             ball = Ball(r, dim)

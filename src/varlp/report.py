@@ -45,8 +45,9 @@ def fit_loglog(scales: Sequence[float], values: Sequence[float],
     """Least-squares slope of log(value) vs log(scale) over the top decade(s).
 
     Only strictly positive (scale, value) pairs with scale within a factor
-    10**decades of the largest scale participate.  Returns (slope, r2), or
-    None when fewer than two usable points remain.
+    10**decades of the largest scale participate; decades=math.inf fits
+    them all.  Returns (slope, r2), or None when fewer than two usable
+    points remain.
     """
     pts = [(s, v) for s, v in zip(scales, values)
            if s > 0.0 and v > 0.0 and math.isfinite(v)]

@@ -59,19 +59,36 @@ def _attach_divergence(result: SpaceNormResult) -> SpaceNormResult:
     return result
 
 
+def _sweep(grid: Sequence[float], ratio) -> SpaceNormResult:
+    """Grid supremum of ratio(r), with its per-radius breakdown."""
+    breakdown = [(r, ratio(r)) for r in grid]
+    value = max((v for _, v in breakdown), default=0.0)
+    return _attach_divergence(SpaceNormResult(value, breakdown))
+
+
+def _grid(radius_grid: Optional[Sequence[float]]) -> list[float]:
+    return list(radius_grid) if radius_grid is not None else default_radius_grid()
+
+
+def _center_sweep(f, e: Exponent, grid: list[float],
+                  centers: Optional[Sequence[float]], tol: float) -> SpaceNormResult:
+    """Oscillation sweep about centers[i] on the i-th grid ball, or about
+    each ball's average when centers is None."""
+    pending = iter(centers) if centers is not None else None
+
+    def ratio(r: float) -> float:
+        ball = Ball(r, e.dim)
+        c = mean_on_ball(f, ball, tol=tol).value if pending is None else next(pending)
+        num = luxemburg_norm(shifted(f, c), e, ball, tol=tol).value
+        return num / chi_norm(ball, e, tol=tol).value
+
+    return _sweep(grid, ratio)
+
+
 def cbmo_var_norm(f, e: Exponent, radius_grid: Optional[Sequence[float]] = None,
                   tol: float = 1e-9) -> SpaceNormResult:
     """sup over grid balls of ||(f - f_B) chi_B|| / ||chi_B|| in L^p(.)."""
-    grid = list(radius_grid) if radius_grid is not None else default_radius_grid()
-    breakdown = []
-    for r in grid:
-        ball = Ball(r, e.dim)
-        c = mean_on_ball(f, ball, tol=tol).value
-        num = luxemburg_norm(shifted(f, c), e, ball, tol=tol).value
-        den = chi_norm(ball, e, tol=tol).value
-        breakdown.append((r, num / den))
-    value = max(v for _, v in breakdown) if breakdown else 0.0
-    return _attach_divergence(SpaceNormResult(value, breakdown))
+    return _center_sweep(f, e, _grid(radius_grid), None, tol)
 
 
 def cbmo_classical_norm(f, p: float, radius_grid: Optional[Sequence[float]] = None,
@@ -81,19 +98,17 @@ def cbmo_classical_norm(f, p: float, radius_grid: Optional[Sequence[float]] = No
     cross-check of the variable-exponent engine at constant exponents."""
     if not 1.0 <= p < math.inf:
         raise ValueError(f"classical oscillation index must be in [1, inf), got {p}")
-    grid = list(radius_grid) if radius_grid is not None else default_radius_grid()
-    breakdown = []
-    for r in grid:
+
+    def ratio(r: float) -> float:
         ball = Ball(r)
-        c = mean_on_ball(f, ball, tol=tol).value
-        g = shifted(f, c)
+        g = shifted(f, mean_on_ball(f, ball, tol=tol).value)
         gfn = g.evaluate
-        h = AdhocFunc(lambda x, _g=gfn: abs(_g(x)) ** p, g.singular_points,
+        h = AdhocFunc(lambda x: abs(gfn(x)) ** p, g.singular_points,
                       math.inf, even=getattr(f, "even", False))
         res = integrate_ball(h, ball, tol=tol)
-        breakdown.append((r, (res.value / ball.measure) ** (1.0 / p)))
-    value = max(v for _, v in breakdown) if breakdown else 0.0
-    return _attach_divergence(SpaceNormResult(value, breakdown))
+        return (res.value / ball.measure) ** (1.0 / p)
+
+    return _sweep(_grid(radius_grid), ratio)
 
 
 CenterRule = Union[str, Sequence[float]]
@@ -107,7 +122,7 @@ def cbmo_star_norm(f, e: Exponent, center_rule: CenterRule = "ball-average",
     center_rule is either "ball-average" (reduces to the defining variant)
     or a sequence of centers parallel to the radius grid.
     """
-    grid = list(radius_grid) if radius_grid is not None else default_radius_grid()
+    grid = _grid(radius_grid)
     if isinstance(center_rule, str):
         if center_rule != "ball-average":
             raise ValueError(f"unknown center rule {center_rule!r}")
@@ -116,31 +131,23 @@ def cbmo_star_norm(f, e: Exponent, center_rule: CenterRule = "ball-average",
         centers = [float(c) for c in center_rule]
         if len(centers) != len(grid):
             raise ValueError("per-ball center list must match the radius grid")
-    breakdown = []
-    for i, r in enumerate(grid):
-        ball = Ball(r, e.dim)
-        c = mean_on_ball(f, ball, tol=tol).value if centers is None else centers[i]
-        num = luxemburg_norm(shifted(f, c), e, ball, tol=tol).value
-        den = chi_norm(ball, e, tol=tol).value
-        breakdown.append((r, num / den))
-    value = max(v for _, v in breakdown) if breakdown else 0.0
-    return _attach_divergence(SpaceNormResult(value, breakdown))
+    return _center_sweep(f, e, grid, centers, tol)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_min(fn, lo: float, hi: float, width_tol) -> tuple[float, float]:
+def golden_min(fn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section minimum of a convex fn on [lo, hi].
 
-    width_tol is a callable mapping the current midpoint to the acceptable
-    bracket width, so the termination rule can scale with |c|.
+    The search stops once the bracket is narrower than 1e-8 (1 + |mid|),
+    so the termination rule scales with the size of the minimizer.
     """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fn(c), fn(d)
-    while (b - a) > width_tol(0.5 * (a + b)):
+    while (b - a) > 1e-8 * (1.0 + abs(0.5 * (a + b))):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -161,26 +168,19 @@ def cbmo_inf_norm(f, e: Exponent, radius_grid: Optional[Sequence[float]] = None,
     hull of f's values on the ball, so golden-section on that bracket is
     safe.  A degenerate bracket (f constant on the ball) contributes 0.
     """
-    grid = list(radius_grid) if radius_grid is not None else default_radius_grid()
-    breakdown = []
-    for r in grid:
+    def ratio(r: float) -> float:
         ball = Ball(r, e.dim)
         lo, hi = range_on_ball(f, ball)
         span = hi - lo
         if span <= 1e-13 * (1.0 + max(abs(lo), abs(hi))):
-            breakdown.append((r, 0.0))
-            continue
-        lo -= 1e-6 * span
-        hi += 1e-6 * span
+            return 0.0
         den = chi_norm(ball, e, tol=tol).value
+        _, best = golden_min(
+            lambda c: luxemburg_norm(shifted(f, c), e, ball, tol=tol).value,
+            lo - 1e-6 * span, hi + 1e-6 * span)
+        return best / den
 
-        def osc(c: float) -> float:
-            return luxemburg_norm(shifted(f, c), e, ball, tol=tol).value
-
-        _, best = golden_min(osc, lo, hi, lambda c: 1e-8 * (1.0 + abs(c)))
-        breakdown.append((r, best / den))
-    value = max(v for _, v in breakdown) if breakdown else 0.0
-    return _attach_divergence(SpaceNormResult(value, breakdown))
+    return _sweep(_grid(radius_grid), ratio)
 
 
 # ---------------------------------------------------------------------------

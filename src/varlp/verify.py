@@ -33,8 +33,8 @@ from .operators import OperatorImage
 from .quadrature import integrate_interval
 from .report import CheckReport, fit_loglog, slope_is_flat
 from .spaces import (cbmo_classical_norm, cbmo_inf_norm, cbmo_star_norm,
-                     cbmo_var_norm, herz_breakdown, lq_aggregate,
-                     lq_aggregate_large, lq_aggregate_small)
+                     cbmo_var_norm, default_radius_grid, herz_breakdown,
+                     lq_aggregate, lq_aggregate_large, lq_aggregate_small)
 
 STATEMENT_IDS = (
     "eq1.1",
@@ -54,8 +54,7 @@ STATEMENT_IDS = (
 
 
 def _radius_grid(span: Sequence[int]) -> list[float]:
-    k_lo, k_hi = int(span[0]), int(span[1])
-    return [2.0 ** k for k in range(k_lo, k_hi + 1)]
+    return default_radius_grid(int(span[0]), int(span[1]))
 
 
 def merge_reports(statement_id: str, parts: list[CheckReport],
@@ -319,13 +318,9 @@ def check_subset_ratios(e: Exponent,
     # forward bound: ||chi_B|| / ||chi_S|| <= C |B| / |S|
     c_forward = max((nb / ns) / (mb / ms) for _, nb, ns, mb, ms in rows)
     # reverse bound: fit ||chi_S|| / ||chi_B|| against (|S|/|B|)^delta
-    xs = [math.log(ms / mb) for _, _, _, mb, ms in rows]
-    ys = [math.log(ns / nb) for _, nb, ns, _, _ in rows]
-    n = len(xs)
-    mx, my = sum(xs) / n, sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    delta_hat = sxy / sxx
+    delta_hat, _ = fit_loglog([ms / mb for _, _, _, mb, ms in rows],
+                              [ns / nb for _, nb, ns, _, _ in rows],
+                              decades=math.inf)
     c_reverse = max((ns / nb) / (ms / mb) ** delta_hat
                     for _, nb, ns, mb, ms in rows)
     wit24 = [(f"{label}forward constant", c_forward, math.inf),

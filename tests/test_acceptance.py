@@ -4,14 +4,17 @@ Each test prints a single PASS line when its criterion holds, so a verbose
 run reads as a checklist.  Oracles are independent of the paths they check:
 constant-exponent norms against direct modular integrals, the piecewise
 root against scalar bisection, divergence rates against their closed-form
-targets, and determinism against byte comparison of two subprocess runs.
+targets, and determinism against byte comparison of two subprocess runs
+and against the report digest the benchmark stores for the same seed.
 """
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -208,5 +211,12 @@ def test_criterion_11_determinism():
     assert bytes1 == bytes2, "reports differ between identical runs"
     reports = json.loads(bytes1)
     assert len(reports) == 13 and all(r["pass"] for r in reports)
+    # the benchmark stores the digest of each config seed's reports; a
+    # last-bit drift in any value changes it
+    stored = Path(__file__).resolve().parents[1] / "perfbench" / "reference" \
+        / "harness_reference.json"
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == json.loads(stored.read_text())["sha256"]["7"], \
+        "reports drifted from the stored seed-7 digest"
     _ok(11, f"two verify --all --seed 7 runs byte-identical "
-            f"({len(bytes1)} bytes, 13 statements, all pass)")
+            f"({len(bytes1)} bytes, 13 statements, all pass, stored digest)")

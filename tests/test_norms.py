@@ -180,11 +180,6 @@ def test_dual_pairing_zero_function():
     assert dual_pairing_sup(lincomb([chi_ball(1.0)], [0.0]), E2, []) == (0.0, 0.0)
 
 
-def test_dual_pairing_requires_bank_or_extremizer():
-    with pytest.raises(ValueError):
-        dual_pairing_sup(chi_ball(1.0), E2, [], include_extremizer=False)
-
-
 def test_duality_sandwich_across_catalog():
     for name, f in catalog_bank()[:6]:
         nf = luxemburg_norm(f, PW23).value
@@ -293,3 +288,52 @@ def test_huge_function_overflowing_at_unit_scale_keeps_its_norm():
     # infinite modular and the bracket moves up, it is no refusal
     res = luxemburg_norm(lincomb([chi_interval(0.0, 1.0)], [1e200]), E2)
     assert abs(res.value - 1e200) <= 1e-7 * 1e200
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 10.0])
+def test_small_functions_keep_their_norm_within_the_error_bound(p):
+    # ||c chi[0,1]|| = c in every L^p; a modular below any fixed floor is
+    # still a modular, so only rho(1) == 0 may read as norm 0
+    e = constant_exponent(p)
+    for k in range(13):
+        c = 10.0 ** -k
+        res = luxemburg_norm(lincomb([chi_interval(0.0, 1.0)], [c]), e)
+        assert abs(res.value - c) <= res.abs_error_bound, (p, c, res)
+
+
+PW23_2D = piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0], dim=2)
+
+# chi_norm reprs recorded while chi_norm still branched on the region's
+# class; closed forms and bisections alike must keep every bit
+PINNED_CHI_NORMS = [
+    (Ball(0.5), PW23,
+     "NormResult(value=1.0, abs_error_bound=8.881784197001252e-16, "
+     "bisection_iters=0, bracket=(1.0, 1.0))"),
+    (Ball(1.5), PW23,
+     "NormResult(value=1.6729816477745771, abs_error_bound=5.689949438320472e-09, "
+     "bisection_iters=28, bracket=(1.6729816421866417, 1.6729816533625126))"),
+    (DyadicRing(1), PW23,
+     "NormResult(value=1.32471795193851, abs_error_bound=5.670794935049489e-09, "
+     "bisection_iters=28, bracket=(1.3247179463505745, 1.3247179575264454))"),
+    (DyadicRing(2), PW23,
+     "NormResult(value=2.0, abs_error_bound=1.7763568394002505e-15, "
+     "bisection_iters=0, bracket=(2.0, 2.0))"),
+    (Ball(0.5, 2), PW23_2D,
+     "NormResult(value=0.8862269254527579, abs_error_bound=4.440892098500626e-16, "
+     "bisection_iters=0, bracket=(0.8862269254527579, 0.8862269254527579))"),
+    (Ball(1.5, 2), PW23_2D,
+     "NormResult(value=2.2165818754583597, abs_error_bound=5.719847450843081e-09, "
+     "bisection_iters=28, bracket=(2.2165818698704243, 2.216581881046295))"),
+    (DyadicRing(1, 2), PW23_2D,
+     "NormResult(value=2.112307020511323, abs_error_bound=1.7763568394002505e-15, "
+     "bisection_iters=0, bracket=(2.112307020511323, 2.112307020511323))"),
+    (DyadicRing(2, 2), PW23_2D,
+     "NormResult(value=6.139960247678931, abs_error_bound=3.552713678800501e-15, "
+     "bisection_iters=0, bracket=(6.139960247678931, 6.139960247678931))"),
+]
+
+
+@pytest.mark.parametrize("region, e, want", PINNED_CHI_NORMS,
+                         ids=[repr(r) for r, _, _ in PINNED_CHI_NORMS])
+def test_chi_norms_are_bit_identical_to_pinned(region, e, want):
+    assert repr(chi_norm(region, e)) == want

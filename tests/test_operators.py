@@ -153,3 +153,20 @@ def test_dual_hardy_certified_power_tail():
 def test_dual_hardy_refuses_uncertifiable_tail():
     with pytest.raises(ValueError):
         dual_hardy(power(0.5), 1.0)
+
+
+def test_maximal_never_exceeds_the_exact_supremum():
+    # at r ~ 2^40 the float edges x +- r used to round outward, so the
+    # window outgrew 2r and the average read 2.000122 against the exact
+    # supremum 2 of |dyadic_step|; edges rounded toward x keep it below
+    res = maximal(dyadic_step(), -0.5083585272243402)
+    assert 2.0 - 1e-9 <= res.value <= 2.0
+
+
+def test_commutator_image_jump_points_are_pinned():
+    # recorded when the image collected its jump points in four loops
+    b = lincomb([chi_interval(-0.75, 0.5), dyadic_step(3)], [2.0, 1.0])
+    img = OperatorImage("commutator_hardy", chi_interval(-3.0, 1.5), b=b)
+    assert repr(img.singular_points) == (
+        "(-9.0, -8.0, -5.0, -4.0, -3.0, -2.0, -1.5, -1.0, -0.75, -0.5, 0.0, "
+        "0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 8.0, 9.0)")

@@ -171,3 +171,33 @@ def test_lq_branch_boundary(cs):
     small = lq_aggregate_small(cs, 1.0)
     large = lq_aggregate_large(cs, 1.0)
     assert abs(small - large) <= 1e-9 * (1.0 + small)
+
+
+# breakdowns recorded when each sweep wrote out its own loop: the shared
+# sweep must keep every bit, per radius and per center rule
+PINNED_F = lincomb([chi_interval(0.0, 1.0), chi_ball(2.0)], [3.0, -1.0])
+PW23 = piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0])
+PINNED_GRID = [0.5, 1.0, 2.0, 4.0]
+PINNED_SWEEPS = {
+    "var": (lambda: cbmo_var_norm(PINNED_F, PW23, PINNED_GRID),
+            "[(0.5, 1.4999999965075403), (1.0, 1.50000000295899), "
+            "(2.0, 1.3413339254135759), (4.0, 0.9301302288023836)]"),
+    "star": (lambda: cbmo_star_norm(PINNED_F, PW23, [0.25, -0.5, 1.0, 0.0],
+                                    PINNED_GRID),
+             "[(0.5, 1.5206906296079978), (1.0, 1.8027756375014992), "
+             "(2.0, 1.794353413246936), (4.0, 0.931640358868609)]"),
+    "inf": (lambda: cbmo_inf_norm(PINNED_F, PW23, PINNED_GRID),
+            "[(0.5, 1.4999999970629099), (1.0, 1.4999999950458582), "
+            "(2.0, 1.3367886819907968), (4.0, 0.9285699106454449)]"),
+    "classical": (lambda: cbmo_classical_norm(PINNED_F, 1.5, PINNED_GRID),
+                  "[(0.5, 1.5), (1.0, 1.5), (2.0, 1.2099329018750944), "
+                  "(4.0, 0.8005215269780168)]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_sweep_breakdowns_are_bit_identical_to_pinned(name):
+    sweep, want = PINNED_SWEEPS[name]
+    res = sweep()
+    assert repr(res.breakdown) == want
+    assert res.value == max(v for _, v in res.breakdown)

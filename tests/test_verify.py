@@ -178,3 +178,39 @@ def test_paired_statements_share_one_sweep_through_a_memo(monkeypatch):
     assert (r24.statement_id, r25.statement_id) == ("lemma2.4", "lemma2.5")
     run_statement("lemma2.5", cfg)
     assert len(calls) == 2 * sweeps  # no memo, no sharing
+
+
+# reports recorded when check_subset_ratios hand-rolled its regression;
+# report.fit_loglog over the full range sums in the same order
+PINNED_SUBSET_REPORTS = {
+    "const2": (E2, (
+        "CheckReport(statement_id='lemma2.4', passed=True, "
+        "empirical_constant=0.7071067831621811, fitted_exponent=0.500000001046821, "
+        "witnesses=[('const2 forward constant', 0.7071067831621811, inf), "
+        "('const2 fitted reverse exponent', 0.500000001046821, 1.0)], "
+        "notes='reverse constant at fitted exponent: 1')",
+        "CheckReport(statement_id='lemma2.5', passed=True, "
+        "empirical_constant=1.0000000027939677, fitted_exponent=None, "
+        "witnesses=[('const2 p0=1.5', 0.8908987206294817, 1.000001), "
+        "('const2 p0=2', 1.0000000027939677, 1.000001)], "
+        "notes='constant-exponent case must meet the bound with C=1')")),
+    "pw23": (PW, (
+        "CheckReport(statement_id='lemma2.4', passed=True, "
+        "empirical_constant=0.722171985837874, fitted_exponent=0.49605130126669, "
+        "witnesses=[('pw23 forward constant', 0.722171985837874, inf), "
+        "('pw23 fitted reverse exponent', 0.49605130126669, 1.0)], "
+        "notes='reverse constant at fitted exponent: 1.03913')",
+        "CheckReport(statement_id='lemma2.5', passed=True, "
+        "empirical_constant=1.0504391578756376, fitted_exponent=None, "
+        "witnesses=[('pw23 p0=1.5', 0.9098796866015197, inf), "
+        "('pw23 p0=2', 1.0504391578756376, inf)], "
+        "notes='constant-exponent case must meet the bound with C=1')")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SUBSET_REPORTS))
+def test_subset_ratio_reports_are_bit_identical_to_pinned(name):
+    e, want = PINNED_SUBSET_REPORTS[name]
+    reports = check_subset_ratios(e, subset_pairs(36), [1.5, 2.0],
+                                  label=f"{name} ")
+    assert tuple(repr(r) for r in reports) == want
