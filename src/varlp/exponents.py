@@ -119,14 +119,14 @@ class Exponent:
         """
         if self.kind == "constant":
             return self.params["p"]
+        if self.kind != "piecewise-constant":
+            return None
         values = []
         for a, b in intervals:
             for s in self.breakpoints:
                 if a < s < b:
                     return None
             values.append(self._fn(0.5 * (a + b)))
-        if self.kind != "piecewise-constant":
-            return None
         first = values[0]
         return first if all(v == first for v in values) else None
 

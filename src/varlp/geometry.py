@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -84,4 +83,4 @@ class FullLine:
 
 FULL_LINE = FullLine()
 
-Domain = Union[Ball, DyadicRing, FullLine]
+Domain = Ball | DyadicRing | FullLine

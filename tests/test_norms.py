@@ -12,7 +12,8 @@ from varlp import (FULL_LINE, Ball, DyadicRing, Exponent, NotInSpaceError,
                    dual_pairing_sup, dyadic_step, lincomb, luxemburg_norm,
                    modular, piecewise_exponent, power, scaled_ball, sign_func,
                    smooth_exponent)
-from varlp.funcs import AdhocFunc, abs_power
+from varlp import norms
+from varlp.funcs import AdhocFunc, abs_power, pointwise_product
 from varlp.operators import OperatorImage
 
 E2 = constant_exponent(2.0)
@@ -299,6 +300,8 @@ def test_small_functions_keep_their_norm_within_the_error_bound(p):
         c = 10.0 ** -k
         res = luxemburg_norm(lincomb([chi_interval(0.0, 1.0)], [c]), e)
         assert abs(res.value - c) <= res.abs_error_bound, (p, c, res)
+        # the bisection stops on relative width alone
+        assert abs(res.value - c) <= 1e-8 * c, (p, c, res)
 
 
 PW23_2D = piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0], dim=2)
@@ -337,3 +340,113 @@ PINNED_CHI_NORMS = [
                          ids=[repr(r) for r, _, _ in PINNED_CHI_NORMS])
 def test_chi_norms_are_bit_identical_to_pinned(region, e, want):
     assert repr(chi_norm(region, e)) == want
+
+
+def _count_passes(monkeypatch) -> list[float]:
+    """Record the lambda of every modular pass the solves below make."""
+    passes = []
+    make = norms._modular_passes
+
+    def counting(*args):
+        rho = make(*args)
+
+        def counted(lam):
+            passes.append(lam)
+            return rho(lam)
+
+        return counted
+
+    monkeypatch.setattr(norms, "_modular_passes", counting)
+    return passes
+
+
+_BANK = dict(catalog_bank())
+_OUTSIDE_B1 = lincomb([constant(1.0), chi_ball(1.0)], [1.0, -1.0])
+
+# reprs recorded while every solve ran all of its passes (30 or 31 here);
+# skipping the passes the exponent bounds decide keeps every bit.  The
+# last entry is the most passes a solve may make: few where p is constant
+# on the domain, fewer than the exact search's wherever it varies
+SKIPPING_SOLVES = {
+    "hat_const2_line": (
+        lambda: luxemburg_norm(_BANK["hat"], E2),
+        "NormResult(value=2.236067970371936, abs_error_bound=8.035517698916977e-09, "
+        "bisection_iters=27, bracket=(2.2360679624694018, 2.2360679782744697))", 8),
+    "dyadic_step_pw23_ring_in_one_piece": (
+        lambda: luxemburg_norm(dyadic_step(), PW23, DyadicRing(2)),
+        "NormResult(value=2.8284271317972767, abs_error_bound=9.035857991168257e-09, "
+        "bisection_iters=27, bracket=(2.828427122926982, 2.828427140667571))", 8),
+    "step_mix_pw23_line": (
+        lambda: luxemburg_norm(_BANK["step_mix"], PW23),
+        "NormResult(value=2.802588751212263, abs_error_bound=7.779606862564288e-09, "
+        "bisection_iters=28, bracket=(2.8025887435967984, 2.8025887588277274))", 29),
+    "ramp_smooth_ball": (
+        lambda: luxemburg_norm(_BANK["ramp_half"], smooth_exponent("inv_one_plus_abs"),
+                               Ball(1.5)),
+        "NormResult(value=0.6811830203369917, abs_error_bound=2.51508021600989e-09, "
+        "bisection_iters=27, bracket=(0.6811830178693766, 0.681183022804607))", 29),
+    "power_tail_pw23_line": (
+        lambda: luxemburg_norm(pointwise_product(power(-1.0), _OUTSIDE_B1), PW23),
+        "NormResult(value=1.3345395419746637, abs_error_bound=5.6713351225014775e-09, "
+        "bisection_iters=28, bracket=(1.3345395363867283, 1.3345395475625992))", 29),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKIPPING_SOLVES))
+def test_skipped_passes_keep_every_bit(name, monkeypatch):
+    solve, want, most_passes = SKIPPING_SOLVES[name]
+    passes = _count_passes(monkeypatch)
+    assert repr(solve()) == want
+    assert 0 < len(passes) <= most_passes, passes
+
+
+# the exact search's results for the modulars below, 31 passes each, and
+# whether the modular breaks the bounds of the stated exponent 2
+SYNTHETIC_SOLVES = {
+    # decays like lam^-2, as exponent 2 says
+    "square": (lambda lam: (3.0 / lam) ** 2,
+               "NormResult(value=2.9999999934382133, abs_error_bound=8.077533960185622e-09, "
+               "bisection_iters=28, bracket=(2.9999999855356796, 3.0000000013407475))",
+               False),
+    # decays like lam^-4, faster than exponent 2 allows
+    "quartic": (lambda lam: (3.0 / lam) ** 4,
+                "NormResult(value=2.9999999934382133, abs_error_bound=8.077533960185622e-09, "
+                "bisection_iters=28, bracket=(2.9999999855356796, 3.0000000013407475))",
+                True),
+    # decreasing, but drops by a fifth at lam = 2.5, below the root
+    "drop": (lambda lam: (3.0 / lam) ** 2 * (1.0 if lam < 2.5 else 0.8),
+             "NormResult(value=2.683281568134172, abs_error_bound=8.060114668838504e-09, "
+             "bisection_iters=28, bracket=(2.683281560231638, 2.6832815760367064))",
+             True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_SOLVES))
+def test_modular_off_its_exponent_bounds_falls_back_to_exact_passes(name):
+    modular_of, want, off_bounds = SYNTHETIC_SOLVES[name]
+    passes = []
+
+    def rho(lam):
+        passes.append(lam)
+        return modular_of(lam)
+
+    res = norms._bisect(rho, chi_interval(0.0, 1.0), E2, FULL_LINE, 1e-11)
+    assert repr(res) == want
+    # off its bounds, the skipping search misses and the exact one runs in full
+    assert len(passes) >= 31 if off_bounds else len(passes) <= 8
+
+
+@pytest.mark.parametrize("call, entry", [
+    (lambda: luxemburg_norm(power(-1.0), E2), "luxemburg_norm"),  # local majorant
+    (lambda: luxemburg_norm(sign_func(), E2), "luxemburg_norm"),  # flat tail
+    (lambda: luxemburg_norm(power(-0.25), E2, FULL_LINE), "luxemburg_norm"),
+    (lambda: modular(constant(1.0), E2, FULL_LINE), "modular"),
+], ids=["local", "flat-tail", "slow-tail", "modular"])
+def test_refusals_come_before_any_pass(call, entry):
+    with pytest.raises(NotInSpaceError) as info:
+        call()
+    frames = [frame.f_code.co_name for frame, _ in
+              traceback.walk_tb(info.value.__traceback__)]
+    # raised by the entry point's own check, with no pass machinery (node
+    # table, pass closure, bisection) on the stack for a stored error to keep
+    assert frames[-2:] == [entry, "_refuse"], frames
