@@ -33,10 +33,14 @@ class EvaluationDomainError(ValueError):
 
 
 class Func:
-    """One catalog function; immutable, safe to share and evaluate concurrently."""
+    """One catalog function; immutable, safe to share and evaluate concurrently.
+
+    ``evaluate`` is the catalog closure itself, not a method wrapping it, so
+    an evaluation inside quadrature costs one call frame.
+    """
 
     __slots__ = ("kind", "params", "support_radius", "singular_points", "even",
-                 "power_tail", "local_majorant", "_fn", "_children")
+                 "power_tail", "local_majorant", "evaluate", "_children")
 
     def __init__(self, kind: str, params: dict, fn: Callable[[float], float],
                  support_radius: float, singular_points: Sequence[float],
@@ -50,14 +54,11 @@ class Func:
         self.even = even
         self.power_tail = power_tail
         self.local_majorant = local_majorant
-        self._fn = fn
+        self.evaluate = fn
         self._children = children
 
-    def evaluate(self, x: float) -> float:
-        return self._fn(x)
-
     def __call__(self, x: float) -> float:
-        return self._fn(x)
+        return self.evaluate(x)
 
     def __repr__(self) -> str:
         return f"Func({self.kind}, {self.params})"
@@ -246,7 +247,7 @@ def lincomb(terms: Sequence[Func], coeffs: Sequence[float]) -> Func:
         return zero()
 
     def fn(x: float) -> float:
-        return sum(c * g._fn(x) for c, g in live)
+        return sum(c * g.evaluate(x) for c, g in live)
 
     support = max(g.support_radius for _, g in live)
     pts: list[float] = []
@@ -264,7 +265,7 @@ def lincomb(terms: Sequence[Func], coeffs: Sequence[float]) -> Func:
 
 def with_sign(base: Func) -> Func:
     """sgn(x) * base(x)."""
-    bfn = base._fn
+    bfn = base.evaluate
 
     def fn(x: float) -> float:
         return ((x > 0.0) - (x < 0.0)) * bfn(x)
@@ -280,7 +281,7 @@ def abs_power(base: Func, exponent: float = 1.0) -> Func:
     exponent = float(exponent)
     if exponent <= 0.0:
         raise ValueError("abs_power exponent must be positive")
-    bfn = base._fn
+    bfn = base.evaluate
 
     def fn(x: float) -> float:
         return abs(bfn(x)) ** exponent
@@ -379,7 +380,7 @@ class AdhocFunc:
 
 def pointwise_product(f, g) -> AdhocFunc:
     """f * g with merged metadata; used by the commutator kernels."""
-    ffn, gfn = _fn_of(f), _fn_of(g)
+    ffn, gfn = f.evaluate, g.evaluate
     support = min(f.support_radius, g.support_radius)
     pts = [s for s in (*f.singular_points, *g.singular_points) if abs(s) <= support]
     tail = None
@@ -399,7 +400,7 @@ def pointwise_product(f, g) -> AdhocFunc:
 
 def shifted(f, c: float) -> AdhocFunc:
     """f - c, for oscillation norms over bounded domains."""
-    ffn = _fn_of(f)
+    ffn = f.evaluate
     c = float(c)
 
     def bound(lo: float, hi: float) -> float:
@@ -418,7 +419,7 @@ def lr_aggregate(fs: Sequence, r: float) -> AdhocFunc:
         raise ValueError("need at least one function to aggregate")
     if not r > 0.0:
         raise ValueError("aggregate index must be positive")
-    fns = [_fn_of(f) for f in fs]
+    fns = [f.evaluate for f in fs]
 
     def fn(x: float) -> float:
         return sum(abs(g(x)) ** r for g in fns) ** (1.0 / r)
@@ -437,10 +438,6 @@ def lr_aggregate(fs: Sequence, r: float) -> AdhocFunc:
 
     return AdhocFunc(fn, pts, support, even=all(f.even for f in fs),
                      power_tail=tail, abs_bound_fn=bound, kind="lr-aggregate")
-
-
-def _fn_of(f) -> Callable[[float], float]:
-    return f.evaluate if hasattr(f, "evaluate") else f
 
 
 # ---------------------------------------------------------------------------

@@ -145,13 +145,14 @@ def _modular_pieces(f, e: Exponent, domain: Domain, lam: float,
     # march the cutoff along the fixed grid r_from * 4^j so that nearby lambda
     # values land on the same domain and reuse the solve's node table
     R_cut = max(r_from, 1.0)
-    for _ in range(520):
-        if c_eff * R_cut ** a <= 1.0 and \
-                _tail_bound(c_eff, a, e.p_minus, dim, R_cut) <= budget:
-            break
+    while math.isfinite(R_cut) and not (
+            c_eff * R_cut ** a <= 1.0 and
+            _tail_bound(c_eff, a, e.p_minus, dim, R_cut) <= budget):
         R_cut *= 4.0
-    else:
-        raise NotInSpaceError("tail bound did not fall below tolerance")
+    if not math.isfinite(R_cut):
+        # the march overflowed: integrating to +-inf would evaluate f there
+        raise NotInSpaceError("tail bound did not fall below tolerance at "
+                              "any finite cutoff radius")
     return [(0.0, R_cut)]
 
 

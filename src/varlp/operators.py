@@ -131,9 +131,12 @@ class _ShellTable:
     def _dual_kernel(self):
         gfn = self.g.evaluate
         n = self.dim
-
-        def k(y: float) -> float:
-            return gfn(y) / abs(y) ** n
+        if n == 1:  # abs(y) ** 1 == abs(y) exactly, without the pow call
+            def k(y: float) -> float:
+                return gfn(y) / abs(y)
+        else:
+            def k(y: float) -> float:
+                return gfn(y) / abs(y) ** n
 
         return AdhocFunc(k, self.g.singular_points, self.g.support_radius,
                          even=getattr(self.g, "even", False))

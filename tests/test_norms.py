@@ -113,6 +113,20 @@ def test_not_in_space_for_flat_tail():
         modular(constant(1.0), E2, FULL_LINE)
 
 
+def test_tail_cutoff_that_overflows_is_refused():
+    # |f| = min(1, |x|^-0.5) under smooth21 on R: |f|^p ~ 1/|x| far out, not
+    # integrable, while p_minus > 2 of the working box lets the tail pass
+    # _refuse; the cutoff march overflows to inf, and integrating to +-inf
+    # used to fail with "exponent evaluated outside its domain"
+    e = smooth_exponent("inv_one_plus_abs", {"base": 2.0, "amp": 1.0})
+    f = AdhocFunc(lambda x: min(1.0, abs(x) ** -0.5), (-1.0, 1.0), even=True,
+                  power_tail=(1.0, -0.5, 1.0))
+    with pytest.raises(NotInSpaceError, match="finite cutoff"):
+        modular(f, e)
+    with pytest.raises(NotInSpaceError, match="finite cutoff"):
+        luxemburg_norm(f, e)
+
+
 def test_power_tail_certified_norm():
     # |x|^(-1) lies in L^2 outside the origin-adjacent core; restrict by a
     # shifted window: f = |x|^(-1) * chi_{|x|>=1} via lincomb is not in the

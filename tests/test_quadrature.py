@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varlp import (Ball, DyadicRing, QuadratureNonConvergence, constant,
-                   integrate_annulus, integrate_ball, integrate_interval, power)
+from varlp import (Ball, DyadicRing, OperatorImage, QuadratureNonConvergence,
+                   abs_power, constant, dyadic_step, integrate_annulus,
+                   integrate_ball, integrate_interval, power, scaled_ball)
+from varlp.operators import _ShellTable
 from varlp.quadrature import integrate_shell
 
 
@@ -110,3 +112,72 @@ def test_empty_interval():
     assert integrate_interval(lambda x: 1.0, 2.0, 2.0).value == 0.0
     with pytest.raises(ValueError):
         integrate_interval(lambda x: 1.0, 2.0, 1.0)
+
+
+# reprs recorded before the GK15 panel became straight-line code, the
+# breakpoints were sorted once and the dim-1 dual kernel lost its ** 1:
+# node order, summation order and tie-breaks are part of every report
+def _jumpy(x):
+    return math.exp(x) if x < 0.3 else 1.0 / (1.0 + x * x)
+
+
+def _pinned_interval(breakpoints):
+    return lambda: integrate_interval(_jumpy, -1.0, 2.0, breakpoints=breakpoints(),
+                                      tol=1e-12)
+
+
+# the 164 jump points dyadic_step is built from, +-2 among them twice
+_DYADIC_POINTS = [s * (2.0 ** j + d) for j in range(41) for d in (0.0, 1.0)
+                  for s in (1.0, -1.0)]
+_TABLE_IMAGE = lambda: OperatorImage("commutator_dual_hardy", scaled_ball(2.0),
+                                     b=power(0.5))
+
+
+def _table_pairs(t):
+    img = _TABLE_IMAGE()
+    return (img._table_f.ball(t), img._table_f.tail(t),
+            img._table_bf.ball(t), img._table_bf.tail(t))
+
+
+PINNED_QUADRATURE = {
+    "interval_unsorted": _pinned_interval(lambda: [1.5, 0.3, -0.7, 1.1]),
+    "interval_duplicates": _pinned_interval(lambda: [0.3, 0.3, 1.5, 0.3, 1.5]),
+    "interval_negzero": _pinned_interval(lambda: [-0.0, 0.0, 0.3]),
+    "interval_outside": _pinned_interval(
+        lambda: [-5.0, -1.0, 0.3, 2.0, 7.0, math.inf, -math.inf]),
+    "interval_generator": _pinned_interval(lambda: (0.1 * k for k in range(-20, 30))),
+    "dyadic_step_interval": lambda: integrate_interval(
+        dyadic_step(), -3000.5, 1e6, breakpoints=_DYADIC_POINTS),
+    "dyadic_step_shell": lambda: integrate_shell(abs_power(dyadic_step()), 0.75,
+                                                 2.0 ** 30),
+    # odd, so the value is pure roundoff: the most order-sensitive pin here
+    "dyadic_step_dual_kernel": lambda: integrate_shell(
+        _ShellTable(dyadic_step(), 1)._dual_kernel(), 0.75, 2.0 ** 30),
+    # |y|^0.25 / |y| on [t, 2t], split into 6 panels
+    "inv_abs_kernel": lambda: integrate_shell(
+        _ShellTable(power(0.25), 1)._dual_kernel(), 1e-3, 2e-3, tol=1e-15),
+    "dim2_shell": lambda: integrate_shell(power(-0.5), 0.3, 1.7, dim=2),
+    **{f"table_{t}": (lambda t=t: _table_pairs(t)) for t in (0.01, 0.3, 1.0, 1.5, 1.99)},
+}
+PINNED_QUADRATURE_REPRS = {
+    "interval_unsorted": "QuadResult(value=1.7976712897207845, abs_error_bound=1.0685896612017132e-15, subdivisions=7)",
+    "interval_duplicates": "QuadResult(value=1.7976712897207845, abs_error_bound=1.2309597785531423e-14, subdivisions=5)",
+    "interval_negzero": "QuadResult(value=1.797671289720784, abs_error_bound=3.391731340229853e-14, subdivisions=7)",
+    "interval_outside": "QuadResult(value=1.7976712897207845, abs_error_bound=3.391731340229853e-14, subdivisions=6)",
+    "interval_generator": "QuadResult(value=1.7976712897207843, abs_error_bound=1.214306433183765e-16, subdivisions=30)",
+    "dyadic_step_interval": "QuadResult(value=1044480.0, abs_error_bound=0.0, subdivisions=63)",
+    "dyadic_step_shell": "QuadResult(value=2147483646.0, abs_error_bound=0.0, subdivisions=120)",
+    "dyadic_step_dual_kernel": "QuadResult(value=-1.0658141036401503e-14, abs_error_bound=3.9896530523719775e-11, subdivisions=120)",
+    "inv_abs_kernel": "QuadResult(value=0.2691704934737643, abs_error_bound=1.1102230246251565e-15, subdivisions=6)",
+    "dim2_shell": "QuadResult(value=8.596285735351673, abs_error_bound=8.428928666148749e-10, subdivisions=3)",
+    "table_0.01": "((2.5e-05, 0.0), (0.995, 0.0), (2.0000000000000003e-06, 1.9654529006339954e-14), (0.9424757082487302, 1.4448770491071978e-13))",
+    "table_0.3": "((0.0225, 0.0), (0.85, 0.0), (0.00985900603509299, 1.9654528900460836e-14), (0.8880367858315469, 1.4462637436858067e-13))",
+    "table_1.0": "((0.25, 0.0), (0.5, 0.0), (0.2, 1.9654528900460836e-14), (0.6094757082487301, 2.378573528614782e-13))",
+    "table_1.5": "((0.5625, 0.0), (0.25, 0.0), (0.5511351921262151, 1.9710040051692094e-14), (0.3304366058862689, 1.4459861879296505e-13))",
+    "table_1.99": "((0.9900250000000002, 1.1102230246251565e-16), (0.0050000000000000044, 0.0), (1.1172817030614974, 3.3865383615662836e-14), (0.007062221597559705, 1.4448759649050253e-13))",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_QUADRATURE))
+def test_quadrature_is_bit_identical_to_pinned(name):
+    assert repr(PINNED_QUADRATURE[name]()) == PINNED_QUADRATURE_REPRS[name]
