@@ -11,9 +11,12 @@ time.  Pair i uses seed first_seed + i for both sides; even pairs run the
 parent first, odd pairs the change.  For every end-to-end metric the file
 holds each side's per-run values, median and quartiles, and how many pairs
 the change won, lost and tied (by the metric's "better" direction in
-BENCHMARK.json), and whether the gain rule holds: the change wins at
-least nine tenths of the pairs and the medians differ by more than the
-parent's quartile distance.  ``--trace-seed`` adds one ``--trace 1``
+BENCHMARK.json), whether the gain rule holds (the change wins at least
+nine tenths of the pairs and the medians differ by more than the parent's
+quartile distance), and whether the change's median is within the
+metric's bound: no worse than the parent's by more than that relative
+"bound" in BENCHMARK.json.  The file also records each side's line count
+of ``src/varlp/*.py``.  ``--trace-seed`` adds one ``--trace 1``
 harness run per side, whose per-layer counters should match exactly when
 a change does the same work.  The file is rewritten after each workload.
 Standard library only.
@@ -22,6 +25,7 @@ Standard library only.
 import argparse
 import hashlib
 import json
+import math
 import os
 import pathlib
 import platform
@@ -64,10 +68,29 @@ def spread(values: list) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "values": values}
 
 
-def compare(runs: dict, directions: dict) -> dict:
-    """Per-metric medians, quartiles and pair wins of the change."""
+def src_lines(root: pathlib.Path) -> dict:
+    """Line count of each ``src/varlp/*.py`` file and their total."""
+    counts = {p.name: len(p.read_text().splitlines())
+              for p in sorted((root / "src" / "varlp").glob("*.py"))}
+    return {"files": counts, "total": sum(counts.values())}
+
+
+def rel_worse(par: float, chg: float, better: str) -> float:
+    """How much worse the change's value is, relative to the parent's
+    (negative when it is better): chg/par - 1 for "lower", par/chg - 1 for
+    "higher"."""
+    num, den = (chg, par) if better == "lower" else (par, chg)
+    if den == 0.0:
+        return 0.0 if num == 0.0 else math.inf
+    return num / den - 1.0
+
+
+def compare(runs: dict, metrics: dict) -> dict:
+    """Per-metric medians, quartiles, pair wins and bound check of the change,
+    for the BENCHMARK.json end-to-end metrics given by name."""
     out = {}
-    for name, better in directions.items():
+    for name, metric in metrics.items():
+        better = metric["better"]
         vals = {s: [r["metrics"][name] for r in runs[s]] for s in SIDES}
         sign = 1.0 if better == "lower" else -1.0
         gains = [sign * (p - c) for p, c in zip(vals["parent"], vals["change"])]
@@ -81,6 +104,9 @@ def compare(runs: dict, directions: dict) -> dict:
             if par["median"] else None,
             "gain_rule_met": wins >= 0.9 * len(gains)
             and sign * (par["median"] - chg["median"]) > par["q3"] - par["q1"],
+            "bound": metric["bound"],
+            "within_bound": rel_worse(par["median"], chg["median"], better)
+            <= metric["bound"],
         }
     return out
 
@@ -101,13 +127,14 @@ def main() -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = {}
     bench = {
         "command": spec["command"] + ["--seconds", seconds, "--trace", 0],
         "machine": {"platform": platform.platform(), "python": platform.python_version(),
                     "cpus": len(os.sched_getaffinity(0))},
         "perfbench_sha256": {s: tree_digest(r) for s, r in roots.items()},
+        "src_lines": {s: src_lines(r) for s, r in roots.items()},
         "workloads": workloads,
     }
     for wl in args.workload:
@@ -122,7 +149,7 @@ def main() -> int:
                       f"correct {run['correct']}", file=sys.stderr, flush=True)
         workloads[wl] = {"pairs": args.pairs, "seeds": [args.first_seed + i
                                                         for i in range(args.pairs)],
-                         "summary": compare(runs, directions), "runs": runs}
+                         "summary": compare(runs, metrics), "runs": runs}
         args.out.write_text(json.dumps(bench, indent=1) + "\n")
     if args.trace_seed is not None:
         bench["trace"] = {"workload": "harness", "seed": args.trace_seed, **{

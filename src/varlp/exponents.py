@@ -160,6 +160,9 @@ def piecewise_exponent(breaks: Sequence[float], values: Sequence[float],
     values = [float(v) for v in values]
     if len(values) != len(breaks) + 1:
         raise ValueError("piecewise exponent needs len(values) == len(breaks) + 1")
+    if not all(map(math.isfinite, (*breaks, *values))):
+        raise ValueError(f"piecewise breaks and values must be finite, got "
+                         f"breaks={breaks}, values={values}")
     if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
         raise ValueError("piecewise breaks must be strictly increasing")
     br = tuple(breaks)

@@ -1,19 +1,31 @@
-"""A closed catalog of exactly evaluable test functions on the line.
+"""Evaluables: the closed catalog of test functions and the functions
+derived from them, all instances of one class, ``Func``.
 
-Every function carries its jump/kink locations and its support radius, so
-the quadrature layer can split integration domains at discontinuities
-instead of hammering them adaptively.  Functions with unbounded support
-additionally carry a certified power-law majorant (coef, exponent, r_from)
-meaning |f(x)| <= coef * |x|**exponent for |x| >= r_from, which is what the
-norm layer uses to truncate whole-line integrals with a provable tail
-bound.  Functions unbounded near a point s carry a certified local
-majorant (coef, exponent, s) meaning |f(x)| <= coef * |x - s|**exponent for
-0 < |x - s| <= 1, which lets the norm layer refuse a modular that cannot be
-certified integrable near s instead of integrating an infinite quantity.
+Every evaluable carries the metadata the quadrature, norm and operator
+layers integrate with:
 
-The catalog is closed on purpose: arbitrary user lambdas have no reliable
-singularity metadata.  Compositions (linear combinations, sign products,
-absolute powers) stay inside the catalog and propagate their metadata.
+- its jump/kink locations, so quadrature splits integration domains at
+  discontinuities instead of hammering them adaptively;
+- its support radius;
+- a certified power-law tail (coef, exponent, r_from) when the support is
+  unbounded, meaning |f(x)| <= coef * |x|**exponent for |x| >= r_from,
+  which lets the norm layer truncate whole-line integrals with a provable
+  tail bound;
+- a certified local majorant (coef, exponent, s) when f is unbounded near
+  a point s, meaning |f(x)| <= coef * |x - s|**exponent for
+  0 < |x - s| <= 1, which lets the norm layer refuse a modular that cannot
+  be certified integrable near s instead of integrating an infinite
+  quantity;
+- a sup bound for |f| on any shell lo <= |x| <= hi, which each
+  constructor supplies as a closure (none means no bound, read as inf).
+
+Catalog functions (``kind`` and ``params`` name them in their repr) and
+their compositions (linear combinations, sign products, absolute powers)
+stay inside the catalog and propagate their metadata.
+Derived functions (operator kernels, duality extremizers, l^r aggregates,
+modular integrands) are built with the same constructor and never appear
+in JSON configs.  The catalog is closed on purpose: arbitrary user lambdas
+have no reliable singularity metadata.
 """
 
 from __future__ import annotations
@@ -33,29 +45,32 @@ class EvaluationDomainError(ValueError):
 
 
 class Func:
-    """One catalog function; immutable, safe to share and evaluate concurrently.
+    """One evaluable; immutable, safe to share and evaluate concurrently.
 
-    ``evaluate`` is the catalog closure itself, not a method wrapping it, so
-    an evaluation inside quadrature costs one call frame.
+    ``evaluate`` is the closure itself, not a method wrapping it, so an
+    evaluation inside quadrature costs one call frame.
     """
 
-    __slots__ = ("kind", "params", "support_radius", "singular_points", "even",
-                 "power_tail", "local_majorant", "evaluate", "_children")
+    __slots__ = ("evaluate", "singular_points", "support_radius", "even",
+                 "power_tail", "local_majorant", "kind", "params", "_bound")
 
-    def __init__(self, kind: str, params: dict, fn: Callable[[float], float],
-                 support_radius: float, singular_points: Sequence[float],
-                 even: bool, power_tail: Optional[PowerTail] = None,
-                 children: tuple = (),
-                 local_majorant: Optional[LocalMajorant] = None):
-        self.kind = kind
-        self.params = params
-        self.support_radius = support_radius
+    def __init__(self, fn: Callable[[float], float],
+                 singular_points: Sequence[float] = (),
+                 support_radius: float = math.inf,
+                 even: bool = False,
+                 power_tail: Optional[PowerTail] = None, *,
+                 bound: Optional[Callable[[float, float], float]] = None,
+                 local_majorant: Optional[LocalMajorant] = None,
+                 kind: str = "adhoc", params: Optional[dict] = None):
+        self.evaluate = fn
         self.singular_points = tuple(sorted(set(float(s) for s in singular_points)))
+        self.support_radius = support_radius
         self.even = even
         self.power_tail = power_tail
         self.local_majorant = local_majorant
-        self.evaluate = fn
-        self._children = children
+        self.kind = kind
+        self.params = {} if params is None else params
+        self._bound = bound
 
     def __call__(self, x: float) -> float:
         return self.evaluate(x)
@@ -63,64 +78,15 @@ class Func:
     def __repr__(self) -> str:
         return f"Func({self.kind}, {self.params})"
 
-    # -- metadata helpers ---------------------------------------------------
-
     def abs_bound_on(self, lo: float, hi: float) -> float:
         """Upper bound for |f| on the shell lo <= |x| <= hi (may be inf)."""
-        return _abs_bound(self, max(lo, 0.0), hi)
-
-    def abs_bound(self, radius: float) -> float:
-        return _abs_bound(self, 0.0, radius)
+        if self._bound is None:
+            return math.inf
+        return self._bound(max(lo, 0.0), hi)
 
 
 def _overlaps(a1: float, b1: float, a2: float, b2: float) -> bool:
     return max(a1, a2) <= min(b1, b2)
-
-
-def _shell_hits_interval(lo: float, hi: float, a: float, b: float) -> bool:
-    # does {lo <= |x| <= hi} intersect [a, b]?
-    return _overlaps(lo, hi, a, b) or _overlaps(-hi, -lo, a, b)
-
-
-def _abs_bound(f: Func, lo: float, hi: float) -> float:
-    k = f.kind
-    p = f.params
-    if k == "zero":
-        return 0.0
-    if k == "constant":
-        return abs(p["c"])
-    if k == "characteristic-of-interval":
-        return 1.0 if _shell_hits_interval(lo, hi, p["a"], p["b"]) else 0.0
-    if k == "characteristic-of-annulus":
-        return 1.0 if _overlaps(lo, hi, p["inner"], p["outer"]) else 0.0
-    if k == "power":
-        a = p["a"]
-        if a >= 0.0:
-            return hi ** a
-        return math.inf if lo == 0.0 else lo ** a
-    if k == "sign":
-        return 1.0
-    if k == "dyadic-step":
-        best = 0.0
-        for j in range(p["k_max"] + 1):
-            band_lo, band_hi = 2.0 ** j, 2.0 ** j + 1.0
-            if band_lo < hi and band_hi >= lo:
-                best = 2.0 ** j
-        return best
-    if k == "scaled-ball":
-        r = p["radius"]
-        if lo > r:
-            return 0.0
-        return min(hi, r) ** p["dim"] / p["measure"]
-    if k == "linear-combination":
-        return sum(abs(c) * _abs_bound(g, lo, hi)
-                   for c, g in zip(p["coeffs"], f._children))
-    if k == "product-with-sign":
-        return _abs_bound(f._children[0], lo, hi)
-    if k == "pointwise-abs":
-        base = _abs_bound(f._children[0], lo, hi)
-        return base ** p["power"]
-    raise ValueError(f"unknown catalog kind {k!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +94,16 @@ def _abs_bound(f: Func, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 
 def zero() -> Func:
-    return Func("zero", {}, lambda x: 0.0, 0.0, (), even=True)
+    return Func(lambda x: 0.0, (), 0.0, even=True, bound=lambda lo, hi: 0.0,
+                kind="zero")
 
 
 def constant(c: float) -> Func:
     c = float(c)
     if c == 0.0:
         return zero()
-    return Func("constant", {"c": c}, lambda x: c, math.inf, (), even=True,
-                power_tail=(abs(c), 0.0, 1.0))
+    return Func(lambda x: c, (), math.inf, even=True, power_tail=(abs(c), 0.0, 1.0),
+                bound=lambda lo, hi: abs(c), kind="constant", params={"c": c})
 
 
 def chi_interval(a: float, b: float) -> Func:
@@ -148,8 +115,12 @@ def chi_interval(a: float, b: float) -> Func:
     def fn(x: float) -> float:
         return 1.0 if a <= x <= b else 0.0
 
-    return Func("characteristic-of-interval", {"a": a, "b": b}, fn,
-                max(abs(a), abs(b)), (a, b), even=(a == -b))
+    def bound(lo: float, hi: float) -> float:
+        # does the shell {lo <= |x| <= hi} meet [a, b]?
+        return 1.0 if _overlaps(lo, hi, a, b) or _overlaps(-hi, -lo, a, b) else 0.0
+
+    return Func(fn, (a, b), max(abs(a), abs(b)), even=(a == -b), bound=bound,
+                kind="characteristic-of-interval", params={"a": a, "b": b})
 
 
 def chi_ball(radius: float) -> Func:
@@ -164,8 +135,10 @@ def chi_ring(k: int) -> Func:
     def fn(x: float) -> float:
         return 1.0 if inner <= abs(x) < outer else 0.0
 
-    return Func("characteristic-of-annulus", {"k": k, "inner": inner, "outer": outer},
-                fn, outer, (-outer, -inner, inner, outer), even=True)
+    return Func(fn, (-outer, -inner, inner, outer), outer, even=True,
+                bound=lambda lo, hi: 1.0 if _overlaps(lo, hi, inner, outer) else 0.0,
+                kind="characteristic-of-annulus",
+                params={"k": k, "inner": inner, "outer": outer})
 
 
 def power(a: float) -> Func:
@@ -176,25 +149,32 @@ def power(a: float) -> Func:
 
     local = None
     if a < 0.0:
+        local = (1.0, a, 0.0)
+
         def fn(x: float) -> float:
             if x == 0.0:
                 raise EvaluationDomainError("|x|^a with a < 0 is unbounded at 0")
             return abs(x) ** a
-        local = (1.0, a, 0.0)
+
+        def bound(lo: float, hi: float) -> float:
+            return math.inf if lo == 0.0 else lo ** a
     else:
         def fn(x: float) -> float:
             return abs(x) ** a
 
-    return Func("power", {"a": a}, fn, math.inf, (0.0,), even=True,
-                power_tail=(1.0, a, 1.0), local_majorant=local)
+        def bound(lo: float, hi: float) -> float:
+            return hi ** a
+
+    return Func(fn, (0.0,), math.inf, even=True, power_tail=(1.0, a, 1.0),
+                bound=bound, local_majorant=local, kind="power", params={"a": a})
 
 
 def sign_func() -> Func:
     def fn(x: float) -> float:
         return float((x > 0.0) - (x < 0.0))
 
-    return Func("sign", {}, fn, math.inf, (0.0,), even=False,
-                power_tail=(1.0, 0.0, 1.0))
+    return Func(fn, (0.0,), math.inf, even=False, power_tail=(1.0, 0.0, 1.0),
+                bound=lambda lo, hi: 1.0, kind="sign")
 
 
 def dyadic_step(k_max: int = 40) -> Func:
@@ -217,11 +197,20 @@ def dyadic_step(k_max: int = 40) -> Func:
                 return 2.0 ** jj * ((x > 0.0) - (x < 0.0))
         return 0.0
 
+    def bound(lo: float, hi: float) -> float:
+        best = 0.0
+        for j in range(k_max + 1):
+            band_lo, band_hi = 2.0 ** j, 2.0 ** j + 1.0
+            if band_lo < hi and band_hi >= lo:
+                best = 2.0 ** j
+        return best
+
     pts: list[float] = []
     for j in range(k_max + 1):
         for s in (2.0 ** j, 2.0 ** j + 1.0):
             pts.extend((s, -s))
-    return Func("dyadic-step", {"k_max": k_max}, fn, top, pts, even=False)
+    return Func(fn, pts, top, even=False, bound=bound, kind="dyadic-step",
+                params={"k_max": k_max})
 
 
 def scaled_ball(radius: float, dim: int = 1) -> Func:
@@ -233,8 +222,12 @@ def scaled_ball(radius: float, dim: int = 1) -> Func:
         t = abs(x)
         return t ** dim / measure if t <= radius else 0.0
 
-    return Func("scaled-ball", {"radius": radius, "dim": dim, "measure": measure},
-                fn, radius, (-radius, 0.0, radius), even=True)
+    def bound(lo: float, hi: float) -> float:
+        return 0.0 if lo > radius else min(hi, radius) ** dim / measure
+
+    return Func(fn, (-radius, 0.0, radius), radius, even=True, bound=bound,
+                kind="scaled-ball",
+                params={"radius": radius, "dim": dim, "measure": measure})
 
 
 def lincomb(terms: Sequence[Func], coeffs: Sequence[float]) -> Func:
@@ -249,18 +242,19 @@ def lincomb(terms: Sequence[Func], coeffs: Sequence[float]) -> Func:
     def fn(x: float) -> float:
         return sum(c * g.evaluate(x) for c, g in live)
 
+    def bound(lo: float, hi: float) -> float:
+        return sum(abs(c) * g.abs_bound_on(lo, hi) for c, g in live)
+
     support = max(g.support_radius for _, g in live)
     pts: list[float] = []
     for _, g in live:
         pts.extend(g.singular_points)
     loose = [(abs(c), g.power_tail) for c, g in live
              if math.isinf(g.support_radius)]
-    tail = None if any(t is None for _, t in loose) else _combine_tails(loose)
-    return Func("linear-combination",
-                {"coeffs": [c for c, _ in live]},
-                fn, support, pts, even=all(g.even for _, g in live),
-                power_tail=tail, children=tuple(g for _, g in live),
-                local_majorant=_combine_local(live))
+    tail = None if any(t is None for _, t in loose) else combine_tails(loose)
+    return Func(fn, pts, support, even=all(g.even for _, g in live),
+                power_tail=tail, bound=bound, local_majorant=_combine_local(live),
+                kind="linear-combination", params={"coeffs": [c for c, _ in live]})
 
 
 def with_sign(base: Func) -> Func:
@@ -270,10 +264,9 @@ def with_sign(base: Func) -> Func:
     def fn(x: float) -> float:
         return ((x > 0.0) - (x < 0.0)) * bfn(x)
 
-    return Func("product-with-sign", {}, fn, base.support_radius,
-                (0.0, *base.singular_points), even=False,
-                power_tail=base.power_tail, children=(base,),
-                local_majorant=base.local_majorant)
+    return Func(fn, (0.0, *base.singular_points), base.support_radius, even=False,
+                power_tail=base.power_tail, bound=base.abs_bound_on,
+                local_majorant=base.local_majorant, kind="product-with-sign")
 
 
 def abs_power(base: Func, exponent: float = 1.0) -> Func:
@@ -286,6 +279,9 @@ def abs_power(base: Func, exponent: float = 1.0) -> Func:
     def fn(x: float) -> float:
         return abs(bfn(x)) ** exponent
 
+    def bound(lo: float, hi: float) -> float:
+        return base.abs_bound_on(lo, hi) ** exponent
+
     tail = None
     if base.power_tail is not None:
         c, a, r0 = base.power_tail
@@ -294,9 +290,9 @@ def abs_power(base: Func, exponent: float = 1.0) -> Func:
     if base.local_majorant is not None:
         c, a, s = base.local_majorant
         local = (c ** exponent, a * exponent, s)
-    return Func("pointwise-abs", {"power": exponent}, fn, base.support_radius,
-                base.singular_points, even=base.even, power_tail=tail,
-                children=(base,), local_majorant=local)
+    return Func(fn, base.singular_points, base.support_radius, even=base.even,
+                power_tail=tail, bound=bound, local_majorant=local,
+                kind="pointwise-abs", params={"power": exponent})
 
 
 def _combine_local(live: list[tuple[float, Func]]) -> Optional[LocalMajorant]:
@@ -321,7 +317,7 @@ def _combine_local(live: list[tuple[float, Func]]) -> Optional[LocalMajorant]:
     return (coef, a_star, s)
 
 
-def _combine_tails(weighted: list[tuple[float, Optional[PowerTail]]]) -> Optional[PowerTail]:
+def combine_tails(weighted: list[tuple[float, Optional[PowerTail]]]) -> Optional[PowerTail]:
     """Triangle-inequality majorant of a weighted sum of power tails.
 
     Callers pass only the non-compact terms (compact ones vanish beyond
@@ -337,48 +333,10 @@ def _combine_tails(weighted: list[tuple[float, Optional[PowerTail]]]) -> Optiona
 
 
 # ---------------------------------------------------------------------------
-# ad hoc evaluables (operator images, dual extremizers, pointwise aggregates)
+# derived functions (operator kernels, dual extremizers, pointwise aggregates)
 # ---------------------------------------------------------------------------
 
-class AdhocFunc:
-    """A non-catalog evaluable carrying the same integration metadata.
-
-    Used for quantities derived pointwise from catalog objects (operator
-    outputs, duality extremizers, l^r aggregates).  These never appear in
-    JSON configs.
-    """
-
-    __slots__ = ("evaluate", "support_radius", "singular_points", "even",
-                 "power_tail", "_abs_bound_fn", "kind")
-
-    def __init__(self, fn: Callable[[float], float],
-                 singular_points: Sequence[float] = (),
-                 support_radius: float = math.inf,
-                 even: bool = False,
-                 power_tail: Optional[PowerTail] = None,
-                 abs_bound_fn: Optional[Callable[[float, float], float]] = None,
-                 kind: str = "adhoc"):
-        self.evaluate = fn
-        self.singular_points = tuple(sorted(set(float(s) for s in singular_points)))
-        self.support_radius = support_radius
-        self.even = even
-        self.power_tail = power_tail
-        self._abs_bound_fn = abs_bound_fn
-        self.kind = kind
-
-    def __call__(self, x: float) -> float:
-        return self.evaluate(x)
-
-    def abs_bound_on(self, lo: float, hi: float) -> float:
-        if self._abs_bound_fn is None:
-            return math.inf
-        return self._abs_bound_fn(max(lo, 0.0), hi)
-
-    def abs_bound(self, radius: float) -> float:
-        return self.abs_bound_on(0.0, radius)
-
-
-def pointwise_product(f, g) -> AdhocFunc:
+def pointwise_product(f, g) -> Func:
     """f * g with merged metadata; used by the commutator kernels."""
     ffn, gfn = f.evaluate, g.evaluate
     support = min(f.support_radius, g.support_radius)
@@ -393,12 +351,11 @@ def pointwise_product(f, g) -> AdhocFunc:
     def bound(lo: float, hi: float) -> float:
         return f.abs_bound_on(lo, hi) * g.abs_bound_on(lo, hi)
 
-    return AdhocFunc(lambda x: ffn(x) * gfn(x), pts, support,
-                     even=(f.even and g.even), power_tail=tail,
-                     abs_bound_fn=bound, kind="product")
+    return Func(lambda x: ffn(x) * gfn(x), pts, support, even=(f.even and g.even),
+                power_tail=tail, bound=bound, kind="product")
 
 
-def shifted(f, c: float) -> AdhocFunc:
+def shifted(f, c: float) -> Func:
     """f - c, for oscillation norms over bounded domains."""
     ffn = f.evaluate
     c = float(c)
@@ -407,12 +364,11 @@ def shifted(f, c: float) -> AdhocFunc:
         return f.abs_bound_on(lo, hi) + abs(c)
 
     support = f.support_radius if c == 0.0 else math.inf
-    return AdhocFunc(lambda x: ffn(x) - c, f.singular_points, support,
-                     even=f.even, power_tail=None, abs_bound_fn=bound,
-                     kind="shifted")
+    return Func(lambda x: ffn(x) - c, f.singular_points, support, even=f.even,
+                bound=bound, kind="shifted")
 
 
-def lr_aggregate(fs: Sequence, r: float) -> AdhocFunc:
+def lr_aggregate(fs: Sequence, r: float) -> Func:
     """Pointwise (sum_j |f_j(x)|^r)^(1/r) of finitely many evaluables."""
     r = float(r)
     if not fs:
@@ -431,13 +387,13 @@ def lr_aggregate(fs: Sequence, r: float) -> AdhocFunc:
     # the l^r of the tail majorants is below their plain sum, so the summed
     # majorant is valid; one uncertified non-compact member poisons it
     loose = [(1.0, f.power_tail) for f in fs if math.isinf(f.support_radius)]
-    tail = None if any(t is None for _, t in loose) else _combine_tails(loose)
+    tail = None if any(t is None for _, t in loose) else combine_tails(loose)
 
     def bound(lo: float, hi: float) -> float:
         return sum(f.abs_bound_on(lo, hi) ** r for f in fs) ** (1.0 / r)
 
-    return AdhocFunc(fn, pts, support, even=all(f.even for f in fs),
-                     power_tail=tail, abs_bound_fn=bound, kind="lr-aggregate")
+    return Func(fn, pts, support, even=all(f.even for f in fs), power_tail=tail,
+                bound=bound, kind="lr-aggregate")
 
 
 # ---------------------------------------------------------------------------

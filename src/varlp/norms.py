@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exponents import Exponent, r_p_constant
-from .funcs import AdhocFunc
+from .funcs import Func
 from .geometry import FULL_LINE, Domain, FullLine, unit_ball_volume
 from .quadrature import integrate_interval, integrate_shell
 
@@ -99,7 +99,7 @@ def _refuse(f, e: Exponent, domain: Domain) -> None:
     """Raise NotInSpaceError when no scaling of f has a certified finite
     modular: a local majorant too singular for the exponent near its
     center, or on the whole line a missing or too slowly decaying tail."""
-    local = getattr(f, "local_majorant", None)
+    local = f.local_majorant
     if local is not None:
         coef, a, s = local
         # near s, |f|^p <= (coef |x - s|^a)^p, integrable when a p + codim > 0
@@ -113,7 +113,7 @@ def _refuse(f, e: Exponent, domain: Domain) -> None:
             )
     if not isinstance(domain, FullLine) or math.isfinite(f.support_radius):
         return
-    tail = getattr(f, "power_tail", None)
+    tail = f.power_tail
     if tail is None:
         raise NotInSpaceError(
             "whole-line modular of a function with no certified tail majorant"
@@ -177,12 +177,8 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
             hit = table[x] = (abs(ffn(x)), pfn(x))
         return (hit[0] / lam) ** hit[1]
 
-    integrand = AdhocFunc(
-        h,
-        singular_points=(*f.singular_points, *e.breakpoints),
-        support_radius=f.support_radius,
-        even=getattr(f, "even", False) and e.dim >= 2,
-    )
+    integrand = Func(h, (*f.singular_points, *e.breakpoints), f.support_radius,
+                     even=f.even and e.dim >= 2)
     line_breaks = (0.0, *integrand.singular_points)
 
     def rho(at: float) -> float:
@@ -222,7 +218,7 @@ def _seed_lambda(f, e: Exponent, domain: Domain) -> float:
             radius = 2.0 ** 20
         measure = unit_ball_volume(domain.dim) * radius ** domain.dim
     try:
-        bound = f.abs_bound(radius)
+        bound = f.abs_bound_on(0.0, radius)
     except Exception:
         bound = math.inf
     if not (math.isfinite(bound) and bound > 0.0 and measure > 0.0):
@@ -426,12 +422,12 @@ def chi_norm(region, e: Exponent, tol: float = 1e-9) -> NormResult:
         value = region.measure ** (1.0 / p_const)
         return NormResult(value, 4.0 * math.ulp(value), 0, (value, value))
 
-    one = AdhocFunc(lambda x: 1.0, (), math.inf, even=True,
-                    power_tail=(1.0, 0.0, 1.0), kind="one")
+    one = Func(lambda x: 1.0, (), math.inf, even=True, power_tail=(1.0, 0.0, 1.0),
+               kind="one")
     return luxemburg_norm(one, e, region, tol)
 
 
-def dual_extremizer(f, e: Exponent, norm_value: float) -> AdhocFunc:
+def dual_extremizer(f, e: Exponent, norm_value: float) -> Func:
     """sgn(f) |f / norm|^(p(.) - 1): the pairing against it recovers the norm.
 
     With u = f / norm on the unit sphere of the modular, the conjugate
@@ -448,8 +444,8 @@ def dual_extremizer(f, e: Exponent, norm_value: float) -> AdhocFunc:
         s = 1.0 if v > 0.0 else -1.0
         return s * (abs(v) / norm_value) ** (pfn(x) - 1.0)
 
-    return AdhocFunc(g, (*f.singular_points, *e.breakpoints),
-                     f.support_radius, even=False, kind="dual-extremizer")
+    return Func(g, (*f.singular_points, *e.breakpoints), f.support_radius,
+                even=False, kind="dual-extremizer")
 
 
 def _pairing_integral(f, g, tol: float) -> float:

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .funcs import AdhocFunc, pointwise_product
+from .funcs import Func, combine_tails, pointwise_product
 from .geometry import Ball, unit_ball_volume
 from .quadrature import integrate_ball, integrate_interval, integrate_shell
 
@@ -64,7 +64,7 @@ class _ShellTable:
             radii.add(support)
             top = support
         else:
-            tail = getattr(g, "power_tail", None)
+            tail = g.power_tail
             if tail is None:
                 top = math.inf
             else:
@@ -115,12 +115,8 @@ class _ShellTable:
         if self._ball_pref is None:
             self._build_ball()
         i = bisect_right(self.radii, t) - 1
-        if i >= len(self.radii) - 1 and t >= self.radii[-1]:
-            base, base_err = self._ball_pref[-1], self._ball_err
-            lo = self.radii[-1]
-        else:
-            base, base_err = self._ball_pref[i], self._ball_err
-            lo = self.radii[i]
+        base, base_err = self._ball_pref[i], self._ball_err
+        lo = self.radii[i]
         if t > lo:
             res = integrate_shell(self.g, lo, t, tol=self.tol, dim=self.dim)
             return base + res.value, base_err + res.abs_error_bound
@@ -138,8 +134,7 @@ class _ShellTable:
             def k(y: float) -> float:
                 return gfn(y) / abs(y) ** n
 
-        return AdhocFunc(k, self.g.singular_points, self.g.support_radius,
-                         even=getattr(self.g, "even", False))
+        return Func(k, self.g.singular_points, self.g.support_radius, even=self.g.even)
 
     def _build_tail(self) -> None:
         if math.isinf(self.top):
@@ -197,20 +192,14 @@ def _jump_points(*gs) -> tuple[float, ...]:
     return tuple(sorted(pts))
 
 
-def _combine_power_terms(terms: list[tuple[float, float]], r0: float) -> tuple[float, float]:
-    """Majorize sum_i c_i |x|^(a_i) by a single c |x|^a valid for |x| >= r0."""
-    a_star = max(a for _, a in terms)
-    coef = sum(c * r0 ** (a - a_star) for c, a in terms)
-    return coef, a_star
-
-
 class OperatorImage:
     """Lazy pointwise image of f (and symbol b) under one of the operators.
 
-    Satisfies the same evaluable protocol as catalog functions: it carries
-    jump radii (the origin, the symbol's jumps, and the reflected jump
-    radii of the input), a support radius when the output provably
-    vanishes far out, and a certified power tail otherwise.
+    Carries the whole evaluable protocol of ``funcs.Func``: jump radii (the
+    origin, the symbol's jumps, and the reflected jump radii of the input),
+    a support radius when the output provably vanishes far out, a certified
+    power tail otherwise, no local majorant (images are bounded away from
+    the origin and never claim one), and shell sup bounds.
     """
 
     KINDS = ("hardy", "dual_hardy", "commutator_hardy", "commutator_dual_hardy")
@@ -234,6 +223,7 @@ class OperatorImage:
         self.even = (b.even if b is not None else True)
         self.support_radius = math.inf
         self.power_tail = None
+        self.local_majorant = None
         self._derive_far_field()
 
     # -- far field ------------------------------------------------------------
@@ -245,10 +235,7 @@ class OperatorImage:
             # no certified far field; bounded-domain use only
             return
         R_f = f.support_radius
-        if self.kind == "dual_hardy":
-            self.support_radius = R_f
-            return
-        if self.kind == "commutator_dual_hardy":
+        if self.kind in ("dual_hardy", "commutator_dual_hardy"):
             self.support_radius = R_f
             return
         tot_f, err_f = self._table_f.ball(R_f)
@@ -267,17 +254,17 @@ class OperatorImage:
         if math.isfinite(b.support_radius):
             r0 = max(R_f, b.support_radius, 1.0)
         else:
-            bt = getattr(b, "power_tail", None)
-            if bt is None:
+            if b.power_tail is None:
                 return
-            cb, ab, rb = bt
+            cb, ab, rb = b.power_tail
             r0 = max(R_f, rb, 1.0)
             terms.append((cb * (abs(tot_f) + err_f), ab - float(n)))
-        coef, a = _combine_power_terms(terms, r0)
-        if coef == 0.0:
+        # unit weights (1.0 * c == c), and r0 >= 1 is every term's r_from
+        tail = combine_tails([(1.0, (c, a, r0)) for c, a in terms])
+        if tail[0] == 0.0:
             self.support_radius = r0
         else:
-            self.power_tail = (coef, a, r0)
+            self.power_tail = tail
 
     # -- evaluation -------------------------------------------------------------
 
@@ -349,9 +336,6 @@ class OperatorImage:
         if self.kind == "commutator_hardy":
             return b_sup * hardy_bound(f) + hardy_bound(self._bf)
         return b_sup * dual_bound(f) + dual_bound(self._bf)
-
-    def abs_bound(self, radius: float) -> float:
-        return self.abs_bound_on(0.0, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +415,8 @@ def maximal(f, x: float, radius_grid: Optional[Sequence[float]] = None,
     grid = sorted(radii)
 
     ffn = f.evaluate
-    absf = AdhocFunc(lambda y: abs(ffn(y)), f.singular_points, f.support_radius,
-                     even=getattr(f, "even", False))
+    absf = Func(lambda y: abs(ffn(y)), f.singular_points, f.support_radius,
+                even=f.even)
     best = 0.0
     best_err = 0.0
     if dim == 1:

@@ -218,32 +218,24 @@ def _require_radial(g, dim: int) -> None:
         )
 
 
-def integrate_ball(g, ball: Ball, tol: float = DEFAULT_TOL,
-                   max_panels: int = DEFAULT_MAX_PANELS) -> QuadResult:
+def integrate_ball(g, ball: Ball, tol: float = DEFAULT_TOL) -> QuadResult:
     """Integral of g over B(0, r): two half-lines in dimension 1, the radial
     formula dim * v_dim * int_0^r g(rho) rho^(dim-1) drho otherwise."""
     r = ball.radius
-    pts = _own_breakpoints(g)
     if ball.dim == 1:
-        return integrate_interval(g, -r, r, breakpoints=(0.0, *pts), tol=tol,
-                                  max_panels=max_panels)
-    _require_radial(g, ball.dim)
-    fn = _radial_weight(_eval_fn(g), ball.dim)
-    radial_pts = tuple(abs(s) for s in pts)
-    return integrate_interval(fn, 0.0, r, breakpoints=radial_pts, tol=tol,
-                              max_panels=max_panels)
+        return integrate_interval(g, -r, r, breakpoints=(0.0, *_own_breakpoints(g)),
+                                  tol=tol)
+    return integrate_shell(g, 0.0, r, tol=tol, dim=ball.dim)
 
 
-def integrate_annulus(g, k: int, tol: float = DEFAULT_TOL, dim: int = 1,
-                      max_panels: int = DEFAULT_MAX_PANELS) -> QuadResult:
+def integrate_annulus(g, k: int, tol: float = DEFAULT_TOL, dim: int = 1) -> QuadResult:
     """Integral of g over the dyadic ring with 2^(k-1) <= |x| < 2^k."""
     ring = DyadicRing(k, dim)
-    return integrate_shell(g, ring.inner, ring.outer, tol=tol, dim=dim,
-                           max_panels=max_panels)
+    return integrate_shell(g, ring.inner, ring.outer, tol=tol, dim=dim)
 
 
 def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
-                    dim: int = 1, max_panels: int = DEFAULT_MAX_PANELS) -> QuadResult:
+                    dim: int = 1) -> QuadResult:
     """Integral of g over the shell inner <= |x| <= outer."""
     if not (0.0 <= inner <= outer):
         raise ValueError(f"invalid shell radii ({inner}, {outer})")
@@ -252,13 +244,10 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
     pts = _own_breakpoints(g)
     if dim == 1:
         half = tol / 2.0
-        left = integrate_interval(g, -outer, -inner, breakpoints=pts, tol=half,
-                                  max_panels=max_panels)
-        right = integrate_interval(g, inner, outer, breakpoints=pts, tol=half,
-                                   max_panels=max_panels)
+        left = integrate_interval(g, -outer, -inner, breakpoints=pts, tol=half)
+        right = integrate_interval(g, inner, outer, breakpoints=pts, tol=half)
         return left + right
     _require_radial(g, dim)
     fn = _radial_weight(_eval_fn(g), dim)
     radial_pts = tuple(abs(s) for s in pts)
-    return integrate_interval(fn, inner, outer, breakpoints=radial_pts, tol=tol,
-                              max_panels=max_panels)
+    return integrate_interval(fn, inner, outer, breakpoints=radial_pts, tol=tol)

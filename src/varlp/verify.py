@@ -251,7 +251,7 @@ def check_diening_single_family(e: Exponent,
                 return t
         return 0.0
 
-    rhs = funcs.AdhocFunc(rhs_fn, edges, support, even=False)
+    rhs = funcs.Func(rhs_fn, edges, support, even=False)
     rhs_norm = luxemburg_norm(rhs, e, tol=tol).value
     witnesses = []
     best_ratio, best_delta = math.inf, None
@@ -262,8 +262,7 @@ def check_diening_single_family(e: Exponent,
                     return t * abs(f.evaluate(x) / m) ** _d
             return 0.0
 
-        lhs = funcs.AdhocFunc(lhs_fn, (*edges, *f.singular_points), support,
-                              even=False)
+        lhs = funcs.Func(lhs_fn, (*edges, *f.singular_points), support, even=False)
         lhs_norm = luxemburg_norm(lhs, e, tol=tol).value
         ratio = lhs_norm / rhs_norm if rhs_norm > 0.0 else 0.0
         witnesses.append((f"{label}delta={delta:g}", ratio, cap))

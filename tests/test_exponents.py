@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from varlp import (constant_exponent, custom_exponent, is_in_P,
                    log_holder_check, piecewise_exponent, smooth_exponent)
+from varlp.config import ConfigError, make_exponent
 
 
 def test_constant_evaluation():
@@ -22,6 +23,18 @@ def test_piecewise_lookup():
     assert e.evaluate(0.75) == 3.0
     assert e.evaluate(0.49) == 2.0
     assert e.evaluate(0.5) == 3.0  # pieces are [break, next) on the right
+
+
+@pytest.mark.parametrize("breaks,values", [
+    ([math.nan], [2.0, 3.0]),      # bisect_right puts every x right of it
+    ([1.0], [2.0, math.nan]),      # max() skips the nan when it comes second
+    ([math.inf], [2.0, 3.0]),
+])
+def test_piecewise_refuses_non_finite_breaks_and_values(breaks, values):
+    with pytest.raises(ValueError, match="finite"):
+        piecewise_exponent(breaks, values)
+    with pytest.raises(ConfigError, match="finite"):
+        make_exponent({"kind": "piecewise", "breaks": breaks, "values": values})
 
 
 def test_smooth_closed_form():

@@ -13,7 +13,7 @@ from varlp import (FULL_LINE, Ball, DyadicRing, Exponent, NotInSpaceError,
                    modular, piecewise_exponent, power, scaled_ball, sign_func,
                    smooth_exponent)
 from varlp import norms
-from varlp.funcs import AdhocFunc, abs_power, pointwise_product
+from varlp.funcs import Func, abs_power, pointwise_product
 from varlp.operators import OperatorImage
 
 E2 = constant_exponent(2.0)
@@ -119,8 +119,8 @@ def test_tail_cutoff_that_overflows_is_refused():
     # _refuse; the cutoff march overflows to inf, and integrating to +-inf
     # used to fail with "exponent evaluated outside its domain"
     e = smooth_exponent("inv_one_plus_abs", {"base": 2.0, "amp": 1.0})
-    f = AdhocFunc(lambda x: min(1.0, abs(x) ** -0.5), (-1.0, 1.0), even=True,
-                  power_tail=(1.0, -0.5, 1.0))
+    f = Func(lambda x: min(1.0, abs(x) ** -0.5), (-1.0, 1.0), even=True,
+             power_tail=(1.0, -0.5, 1.0))
     with pytest.raises(NotInSpaceError, match="finite cutoff"):
         modular(f, e)
     with pytest.raises(NotInSpaceError, match="finite cutoff"):
@@ -143,9 +143,8 @@ def test_modular_nonconvergence_is_diagnosed():
     # an unresolvable oscillation exhausts the panel budget and surfaces as
     # the quadrature diagnostic instead of a silent wrong answer
     from varlp import QuadratureNonConvergence
-    from varlp.funcs import AdhocFunc
-    nasty = AdhocFunc(lambda x: math.sin(1.0 / x) if x != 0.0 else 0.0,
-                      (0.0,), 1.0)
+    nasty = Func(lambda x: math.sin(1.0 / x) if x != 0.0 else 0.0,
+                 (0.0,), 1.0)
     with pytest.raises(QuadratureNonConvergence):
         modular(nasty, E2, Ball(1.0), tol=1e-13)
 
@@ -253,8 +252,8 @@ def test_solve_evaluates_f_and_p_once_per_node():
         p_calls[x] += 1
         return exp.evaluate(x)
 
-    f = AdhocFunc(fn, base.singular_points, base.support_radius,
-                  abs_bound_fn=base.abs_bound_on)
+    f = Func(fn, base.singular_points, base.support_radius,
+             bound=base.abs_bound_on)
     e = Exponent("custom-evaluable", {}, pn, exp.p_minus, exp.p_plus,
                  breakpoints=exp.breakpoints)
     res = luxemburg_norm(f, e)
@@ -265,8 +264,8 @@ def test_solve_evaluates_f_and_p_once_per_node():
 
 
 def test_node_table_is_emptied_when_a_pass_raises():
-    nasty = AdhocFunc(lambda x: math.sin(1.0 / x) if x != 0.0 else 0.0,
-                      (0.0,), 1.0)
+    nasty = Func(lambda x: math.sin(1.0 / x) if x != 0.0 else 0.0,
+                 (0.0,), 1.0)
     with pytest.raises(QuadratureNonConvergence) as info:
         luxemburg_norm(nasty, E2, Ball(1.0), tol=1e-13)
     tables = [frame.f_locals["table"] for frame, _ in
