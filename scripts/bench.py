@@ -18,7 +18,10 @@ metric's bound: no worse than the parent's by more than that relative
 "bound" in BENCHMARK.json.  The file also records each side's line count
 of ``src/varlp/*.py``.  ``--trace-seed`` adds one ``--trace 1``
 harness run per side, whose per-layer counters should match exactly when
-a change does the same work.  The file is rewritten after each workload.
+a change does the same work.  Each run also records the machine's load
+averages (``os.getloadavg()``) just before and just after it, and each
+workload the median 1-minute load of each side's readings, so a loaded
+machine shows in the file itself.  The file is rewritten after each workload.
 Standard library only.
 """
 
@@ -142,13 +145,19 @@ def main() -> int:
         for i in range(args.pairs):
             seed = args.first_seed + i
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                load_before = os.getloadavg()
                 run = run_once(roots[side], wl, seed, seconds, 0)
+                run["load_before"], run["load_after"] = load_before, os.getloadavg()
                 run["first"] = side == SIDES[i % 2]
                 runs[side].append(run)
                 print(f"{wl} seed {seed} {side}: wall_s {run['metrics']['wall_s']:.3f} "
                       f"correct {run['correct']}", file=sys.stderr, flush=True)
         workloads[wl] = {"pairs": args.pairs, "seeds": [args.first_seed + i
                                                         for i in range(args.pairs)],
+                         "load_1min_median": {s: statistics.median(
+                             load[0] for r in runs[s]
+                             for load in (r["load_before"], r["load_after"]))
+                             for s in SIDES},
                          "summary": compare(runs, metrics), "runs": runs}
         args.out.write_text(json.dumps(bench, indent=1) + "\n")
     if args.trace_seed is not None:

@@ -14,10 +14,12 @@ costs one partial panel instead of a full adaptive pass.  Operator outputs
 are exposed as lazy evaluables with jump metadata and certified power-law
 tails, so the norm layer can integrate them like any catalog function.
 
-Images keep no point memo: a Luxemburg solve already evaluates its
-integrand once per distinct quadrature node, and distinct solves rarely
-share a node.  The shell tables are the only state, built lazily on the
-image instance, never at module level.
+An image keeps a radial memo: everything of a point query but the
+symbol's value b(x) depends on t = |x| only, and a modular's nodes come in
+mirrored pairs +-x, so x and -x share one entry, computed once.  Each table
+shell lies between consecutive jump radii and costs one GK15 panel per
+side.  The memo and the shell tables are the only state, built lazily on
+the image instance, never at module level; they die with the image.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional, Sequence
 
 from .funcs import Func, combine_tails, pointwise_product
 from .geometry import Ball, unit_ball_volume
-from .quadrature import integrate_ball, integrate_interval, integrate_shell
+from .quadrature import _gk15, integrate_ball, integrate_interval, integrate_shell
 
 
 @dataclass(frozen=True)
@@ -94,15 +96,34 @@ class _ShellTable:
         self._tail_suff: Optional[list[float]] = None
         self._tail_err = 0.0
 
+    def _shell(self, g, lo: float, hi: float) -> tuple[float, float]:
+        """``integrate_shell`` of g over lo <= |y| <= hi, bit for bit.
+
+        ``radii`` holds every |s| <= top, so no jump of g lies strictly
+        inside a table shell and ``integrate_shell`` starts from one GK15
+        panel per side.  In dimension 1 those panels are run here (an even
+        g reuses the left one, whose nodes negate the right one's exactly)
+        and, where both pass ``integrate_interval``'s test, summed by
+        ``integrate_shell``'s operations; anything else takes it."""
+        if self.dim == 1:
+            half = self.tol / 2.0
+            vl, el = _gk15(g.evaluate, -hi, -lo)
+            if (el <= half or el <= 1e-13 * abs(vl)) and math.isfinite(vl):
+                vr, er = (vl, el) if g.even else _gk15(g.evaluate, lo, hi)
+                if (er <= half or er <= 1e-13 * abs(vr)) and math.isfinite(vr):
+                    return (0.0 + vl) + (0.0 + vr), (0.0 + el) + (0.0 + er)
+        res = integrate_shell(g, lo, hi, tol=self.tol, dim=self.dim)
+        return res.value, res.abs_error_bound
+
     # -- plain shells -------------------------------------------------------
 
     def _build_ball(self) -> None:
         pref = [0.0]
         err = 0.0
         for lo, hi in zip(self.radii[:-1], self.radii[1:]):
-            res = integrate_shell(self.g, lo, hi, tol=self.tol, dim=self.dim)
-            pref.append(pref[-1] + res.value)
-            err += res.abs_error_bound
+            v, e = self._shell(self.g, lo, hi)
+            pref.append(pref[-1] + v)
+            err += e
         self._ball_pref = pref
         self._ball_err = err
 
@@ -118,8 +139,8 @@ class _ShellTable:
         base, base_err = self._ball_pref[i], self._ball_err
         lo = self.radii[i]
         if t > lo:
-            res = integrate_shell(self.g, lo, t, tol=self.tol, dim=self.dim)
-            return base + res.value, base_err + res.abs_error_bound
+            v, e = self._shell(self.g, lo, t)
+            return base + v, base_err + e
         return base, base_err
 
     # -- dual-kernel shells ---------------------------------------------------
@@ -149,12 +170,12 @@ class _ShellTable:
             if lo == 0.0:
                 vals.append(None)  # the kernel may not be integrable down to 0
                 continue
-            res = integrate_shell(kern, lo, hi, tol=self.tol, dim=self.dim)
-            vals.append(res)
-            err += res.abs_error_bound
+            v, e = self._shell(kern, lo, hi)
+            vals.append(v)
+            err += e
         suff = [0.0] * len(self.radii)
         for i in range(len(self.radii) - 2, -1, -1):
-            piece = vals[i].value if vals[i] is not None else 0.0
+            piece = vals[i] if vals[i] is not None else 0.0
             suff[i] = suff[i + 1] + piece
         self._tail_suff = suff
         self._tail_err = err + self._tail_remainder
@@ -172,9 +193,9 @@ class _ShellTable:
         hi = self.radii[i] if i < len(self.radii) else self.top
         val, err = 0.0, self._tail_err
         if hi > t:
-            res = integrate_shell(self._tail_kernel, t, hi, tol=self.tol, dim=self.dim)
-            val += res.value
-            err += res.abs_error_bound
+            v, e = self._shell(self._tail_kernel, t, hi)
+            val += v
+            err += e
         if i < len(self.radii):
             val += self._tail_suff[i]
         return val, err
@@ -224,6 +245,7 @@ class OperatorImage:
         self.support_radius = math.inf
         self.power_tail = None
         self.local_majorant = None
+        self._memo: dict[float, tuple[float, ...]] = {}
         self._derive_far_field()
 
     # -- far field ------------------------------------------------------------
@@ -268,29 +290,42 @@ class OperatorImage:
 
     # -- evaluation -------------------------------------------------------------
 
+    def _radial(self, t: float) -> tuple[float, ...]:
+        """What a point query at |x| = t reads of the tables, once per t: the
+        whole result for hardy and dual_hardy, four table values otherwise."""
+        got = self._memo.get(t)
+        if got is None:
+            n = self.dim
+            if self.kind == "hardy":
+                v, e = self._table_f.ball(t)
+                got = v / t ** n, e / t ** n
+            elif self.kind == "dual_hardy":
+                got = self._table_f.tail(t)
+            elif self.kind == "commutator_hardy":
+                got = (*self._table_f.ball(t), *self._table_bf.ball(t))
+            else:
+                got = (*self._table_f.tail(t), *self._table_bf.tail(t))
+            self._memo[t] = got
+        return got
+
     def _compute(self, x: float) -> tuple[float, float]:
         if x == 0.0:
             raise ValueError("operator images are defined away from the origin")
         t = abs(x)
-        n = self.dim
-        if self.kind == "hardy":
-            v, e = self._table_f.ball(t)
-            return v / t ** n, e / t ** n
-        if self.kind == "dual_hardy":
-            return self._table_f.tail(t)
+        if self.kind in ("hardy", "dual_hardy"):
+            return self._radial(t)
         if self.kind == "commutator_hardy":
             if math.isfinite(self.support_radius) and t > self.support_radius:
                 return 0.0, 0.0
             bx = self.b.evaluate(x)
-            vf, ef = self._table_f.ball(t)
-            vbf, ebf = self._table_bf.ball(t)
-            return (bx * vf - vbf) / t ** n, (abs(bx) * ef + ebf) / t ** n
+            vf, ef, vbf, ebf = self._radial(t)
+            tn = t ** self.dim
+            return (bx * vf - vbf) / tn, (abs(bx) * ef + ebf) / tn
         # commutator_dual_hardy
         if t >= self.f.support_radius:
             return 0.0, 0.0
         bx = self.b.evaluate(x)
-        vf, ef = self._table_f.tail(t)
-        vbf, ebf = self._table_bf.tail(t)
+        vf, ef, vbf, ebf = self._radial(t)
         return bx * vf - vbf, abs(bx) * ef + ebf
 
     def evaluate(self, x: float) -> float:
@@ -332,10 +367,10 @@ class OperatorImage:
             return hardy_bound(f)
         if self.kind == "dual_hardy":
             return dual_bound(f)
-        b_sup = self.b.abs_bound_on(lo, hi)
-        if self.kind == "commutator_hardy":
-            return b_sup * hardy_bound(f) + hardy_bound(self._bf)
-        return b_sup * dual_bound(f) + dual_bound(self._bf)
+        bound = hardy_bound if self.kind == "commutator_hardy" else dual_bound
+        m = bound(f)
+        # where f's bound is 0 the image vanishes, whatever b's bound (no inf * 0)
+        return (self.b.abs_bound_on(lo, hi) * m if m else 0.0) + bound(self._bf)
 
 
 # ---------------------------------------------------------------------------

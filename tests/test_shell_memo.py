@@ -1,0 +1,197 @@
+"""Operator images integrate each radius once: the one-panel table shells
+agree bit for bit with ``integrate_shell``, the radial memo serves x and -x
+from one entry, and the evenness the panel mirror relies on is exact."""
+
+import math
+import struct
+from collections import Counter
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from varlp import (Func, OperatorImage, abs_power, catalog_bank, chi_ball,
+                   constant_exponent, dyadic_step, lincomb, luxemburg_norm,
+                   power, scaled_ball, sign_func, zero)
+from varlp import operators
+from varlp.config import ExperimentConfig
+from varlp.funcs import pointwise_product, shifted
+from varlp.operators import _ShellTable
+from varlp.quadrature import integrate_shell
+from varlp.verify import commutator_bank, equivalence_bank, symbol_bank
+
+
+class _ReferenceTable(_ShellTable):
+    """The table with every shell on ``integrate_shell``, as before the
+    one-panel path existed."""
+
+    def _shell(self, g, lo, hi):
+        res = integrate_shell(g, lo, hi, tol=self.tol, dim=self.dim)
+        return res.value, res.abs_error_bound
+
+
+def _grid(table):
+    """Every positive table radius, its neighbours one ulp away, the band
+    midpoints, the top radius and two radii beyond it."""
+    radii = [r for r in table.radii if r > 0.0]
+    ts = set(radii)
+    for r in radii:
+        ts.update((math.nextafter(r, 0.0), math.nextafter(r, math.inf)))
+    ts.update(0.5 * (a + b) for a, b in zip(radii, radii[1:]))
+    ts.update((table.top, 1.5 * table.top, 4.0 * table.top))
+    return sorted(t for t in ts if 0.0 < t < math.inf)
+
+
+def _assert_table_matches_reference(table):
+    ref = _ReferenceTable(table.g, table.dim, table.tol)
+    for t in _grid(table):
+        assert repr(table.ball(t)) == repr(ref.ball(t)), ("ball", t)
+        if math.isfinite(table.top):
+            assert repr(table.tail(t)) == repr(ref.tail(t)), ("tail", t)
+
+
+def _forward_images():
+    """The images thm4.1-forward builds on the default config: the commutator
+    bank against sign, the converse bank against dyadic_step, both kinds."""
+    cfg = ExperimentConfig()
+    m_lo, m_hi = cfg.grid("commutator_scale_m")
+    c_lo, c_hi = cfg.grid("commutator_converse_m")
+    cases = [(name, f, "sign", sign_func) for name, _, f in commutator_bank(m_lo, m_hi)]
+    cases += [(f"chi_ball_2^{m}", chi_ball(2.0 ** m), "dyadic_step", dyadic_step)
+              for m in range(c_lo, c_hi + 1)]
+    return {f"{kind}-{b_name}-{name}": (kind, f, b)
+            for name, f, b_name, b in cases
+            for kind in ("commutator_hardy", "commutator_dual_hardy")}
+
+
+FORWARD_IMAGES = _forward_images()
+
+
+@pytest.mark.parametrize("name", sorted(FORWARD_IMAGES))
+def test_forward_image_tables_match_integrate_shell(name):
+    kind, f, b = FORWARD_IMAGES[name]
+    img = OperatorImage(kind, f, b=b(), tol=1e-10)
+    _assert_table_matches_reference(img._table_f)
+    _assert_table_matches_reference(img._table_bf)
+
+
+def _wiggle(y):
+    return math.sin(50.0 * y) ** 2 if abs(y) <= 1.0 else 0.0
+
+
+@pytest.mark.parametrize("even", [True, False])
+def test_shell_falls_back_where_one_panel_misses_tol(even, monkeypatch):
+    # sin^2(50 y) has 8 periods on [0.5, 1]: one GK15 panel cannot meet tol
+    fn = _wiggle if even else (lambda y: y * _wiggle(y))
+    g = Func(fn, (-1.0, 1.0), 1.0, even=even)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return integrate_shell(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "integrate_shell", counted)
+    _assert_table_matches_reference(_ShellTable(g, 1, 1e-10))
+    assert calls
+
+
+def test_dim2_table_matches_integrate_shell():
+    _assert_table_matches_reference(_ShellTable(scaled_ball(1.0, dim=2), 2, 1e-10))
+
+
+def test_luxemburg_solve_integrates_each_radius_once(monkeypatch):
+    img = OperatorImage("commutator_dual_hardy", chi_ball(2.0), b=sign_func(),
+                        tol=1e-10)
+    img._table_f._build_tail()
+    img._table_bf._build_tail()
+    shells = Counter()
+    points = []
+    shell, compute = _ShellTable._shell, OperatorImage._compute
+
+    def counted_shell(table, g, lo, hi):
+        shells[id(table), lo] += 1
+        return shell(table, g, lo, hi)
+
+    def counted_compute(image, x):
+        points.append(x)
+        return compute(image, x)
+
+    monkeypatch.setattr(_ShellTable, "_shell", counted_shell)
+    monkeypatch.setattr(OperatorImage, "_compute", counted_compute)
+    luxemburg_norm(img, constant_exponent(2.0), tol=1e-9)
+    assert shells and max(shells.values()) == 1
+    radii = {abs(x) for x in points}
+    assert len(radii) < len(set(points))  # mirrored nodes share an entry
+    assert len(img._memo) <= len(radii)
+
+
+def test_images_of_one_input_share_no_memo():
+    f = chi_ball(1.0)
+    a = OperatorImage("commutator_hardy", f, b=sign_func())
+    b = OperatorImage("commutator_hardy", f, b=sign_func())
+    assert a._memo is not b._memo
+    a.evaluate(0.5)
+    a.evaluate(-0.5)
+    assert list(a._memo) == [0.5] and b._memo == {}
+
+
+def test_memo_stores_no_exception():
+    img = OperatorImage("dual_hardy", power(0.5))  # no certified far field
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            img.evaluate(1.0)
+    assert img._memo == {}
+
+
+@pytest.mark.parametrize("kind", ["commutator_hardy", "commutator_dual_hardy"])
+def test_commutator_bound_is_zero_where_the_input_bound_is(kind):
+    img = OperatorImage(kind, zero(), b=power(0.5))
+    assert img.abs_bound_on(3.0, math.inf) == 0.0
+
+
+# -- even means exact evenness ------------------------------------------------
+
+def _even_members():
+    bases = {}
+    for name, f in catalog_bank() + equivalence_bank() + symbol_bank():
+        bases[name] = f
+    for name, _, f in commutator_bank():
+        bases[name] = f
+    bases = {name: f for name, f in bases.items() if f.even}
+    out = dict(bases)
+    names = sorted(bases)
+    for name, nxt in zip(names, names[1:] + names[:1]):
+        f, g = bases[name], bases[nxt]
+        out[f"lincomb({name},{nxt})"] = lincomb([f, g], [0.7, -1.3])
+        out[f"abs_power({name})"] = abs_power(f, 0.5)
+        out[f"product({name},{nxt})"] = pointwise_product(f, g)
+        out[f"shifted({name})"] = shifted(f, 0.3)
+    for name, f in list(out.items()):
+        out[f"dual_kernel({name})"] = _ShellTable(f)._dual_kernel()
+    return out
+
+
+EVEN_MEMBERS = _even_members()
+JUMPS = sorted({s for f in EVEN_MEMBERS.values() for s in f.singular_points})
+
+
+def _outcome(f, x):
+    try:
+        return struct.pack("<d", f.evaluate(x))
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc)
+
+
+def test_even_members_cover_the_banks():
+    assert all(f.even for f in EVEN_MEMBERS.values())
+    assert len(EVEN_MEMBERS) > 100 and len(JUMPS) > 20
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(), st.sampled_from(JUMPS),
+                 st.sampled_from([0.0, 5e-324, 2.0 ** -1070, 2.0 ** -1022])))
+@example(0.0)
+@example(5e-324)
+def test_even_means_exact_evenness(x):
+    for name, f in EVEN_MEMBERS.items():
+        assert _outcome(f, -x) == _outcome(f, x), (name, x)
