@@ -10,7 +10,7 @@ to exit code 1.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from . import funcs
@@ -123,16 +123,13 @@ class ExperimentConfig:
     functions: dict[str, dict] = field(default_factory=dict)
     grids: dict[str, Any] = field(default_factory=dict)
     tolerances: dict[str, dict[str, float]] = field(default_factory=dict)
-    outputs: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {"seed", "dim", "tol", "exponents", "functions", "grids",
-                 "tolerances", "outputs"}
-        bad = set(d) - known
+        bad = set(d) - {f.name for f in fields(cls)}
         if bad:
             raise ConfigError(f"unknown config fields: {sorted(bad)}")
         return cls(**d)

@@ -48,9 +48,10 @@ class Func:
     """One evaluable; immutable, safe to share and evaluate concurrently.
 
     ``evaluate`` is the closure itself, not a method wrapping it, so an
-    evaluation inside quadrature costs one call frame.  ``even`` promises
-    exact evenness: f(-x) is f(x) bit for bit (or raises alike) for every
-    float x, since operator tables integrate one side and mirror it.
+    evaluation inside quadrature costs one call frame.  ``singular_points``
+    is a sorted tuple of distinct floats.  ``even`` promises exact evenness:
+    f(-x) is f(x) bit for bit (or raises alike) for every float x, since
+    ``integrate_shell`` bisects the jumps, integrates one side and mirrors it.
     """
 
     __slots__ = ("evaluate", "singular_points", "support_radius", "even",

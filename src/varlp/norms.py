@@ -39,8 +39,9 @@ per distinct node; each pass recomputes only the power
 and p in every pass.  The table belongs to the solve and is dropped when
 it returns.
 
-All computations are pure; there are no module-level caches, so concurrent
-calls are safe.
+A pass integrates a piece from the origin with integrate_ball and any other
+with integrate_shell, and the pairing integrates over a ball, so quadrature
+decides every split.  All of it is pure, with no module-level caches.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from typing import Sequence
 
 from .exponents import Exponent, r_p_constant
 from .funcs import Func
-from .geometry import FULL_LINE, Domain, FullLine, unit_ball_volume
-from .quadrature import integrate_interval, integrate_shell
+from .geometry import FULL_LINE, Ball, Domain, FullLine, unit_ball_volume
+from .quadrature import integrate_ball, integrate_shell
 
 BRACKET_EXPANSIONS = 200
 MODULAR_TOL = 1e-11
@@ -179,18 +180,15 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
 
     integrand = Func(h, (*f.singular_points, *e.breakpoints), f.support_radius,
                      even=f.even and e.dim >= 2)
-    line_breaks = (0.0, *integrand.singular_points)
 
     def rho(at: float) -> float:
         nonlocal lam
         lam = at
-        pieces = _modular_pieces(f, e, domain, lam, tol)
         total = 0.0
         try:
-            for inner, outer in pieces:
-                if inner == 0.0 and domain.dim == 1:
-                    res = integrate_interval(integrand, -outer, outer,
-                                             breakpoints=line_breaks, tol=tol)
+            for inner, outer in _modular_pieces(f, e, domain, lam, tol):
+                if inner == 0.0 < outer:
+                    res = integrate_ball(integrand, Ball(outer, domain.dim), tol=tol)
                 else:
                     res = integrate_shell(integrand, inner, outer, tol=tol,
                                           dim=domain.dim)
@@ -449,15 +447,14 @@ def dual_extremizer(f, e: Exponent, norm_value: float) -> Func:
 
 
 def _pairing_integral(f, g, tol: float) -> float:
-    prod_fn = f.evaluate
+    f_fn = f.evaluate
     g_fn = g.evaluate
     support = min(f.support_radius, g.support_radius)
     if not math.isfinite(support):
         raise ValueError("pairing integral needs at least one compact support")
-    pts = [s for s in (*f.singular_points, *g.singular_points) if abs(s) <= support]
-    res = integrate_interval(lambda x: prod_fn(x) * g_fn(x), -support, support,
-                             breakpoints=(0.0, *pts), tol=tol)
-    return res.value
+    prod = Func(lambda x: f_fn(x) * g_fn(x), (*f.singular_points, *g.singular_points),
+                support)
+    return integrate_ball(prod, Ball(support), tol=tol).value
 
 
 def dual_pairing_sup(f, e: Exponent, dual_bank: Sequence,

@@ -17,9 +17,10 @@ tails, so the norm layer can integrate them like any catalog function.
 An image keeps a radial memo: everything of a point query but the
 symbol's value b(x) depends on t = |x| only, and a modular's nodes come in
 mirrored pairs +-x, so x and -x share one entry, computed once.  Each table
-shell lies between consecutive jump radii and costs one GK15 panel per
-side.  The memo and the shell tables are the only state, built lazily on
-the image instance, never at module level; they die with the image.
+shell lies between consecutive jump radii, so ``integrate_shell`` takes it
+with one GK15 panel per side.  The memo and the shell tables are the only
+state, built lazily on the image instance, never at module level; they die
+with the image.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional, Sequence
 
 from .funcs import Func, combine_tails, pointwise_product
 from .geometry import Ball, unit_ball_volume
-from .quadrature import _gk15, integrate_ball, integrate_interval, integrate_shell
+from .quadrature import integrate_ball, integrate_interval, integrate_shell
 
 
 @dataclass(frozen=True)
@@ -96,34 +97,15 @@ class _ShellTable:
         self._tail_suff: Optional[list[float]] = None
         self._tail_err = 0.0
 
-    def _shell(self, g, lo: float, hi: float) -> tuple[float, float]:
-        """``integrate_shell`` of g over lo <= |y| <= hi, bit for bit.
-
-        ``radii`` holds every |s| <= top, so no jump of g lies strictly
-        inside a table shell and ``integrate_shell`` starts from one GK15
-        panel per side.  In dimension 1 those panels are run here (an even
-        g reuses the left one, whose nodes negate the right one's exactly)
-        and, where both pass ``integrate_interval``'s test, summed by
-        ``integrate_shell``'s operations; anything else takes it."""
-        if self.dim == 1:
-            half = self.tol / 2.0
-            vl, el = _gk15(g.evaluate, -hi, -lo)
-            if (el <= half or el <= 1e-13 * abs(vl)) and math.isfinite(vl):
-                vr, er = (vl, el) if g.even else _gk15(g.evaluate, lo, hi)
-                if (er <= half or er <= 1e-13 * abs(vr)) and math.isfinite(vr):
-                    return (0.0 + vl) + (0.0 + vr), (0.0 + el) + (0.0 + er)
-        res = integrate_shell(g, lo, hi, tol=self.tol, dim=self.dim)
-        return res.value, res.abs_error_bound
-
     # -- plain shells -------------------------------------------------------
 
     def _build_ball(self) -> None:
         pref = [0.0]
         err = 0.0
         for lo, hi in zip(self.radii[:-1], self.radii[1:]):
-            v, e = self._shell(self.g, lo, hi)
-            pref.append(pref[-1] + v)
-            err += e
+            res = integrate_shell(self.g, lo, hi, tol=self.tol, dim=self.dim)
+            pref.append(pref[-1] + res.value)
+            err += res.abs_error_bound
         self._ball_pref = pref
         self._ball_err = err
 
@@ -139,8 +121,8 @@ class _ShellTable:
         base, base_err = self._ball_pref[i], self._ball_err
         lo = self.radii[i]
         if t > lo:
-            v, e = self._shell(self.g, lo, t)
-            return base + v, base_err + e
+            res = integrate_shell(self.g, lo, t, tol=self.tol, dim=self.dim)
+            return base + res.value, base_err + res.abs_error_bound
         return base, base_err
 
     # -- dual-kernel shells ---------------------------------------------------
@@ -170,9 +152,9 @@ class _ShellTable:
             if lo == 0.0:
                 vals.append(None)  # the kernel may not be integrable down to 0
                 continue
-            v, e = self._shell(kern, lo, hi)
-            vals.append(v)
-            err += e
+            res = integrate_shell(kern, lo, hi, tol=self.tol, dim=self.dim)
+            vals.append(res.value)
+            err += res.abs_error_bound
         suff = [0.0] * len(self.radii)
         for i in range(len(self.radii) - 2, -1, -1):
             piece = vals[i] if vals[i] is not None else 0.0
@@ -193,9 +175,9 @@ class _ShellTable:
         hi = self.radii[i] if i < len(self.radii) else self.top
         val, err = 0.0, self._tail_err
         if hi > t:
-            v, e = self._shell(self._tail_kernel, t, hi)
-            val += v
-            err += e
+            res = integrate_shell(self._tail_kernel, t, hi, tol=self.tol, dim=self.dim)
+            val += res.value
+            err += res.abs_error_bound
         if i < len(self.radii):
             val += self._tail_suff[i]
         return val, err
@@ -217,7 +199,8 @@ class OperatorImage:
     """Lazy pointwise image of f (and symbol b) under one of the operators.
 
     Carries the whole evaluable protocol of ``funcs.Func``: jump radii (the
-    origin, the symbol's jumps, and the reflected jump radii of the input),
+    origin, the symbol's jumps, and the reflected jump radii of the input,
+    a sorted tuple of distinct floats),
     a support radius when the output provably vanishes far out, a certified
     power tail otherwise, no local majorant (images are bounded away from
     the origin and never claim one), and shell sup bounds.

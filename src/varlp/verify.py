@@ -36,22 +36,6 @@ from .spaces import (cbmo_classical_norm, cbmo_inf_norm, cbmo_star_norm,
                      cbmo_var_norm, default_radius_grid, herz_breakdown,
                      lq_aggregate, lq_aggregate_large, lq_aggregate_small)
 
-STATEMENT_IDS = (
-    "eq1.1",
-    "lemma2.2",
-    "lemma2.3",
-    "lemma2.4",
-    "lemma2.5",
-    "prop3.1",
-    "prop3.2",
-    "prop3.3",
-    "prop3.4",
-    "thm4.1-forward",
-    "thm4.1-converse-identity",
-    "lemma5.1",
-    "thm5.1",
-)
-
 
 def _radius_grid(span: Sequence[int]) -> list[float]:
     return default_radius_grid(int(span[0]), int(span[1]))
@@ -767,7 +751,8 @@ def _run_thm51(cfg: ExperimentConfig) -> CheckReport:
                          boundary_tol=cfg.stmt_tol("thm5.1", "boundary_tol"))
 
 
-# a checker, or (sweep, index) for two statements that one sweep reports
+# a checker, or (sweep, index) for two statements that one sweep reports;
+# the order is the statement order of run_all and of every report list
 _REGISTRY: dict[str, Callable[[ExperimentConfig], CheckReport]
                 | tuple[Callable[[ExperimentConfig], tuple], int]] = {
     "eq1.1": _run_eq11,
@@ -784,6 +769,7 @@ _REGISTRY: dict[str, Callable[[ExperimentConfig], CheckReport]
     "lemma5.1": _run_lemma51,
     "thm5.1": _run_thm51,
 }
+STATEMENT_IDS = tuple(_REGISTRY)
 
 
 def run_statement(statement_id: str, cfg: ExperimentConfig,
@@ -812,9 +798,6 @@ def run_statement(statement_id: str, cfg: ExperimentConfig,
 
 def run_all(cfg: ExperimentConfig) -> list[CheckReport]:
     """Run every registered statement check, in id order."""
-    if set(_REGISTRY) != set(STATEMENT_IDS):
-        missing = set(STATEMENT_IDS) ^ set(_REGISTRY)
-        raise RuntimeError(f"statement coverage broken; mismatched ids: {missing}")
     memo: dict = {}
     return [run_statement(sid, cfg, memo=memo) for sid in STATEMENT_IDS]
 

@@ -25,6 +25,11 @@ def test_config_rejects_unknown_fields():
         ExperimentConfig.from_dict({"seed": 1, "bogus": 2})
 
 
+def test_config_refuses_the_removed_outputs_field():
+    with pytest.raises(ConfigError, match="outputs"):
+        ExperimentConfig.from_dict({"seed": 1, "outputs": {}})
+
+
 def test_make_exponent_errors_name_the_field():
     with pytest.raises(ConfigError, match="kind"):
         make_exponent({"p": 2.0})

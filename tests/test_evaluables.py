@@ -13,6 +13,8 @@ from varlp import (FULL_LINE, Ball, DyadicRing, OperatorImage, abs_power,
                    zero)
 from varlp.funcs import pointwise_product, shifted
 from varlp.norms import _seed_lambda, dual_extremizer
+from varlp.verify import (commutator_bank, equivalence_bank, symbol_bank,
+                          vv_sequence_bank)
 
 PROTOCOL = ("evaluate", "singular_points", "support_radius", "even",
             "power_tail", "local_majorant", "kind", "abs_bound_on")
@@ -98,6 +100,38 @@ def test_evaluable_carries_the_protocol(name):
     for attr in PROTOCOL:
         assert hasattr(f, attr), (name, attr)
     assert isinstance(f.singular_points, tuple)
+
+
+def _bank_evaluables():
+    """The bank members, derived functions of them, and the commutator
+    images of commutator_bank x symbol_bank."""
+    out = {}
+    for name, f in catalog_bank() + equivalence_bank() + symbol_bank():
+        out[name] = f
+    for name, _, f in commutator_bank():
+        out[name] = f
+    for _, _, fs in vv_sequence_bank():
+        out.update((repr(f), f) for f in fs)
+    names = sorted(out)
+    for name, nxt in zip(names, names[1:] + names[:1]):
+        f, g = out[name], out[nxt]
+        out[f"lincomb({name},{nxt})"] = lincomb([f, g], [0.7, -1.3])
+        out[f"product({name},{nxt})"] = pointwise_product(f, g)
+        out[f"shifted({name})"] = shifted(f, 0.3)
+    for name, _, f in commutator_bank():
+        for b_name, b in symbol_bank():
+            for kind in ("commutator_hardy", "commutator_dual_hardy"):
+                out[f"{kind}({b_name},{name})"] = OperatorImage(kind, f, b=b)
+    return {**{name: make() for name, make in EVALUABLES.items()}, **out}
+
+
+@pytest.mark.parametrize("name, f", sorted(_bank_evaluables().items()))
+def test_singular_points_are_sorted_distinct_floats(name, f):
+    # integrate_shell bisects them to decide whether a shell holds a jump
+    pts = f.singular_points
+    assert type(pts) is tuple
+    assert all(type(s) is float and not math.isnan(s) for s in pts)
+    assert all(a < b for a, b in zip(pts, pts[1:]))  # -0.0 and 0.0 are not distinct
 
 
 @pytest.mark.parametrize("name", sorted(EVALUABLES))

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varlp import (Ball, DyadicRing, OperatorImage, QuadratureNonConvergence,
-                   abs_power, constant, dyadic_step, integrate_annulus,
-                   integrate_ball, integrate_interval, power, scaled_ball)
+from varlp import (Ball, DyadicRing, Func, OperatorImage, QuadratureNonConvergence,
+                   abs_power, catalog_bank, chi_ball, chi_interval, chi_ring,
+                   constant, dyadic_step, integrate_annulus, integrate_ball,
+                   integrate_interval, power, scaled_ball, sign_func, with_sign)
+from varlp.config import ExperimentConfig
+from varlp.funcs import pointwise_product
 from varlp.operators import _ShellTable
 from varlp.quadrature import integrate_shell
+from varlp.verify import commutator_bank, symbol_bank
 
 
 def test_constant_on_unit_interval():
@@ -181,3 +185,183 @@ PINNED_QUADRATURE_REPRS = {
 @pytest.mark.parametrize("name", sorted(PINNED_QUADRATURE))
 def test_quadrature_is_bit_identical_to_pinned(name):
     assert repr(PINNED_QUADRATURE[name]()) == PINNED_QUADRATURE_REPRS[name]
+
+
+# -- the one-panel shell path --------------------------------------------------
+# integrate_shell runs one GK15 panel per side where no jump lies strictly
+# inside; each pin compares it with the two adaptive calls it stands for
+
+def _two_calls(g, lo, hi, tol):
+    pts = g.singular_points
+    return (integrate_interval(g, -hi, -lo, pts, tol / 2)
+            + integrate_interval(g, lo, hi, pts, tol / 2))
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+
+
+def _assert_shells_match(g, shells, tol):
+    """Compare g, and for an even g also its copy without the flag, so the
+    mirrored panel meets the one it stands for."""
+    variants = [g]
+    if g.even:
+        variants.append(Func(g.evaluate, g.singular_points, g.support_radius))
+    for h in variants:
+        for lo, hi in shells:
+            assert _outcome(lambda: integrate_shell(h, lo, hi, tol)) == \
+                _outcome(lambda: _two_calls(h, lo, hi, tol)), (h.even, lo, hi)
+
+
+def _forward_tables():
+    """The (f, b f) tables of the thm4.1-forward images on the default config."""
+    cfg = ExperimentConfig()
+    cases = [(name, f, sign_func()) for name, _, f in
+             commutator_bank(*cfg.grid("commutator_scale_m"))]
+    c_lo, c_hi = cfg.grid("commutator_converse_m")
+    cases += [(f"chi_ball_2^{m}", chi_ball(2.0 ** m), dyadic_step())
+              for m in range(c_lo, c_hi + 1)]
+    return {name: (f, b) for name, f, b in cases}
+
+
+FORWARD_TABLES = _forward_tables()
+
+
+@pytest.mark.parametrize("name", sorted(FORWARD_TABLES))
+def test_one_panel_shells_of_forward_tables(name):
+    f, b = FORWARD_TABLES[name]
+    for g in (f, pointwise_product(b, f)):
+        table = _ShellTable(g, 1, 1e-10)
+        radii = table.radii
+        shells = list(zip(radii, radii[1:]))
+        shells += [(lo, 0.5 * (lo + hi)) for lo, hi in shells]  # partial shells
+        _assert_shells_match(g, shells, table.tol)
+        _assert_shells_match(table._dual_kernel(),
+                             [(lo, hi) for lo, hi in shells if lo > 0.0], table.tol)
+    assert any(not g.even for g in (f, pointwise_product(b, f)))
+
+
+# a jump at an end, a jump inside, both, and shells far from every jump
+CATALOG_SHELLS = ((0.25, 0.5), (0.5, 1.0), (1.0, 2.0), (0.25, 3.0), (0.0, 1.5),
+                  (0.75, 1.25), (2.0, 4.0), (1e-3, 1e3), (3.0, 5.0), (0.0, 1e-9))
+
+
+@pytest.mark.parametrize("name, f", catalog_bank() + symbol_bank())
+def test_one_panel_shells_of_catalog_members(name, f):
+    _assert_shells_match(f, CATALOG_SHELLS, 1e-9)
+    _assert_shells_match(f, CATALOG_SHELLS, 1e-13)
+
+
+def _ring_modular(f, e, lam, even):
+    """A modular integrand as a ring pass in dimension 1 builds it."""
+    ffn, pfn = f.evaluate, e.evaluate
+    return Func(lambda x: (abs(ffn(x)) / lam) ** pfn(x),
+                (*f.singular_points, *e.breakpoints), f.support_radius, even=even)
+
+
+@pytest.mark.parametrize("e_name", ["const2", "pw23"])
+def test_one_panel_shells_of_ring_modulars(e_name):
+    e = ExperimentConfig().exponent(e_name)
+    rings = [(DyadicRing(k).inner, DyadicRing(k).outer) for k in range(-3, 5)]
+    fs = [chi_ring(1), scaled_ball(2.0), with_sign(chi_ball(2.0)), power(-0.25),
+          dyadic_step()]
+    for f in fs:
+        for lam in (0.5, 1.0, 3.0):
+            # exactly even only where f and p are
+            even = f.even and e_name == "const2"
+            _assert_shells_match(_ring_modular(f, e, lam, even), rings, 1e-11)
+
+
+def _wiggle_func(even):
+    wiggle = lambda y: math.sin(50.0 * y) ** 2 if abs(y) <= 1.0 else 0.0  # noqa: E731
+    return Func(wiggle if even else (lambda y: y * wiggle(y)), (-1.0, 1.0), 1.0,
+                even=even)
+
+
+def _raises_below(r):
+    def fn(y):
+        if abs(y) < r:
+            raise ValueError(f"evaluated at {y!r}")
+        return 1.0
+    return fn
+
+
+ODD_SHELL_CASES = {
+    # one panel misses tol, the adaptive path takes over
+    "wiggle_even": (_wiggle_func(True), (0.5, 1.0)),
+    "wiggle_odd": (_wiggle_func(False), (0.5, 1.0)),
+    # one side converges, the other misses tol
+    "one_side_wiggles": (Func(lambda y: math.sin(50.0 * y) ** 2 if y > 0.0 else 1.0,
+                              (0.0,)), (0.5, 1.0)),
+    # non-finite panels: inf, nan, and a sum that overflows
+    "inf_panel": (Func(lambda y: math.inf if abs(y) < 0.6 else 1.0, (), math.inf,
+                       even=True), (0.5, 1.0)),
+    "nan_panel": (Func(lambda y: math.nan, (), math.inf), (0.5, 1.0)),
+    "inf_right_only": (Func(lambda y: math.inf if y > 0.0 else 1.0, (0.0,)),
+                       (0.5, 1.0)),
+    # inf at the outermost Kronrod node only: |K15 - G7| = inf passes the
+    # relative test against value inf, so only the finiteness test refuses it
+    "inf_kronrod_node": (Func(lambda y: math.inf if abs(y) > 0.99 else 1.0, (),
+                              math.inf, even=True), (0.5, 1.0)),
+    "inf_kronrod_node_right": (Func(lambda y: math.inf if y > 0.99 else 1.0, ()),
+                               (0.5, 1.0)),
+    "inf_kronrod_node_left": (Func(lambda y: math.inf if y < -0.99 else 1.0, ()),
+                              (0.5, 1.0)),
+    "overflowing_panel": (Func(lambda y: 1.5e308, (), math.inf, even=True), (1.0, 3.0)),
+    # finite sides whose sum overflows: no test runs after the sum
+    "overflowing_sum": (Func(lambda y: 6e307, (), math.inf, even=True), (1.0, 3.0)),
+    "nonintegrable": (Func(lambda y: 1.0 / abs(abs(y) - 1.0), (), math.inf,
+                           even=True), (0.5, 1.0)),
+    # errors raised inside a panel
+    "raises_even": (Func(_raises_below(0.6), (), math.inf, even=True), (0.5, 1.0)),
+    "raises_odd": (Func(_raises_below(0.6), ()), (0.5, 1.0)),
+    "raises_right_only": (Func(lambda y: _raises_below(0.6)(y) if y > 0.0 else 1.0,
+                               (0.0,)), (0.5, 1.0)),
+    # a zero panel: -0.0 + -0.0 must come back as the calls' 0.0
+    "negative_zero": (Func(lambda y: -0.0, (), math.inf, even=True), (0.5, 1.0)),
+    "negative_zero_odd": (Func(lambda y: -0.0 if y < 0.0 else 0.0, (0.0,)), (0.5, 1.0)),
+    # jumps: at both ends, and one inside on one side only
+    "jumps_at_ends": (chi_interval(-1.0, 0.5), (0.5, 1.0)),
+    "jump_inside_left": (chi_interval(-0.75, 1.0), (0.5, 1.0)),
+    "jump_inside_right": (chi_interval(-1.0, 0.75), (0.5, 1.0)),
+    "infinite_outer": (Func(lambda y: 1.0, (), math.inf, even=True), (1.0, math.inf)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_SHELL_CASES))
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_one_panel_shell_edge_cases(name, tol):
+    g, shell = ODD_SHELL_CASES[name]
+    _assert_shells_match(g, [shell], tol)
+
+
+def test_one_panel_shells_take_one_panel_per_side():
+    assert integrate_shell(chi_ball(1.0), 0.25, 0.5).subdivisions == 2
+    assert integrate_shell(chi_interval(-1.0, 0.75), 0.5, 1.0).subdivisions > 2
+    assert repr(integrate_shell(ODD_SHELL_CASES["negative_zero"][0], 0.5, 1.0)) == \
+        "QuadResult(value=0.0, abs_error_bound=0.0, subdivisions=2)"
+    assert integrate_shell(ODD_SHELL_CASES["overflowing_sum"][0], 1.0, 3.0).value == math.inf
+
+
+HALF_TOL_CASES = {
+    "even": Func(lambda y: math.cos(10.0 * y), (), math.inf, even=True),
+    "odd": Func(lambda y: math.cos(10.0 * y), (), math.inf),
+    "left_only": Func(lambda y: math.cos(10.0 * y) if y < 0.0 else 1.0, (0.0,)),
+    "right_only": Func(lambda y: math.cos(10.0 * y) if y > 0.0 else 1.0, (0.0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALF_TOL_CASES))
+def test_one_panel_shell_meets_half_the_tolerance(name):
+    # each side gets tol / 2: a panel whose error lies between tol / 2 and
+    # tol must take the adaptive path, as the two calls do
+    g = HALF_TOL_CASES[name]
+    # with tol = inf the first panel is accepted: its own error estimate
+    err = integrate_interval(HALF_TOL_CASES["odd"], 0.5, 1.0, tol=math.inf).abs_error_bound
+    for tol in (1.5 * err, 2.0 * err, 2.5 * err):
+        _assert_shells_match(g, [(0.5, 1.0)], tol)
+    assert integrate_shell(g, 0.5, 1.0, 1.5 * err).subdivisions > 2
+    assert integrate_shell(g, 0.5, 1.0, 2.5 * err).subdivisions == 2

@@ -1,10 +1,12 @@
 """Operator images integrate each radius once: the one-panel table shells
-agree bit for bit with ``integrate_shell``, the radial memo serves x and -x
-from one entry, and the evenness the panel mirror relies on is exact."""
+agree bit for bit with two adaptive ``integrate_interval`` calls, the radial
+memo serves x and -x from one entry, and the evenness the panel mirror
+relies on is exact."""
 
 import math
 import struct
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,21 +15,34 @@ from hypothesis import strategies as st
 from varlp import (Func, OperatorImage, abs_power, catalog_bank, chi_ball,
                    constant_exponent, dyadic_step, lincomb, luxemburg_norm,
                    power, scaled_ball, sign_func, zero)
-from varlp import operators
+from varlp import operators, quadrature
 from varlp.config import ExperimentConfig
 from varlp.funcs import pointwise_product, shifted
 from varlp.operators import _ShellTable
-from varlp.quadrature import integrate_shell
+from varlp.quadrature import integrate_interval, integrate_shell
 from varlp.verify import commutator_bank, equivalence_bank, symbol_bank
 
 
-class _ReferenceTable(_ShellTable):
-    """The table with every shell on ``integrate_shell``, as before the
-    one-panel path existed."""
+def _two_sided(g, lo, hi, tol, dim=1):
+    """The shell integral as it was before the one-panel path existed: in
+    dimension 1 two adaptive ``integrate_interval`` calls at tol / 2."""
+    if dim != 1:
+        return integrate_shell(g, lo, hi, tol=tol, dim=dim)
+    pts = g.singular_points
+    return (integrate_interval(g, -hi, -lo, breakpoints=pts, tol=tol / 2.0)
+            + integrate_interval(g, lo, hi, breakpoints=pts, tol=tol / 2.0))
 
-    def _shell(self, g, lo, hi):
-        res = integrate_shell(g, lo, hi, tol=self.tol, dim=self.dim)
-        return res.value, res.abs_error_bound
+
+class _ReferenceTable(_ShellTable):
+    """The table with every shell on ``_two_sided``."""
+
+    def ball(self, t):
+        with mock.patch.object(operators, "integrate_shell", _two_sided):
+            return super().ball(t)
+
+    def tail(self, t):
+        with mock.patch.object(operators, "integrate_shell", _two_sided):
+            return super().tail(t)
 
 
 def _grid(table):
@@ -88,9 +103,11 @@ def test_shell_falls_back_where_one_panel_misses_tol(even, monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args[1:3])
-        return integrate_shell(*args, **kwargs)
+        return integrate_interval(*args, **kwargs)
 
-    monkeypatch.setattr(operators, "integrate_shell", counted)
+    # the reference calls its own binding of integrate_interval, so only the
+    # adaptive path inside quadrature.integrate_shell is counted
+    monkeypatch.setattr(quadrature, "integrate_interval", counted)
     _assert_table_matches_reference(_ShellTable(g, 1, 1e-10))
     assert calls
 
@@ -106,17 +123,17 @@ def test_luxemburg_solve_integrates_each_radius_once(monkeypatch):
     img._table_bf._build_tail()
     shells = Counter()
     points = []
-    shell, compute = _ShellTable._shell, OperatorImage._compute
+    compute = OperatorImage._compute
 
-    def counted_shell(table, g, lo, hi):
-        shells[id(table), lo] += 1
-        return shell(table, g, lo, hi)
+    def counted_shell(g, lo, hi, **kwargs):
+        shells[id(g), lo] += 1
+        return integrate_shell(g, lo, hi, **kwargs)
 
     def counted_compute(image, x):
         points.append(x)
         return compute(image, x)
 
-    monkeypatch.setattr(_ShellTable, "_shell", counted_shell)
+    monkeypatch.setattr(operators, "integrate_shell", counted_shell)
     monkeypatch.setattr(OperatorImage, "_compute", counted_compute)
     luxemburg_norm(img, constant_exponent(2.0), tol=1e-9)
     assert shells and max(shells.values()) == 1
@@ -171,8 +188,18 @@ def _even_members():
     return out
 
 
+def _even_images():
+    """integrate_shell mirrors any even integrand, operator images included:
+    the even commutator images of commutator_bank x symbol_bank."""
+    return {f"{kind}({b_name},{name})": OperatorImage(kind, f, b=b)
+            for name, _, f in commutator_bank() for b_name, b in symbol_bank()
+            for kind in ("commutator_hardy", "commutator_dual_hardy") if b.even}
+
+
 EVEN_MEMBERS = _even_members()
 JUMPS = sorted({s for f in EVEN_MEMBERS.values() for s in f.singular_points})
+EVEN_IMAGES = _even_images()
+IMAGE_JUMPS = sorted({s for f in EVEN_IMAGES.values() for s in f.singular_points})
 
 
 def _outcome(f, x):
@@ -185,6 +212,7 @@ def _outcome(f, x):
 def test_even_members_cover_the_banks():
     assert all(f.even for f in EVEN_MEMBERS.values())
     assert len(EVEN_MEMBERS) > 100 and len(JUMPS) > 20
+    assert all(f.even for f in EVEN_IMAGES.values()) and len(EVEN_IMAGES) > 100
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,4 +222,18 @@ def test_even_members_cover_the_banks():
 @example(5e-324)
 def test_even_means_exact_evenness(x):
     for name, f in EVEN_MEMBERS.items():
+        assert _outcome(f, -x) == _outcome(f, x), (name, x)
+
+
+# below 2^-60, the bottom of every table's radius ladder, a dual image's
+# partial shell is one adaptive run over up to 1000 binary orders (30 ms
+# per image at 1e-300), and below 2^-1024 it is refused as non-finite with
+# no memo entry: the strategy stays above 2^-60, two examples below
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(min_value=2.0 ** -60), st.floats(max_value=-2.0 ** -60),
+                 st.sampled_from(IMAGE_JUMPS), st.sampled_from([0.0, math.nan])))
+@example(5e-324)
+@example(-1e-30)
+def test_even_means_exact_evenness_for_images(x):
+    for name, f in EVEN_IMAGES.items():
         assert _outcome(f, -x) == _outcome(f, x), (name, x)
