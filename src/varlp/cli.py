@@ -173,14 +173,13 @@ def _cmd_verify(args) -> int:
         cfg.seed = args.seed
     if args.tol is not None:
         cfg.tol = args.tol
+    if args.p0 is not None:
+        cfg.grids["counterexample_p0"] = [args.p0]
     if args.all:
         reports = run_all(cfg)
     elif args.statement:
-        kwargs = {}
-        if args.p0 is not None:
-            kwargs["p0"] = args.p0
         try:
-            reports = [run_statement(args.statement, cfg, **kwargs)]
+            reports = [run_statement(args.statement, cfg)]
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
     else:
@@ -285,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--statement", default=None,
                    help=f"one of: {', '.join(STATEMENT_IDS)}")
     p.add_argument("--p0", type=float, default=None,
-                   help="constant exponent override for the counterexample sweep")
+                   help="the one constant exponent of the counterexample "
+                        "sweep (prop3.1): overrides the counterexample_p0 grid")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=_cmd_verify)
 
@@ -313,10 +313,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "herz" and args.f is None and args.vector is None:
             raise ConfigError("herz needs --f or --vector")
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, ArithmeticError) as exc:
+    except (ValueError, KeyError, ArithmeticError) as exc:  # ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,9 +2,10 @@
 
 A config names exponents and functions by kind-dictionaries mirroring the
 catalogs, fixes every grid the harness sweeps, and centralizes the
-tolerance policy per statement.  Parsing is strict: an unknown kind or a
-malformed field raises ConfigError naming the offender, which the CLI maps
-to exit code 1.
+tolerance policy per statement; every statement, and so every exponent it
+builds, is one-dimensional.  Parsing is strict: an unknown kind, field,
+grid name or tolerance key, or a malformed field, raises ConfigError
+naming the offender, which the CLI maps to exit code 1.
 """
 
 from __future__ import annotations
@@ -27,17 +28,17 @@ class ConfigError(ValueError):
 # spec dictionaries -> objects
 # ---------------------------------------------------------------------------
 
-def make_exponent(spec: dict, dim: int = 1) -> Exponent:
+def make_exponent(spec: dict) -> Exponent:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"exponent spec must be a dict with a 'kind': {spec!r}")
     kind = spec["kind"]
     try:
         if kind == "constant":
-            return constant_exponent(spec["p"], dim=dim)
+            return constant_exponent(spec["p"])
         if kind == "piecewise":
-            return piecewise_exponent(spec["breaks"], spec["values"], dim=dim)
+            return piecewise_exponent(spec["breaks"], spec["values"])
         if kind == "smooth":
-            return smooth_exponent(spec["formula_id"], spec.get("params", {}), dim=dim)
+            return smooth_exponent(spec["formula_id"], spec.get("params", {}))
     except KeyError as exc:
         raise ConfigError(f"exponent spec {spec!r} is missing field {exc}") from exc
     except ValueError as exc:
@@ -117,7 +118,6 @@ class ExperimentConfig:
     """Everything a reproducible harness run depends on."""
 
     seed: int = 7
-    dim: int = 1
     tol: float = 1e-9
     exponents: dict[str, dict] = field(default_factory=dict)
     functions: dict[str, dict] = field(default_factory=dict)
@@ -132,6 +132,13 @@ class ExperimentConfig:
         bad = set(d) - {f.name for f in fields(cls)}
         if bad:
             raise ConfigError(f"unknown config fields: {sorted(bad)}")
+        bad = set(d.get("grids", {})) - set(DEFAULT_GRIDS)
+        if bad:
+            raise ConfigError(f"unknown grid names: {sorted(bad)}")
+        known = {key for tols in DEFAULT_TOLERANCES.values() for key in tols}
+        bad = {key for tols in d.get("tolerances", {}).values() for key in tols} - known
+        if bad:
+            raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
         return cls(**d)
 
     @classmethod
@@ -154,7 +161,7 @@ class ExperimentConfig:
         spec = self.exponents.get(name) or BUILTIN_EXPONENTS.get(name)
         if spec is None:
             raise ConfigError(f"unknown exponent name {name!r}")
-        return make_exponent(spec, dim=self.dim)
+        return make_exponent(spec)
 
     def func(self, name: str) -> Func:
         spec = self.functions.get(name) or BUILTIN_FUNCS.get(name)
@@ -182,12 +189,10 @@ class ExperimentConfig:
 
 DEFAULT_GRIDS: dict[str, Any] = {
     # radius grids are [k_lo, k_hi] dyadic exponent ranges
-    "radius_k": [-10, 20],
     "chi_product_radius_k": [-5, 10],
     "cbmo_radius_k": [-4, 8],
     "equiv_radius_k": [-3, 6],
     "counterexample_radius_k": [-10, 20],
-    "herz_k": [-20, 20],
     "vv_herz_k": [-6, 6],
     "p0_grid": [1.25, 1.5],
     "counterexample_p0": [2.0, 4.0],
@@ -206,7 +211,7 @@ DEFAULT_GRIDS: dict[str, Any] = {
 }
 
 DEFAULT_TOLERANCES: dict[str, dict[str, float]] = {
-    "default": {"abs_tol": 1e-8, "rel_tol": 1e-6, "slope_tol": 0.05},
+    "default": {"rel_tol": 1e-6, "slope_tol": 0.05},
     "eq1.1": {"ratio_tol": 1e-4},
     "lemma2.2": {"cap": 100.0},
     "prop3.1": {"mean_tol": 1e-9, "fit_r2": 0.9},

@@ -35,12 +35,11 @@ class Exponent:
     """
 
     __slots__ = ("kind", "params", "dim", "p_minus", "p_plus", "breakpoints",
-                 "working_radius", "_fn")
+                 "_fn")
 
     def __init__(self, kind: str, params: dict, fn: Callable[[float], float],
                  p_minus: float, p_plus: float,
-                 breakpoints: tuple[float, ...] = (), dim: int = 1,
-                 working_radius: float = WORKING_RADIUS):
+                 breakpoints: tuple[float, ...] = (), dim: int = 1):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         self.kind = kind
@@ -49,7 +48,6 @@ class Exponent:
         self.p_minus = p_minus
         self.p_plus = p_plus
         self.breakpoints = tuple(sorted(breakpoints))
-        self.working_radius = working_radius
         self._fn = fn
 
     def evaluate(self, x: float) -> float:
@@ -75,9 +73,7 @@ class Exponent:
             {"derived": "conjugate", "of": self.kind},
             lambda x: _conj(fn(x)),
             q_minus, q_plus,
-            breakpoints=self.breakpoints, dim=self.dim,
-            working_radius=self.working_radius,
-        )
+            breakpoints=self.breakpoints, dim=self.dim)
 
     def divided_by(self, p0: float) -> "Exponent":
         """The exponent x -> p(x)/p0 (used by the power identity of the norm)."""
@@ -94,9 +90,7 @@ class Exponent:
             {"derived": "scaled", "of": self.kind, "divisor": p0},
             lambda x: fn(x) / p0,
             self.p_minus / p0, self.p_plus / p0,
-            breakpoints=self.breakpoints, dim=self.dim,
-            working_radius=self.working_radius,
-        )
+            breakpoints=self.breakpoints, dim=self.dim)
 
     def sup_near(self, s: float) -> float:
         """The largest value p takes arbitrarily close to s.
@@ -207,7 +201,7 @@ def smooth_exponent(formula_id: str, params: Optional[dict] = None,
     params.setdefault("base", base)
     params.setdefault("amp", amp)
     return Exponent("smooth-log-holder", {"formula_id": formula_id, **params},
-                    fn, lo, hi, dim=dim, working_radius=working_radius)
+                    fn, lo, hi, dim=dim)
 
 
 def custom_exponent(fn: Callable[[float], float], dim: int = 1,
@@ -219,7 +213,7 @@ def custom_exponent(fn: Callable[[float], float], dim: int = 1,
     vals = [fn(x) for x in xs]
     return Exponent("custom-evaluable", {"sampled_bounds": True}, fn,
                     min(vals), max(vals), breakpoints=tuple(breakpoints),
-                    dim=dim, working_radius=working_radius)
+                    dim=dim)
 
 
 def _sin_range(u0: float, u1: float) -> tuple[float, float]:

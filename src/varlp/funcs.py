@@ -415,12 +415,12 @@ def mean_on_ball(f, ball: Ball, tol: float = 1e-9) -> BallMean:
     return BallMean(res.value / m, res.abs_error_bound / m)
 
 
-def range_on_ball(f, ball: Ball, samples: int = 65) -> tuple[float, float]:
+def range_on_ball(f, ball: Ball) -> tuple[float, float]:
     """Sampled (min, max) of f over the ball, for bracketing shift searches.
 
     Exact for piecewise-constant catalog members (every panel midpoint is
-    sampled); a dense proxy otherwise.  Points where f is unbounded are
-    skipped.
+    sampled); a proxy from 65 even samples otherwise.  Points where f is
+    unbounded are skipped.
     """
     r = ball.radius
     xs = {-r, r, 0.0}
@@ -429,8 +429,8 @@ def range_on_ball(f, ball: Ball, samples: int = 65) -> tuple[float, float]:
     for lo, hi in zip(edges[:-1], edges[1:]):
         xs.add(0.5 * (lo + hi))
         xs.add(lo + 0.25 * (hi - lo))
-    for j in range(samples):
-        xs.add(-r + (2.0 * r) * j / (samples - 1))
+    for j in range(65):
+        xs.add(-r + (2.0 * r) * j / 64)
     vals = []
     for x in sorted(xs):
         try:

@@ -179,7 +179,7 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
         return (hit[0] / lam) ** hit[1]
 
     integrand = Func(h, (*f.singular_points, *e.breakpoints), f.support_radius,
-                     even=f.even and e.dim >= 2)
+                     even=f.even and domain.dim >= 2)
 
     def rho(at: float) -> float:
         nonlocal lam

@@ -14,7 +14,9 @@ costs one partial panel instead of a full adaptive pass.  Operator outputs
 are exposed as lazy evaluables with jump metadata and certified power-law
 tails, so the norm layer can integrate them like any catalog function.
 
-An image keeps a radial memo: everything of a point query but the
+The four kinds are two facts, decoded once per image: ball tables
+(divided by |x|^n) or tail tables, and a symbol or none.  An image keeps a
+radial memo of its table reads: everything of a point query but the
 symbol's value b(x) depends on t = |x| only, and a modular's nodes come in
 mirrored pairs +-x, so x and -x share one entry, computed once.  Each table
 shell lies between consecutive jump radii, so ``integrate_shell`` takes it
@@ -196,8 +198,11 @@ def _jump_points(*gs) -> tuple[float, ...]:
 
 
 class OperatorImage:
-    """Lazy pointwise image of f (and symbol b) under one of the operators.
+    """Lazy pointwise image of f under one of the operators.
 
+    The kind is decoded once: the dual operators read tail tables, the
+    others ball tables, and a commutator also reads the tables of the
+    product b f and evaluates its symbol b, which no other kind accepts.
     Carries the whole evaluable protocol of ``funcs.Func``: jump radii (the
     origin, the symbol's jumps, and the reflected jump radii of the input,
     a sorted tuple of distinct floats),
@@ -211,13 +216,15 @@ class OperatorImage:
     def __init__(self, kind: str, f, b=None, dim: int = 1, tol: float = 1e-10):
         if kind not in self.KINDS:
             raise ValueError(f"unknown operator kind {kind!r}")
-        if kind.startswith("commutator") and b is None:
-            raise ValueError("a commutator needs a symbol b")
+        if kind.startswith("commutator") != (b is not None):
+            raise ValueError("a commutator needs a symbol b, and only a "
+                             f"commutator takes one (kind {kind!r})")
         self.kind = kind
         self.f = f
         self.b = b
         self.dim = dim
         self.tol = tol
+        self._dual = kind.endswith("dual_hardy")
 
         self._table_f = _ShellTable(f, dim, tol)
         self._bf = pointwise_product(b, f) if b is not None else None
@@ -240,11 +247,12 @@ class OperatorImage:
             # no certified far field; bounded-domain use only
             return
         R_f = f.support_radius
-        if self.kind in ("dual_hardy", "commutator_dual_hardy"):
+        if self._dual:
             self.support_radius = R_f
             return
         tot_f, err_f = self._table_f.ball(R_f)
-        if self.kind == "hardy":
+        b = self.b
+        if b is None:
             coef = abs(tot_f) + err_f
             r0 = max(R_f, 1.0)
             if coef == 0.0:
@@ -252,8 +260,6 @@ class OperatorImage:
             else:
                 self.power_tail = (coef, -float(n), r0)
             return
-        # commutator_hardy
-        b = self.b
         tot_bf, err_bf = self._table_bf.ball(min(R_f, self._bf.support_radius))
         terms = [(abs(tot_bf) + err_bf, -float(n))]
         if math.isfinite(b.support_radius):
@@ -274,42 +280,37 @@ class OperatorImage:
     # -- evaluation -------------------------------------------------------------
 
     def _radial(self, t: float) -> tuple[float, ...]:
-        """What a point query at |x| = t reads of the tables, once per t: the
-        whole result for hardy and dual_hardy, four table values otherwise."""
+        """What a point query at |x| = t reads of the tables, once per t:
+        the input's (value, error), then the product's for a commutator."""
         got = self._memo.get(t)
         if got is None:
-            n = self.dim
-            if self.kind == "hardy":
-                v, e = self._table_f.ball(t)
-                got = v / t ** n, e / t ** n
-            elif self.kind == "dual_hardy":
-                got = self._table_f.tail(t)
-            elif self.kind == "commutator_hardy":
-                got = (*self._table_f.ball(t), *self._table_bf.ball(t))
-            else:
-                got = (*self._table_f.tail(t), *self._table_bf.tail(t))
+            read = _ShellTable.tail if self._dual else _ShellTable.ball
+            got = read(self._table_f, t)
+            if self._table_bf is not None:
+                got = (*got, *read(self._table_bf, t))
             self._memo[t] = got
         return got
 
     def _compute(self, x: float) -> tuple[float, float]:
+        """b(x) Tf - T(bf) for a commutator, Tf otherwise, with its error;
+        T divides its ball integrals by |x|^n, and its dual does not."""
         if x == 0.0:
             raise ValueError("operator images are defined away from the origin")
         t = abs(x)
-        if self.kind in ("hardy", "dual_hardy"):
-            return self._radial(t)
-        if self.kind == "commutator_hardy":
-            if math.isfinite(self.support_radius) and t > self.support_radius:
+        b = self.b
+        if b is None:
+            v, e = self._radial(t)
+        else:
+            # a dual image vanishes from its support radius on, the other beyond
+            if t >= self.support_radius if self._dual else t > self.support_radius:
                 return 0.0, 0.0
-            bx = self.b.evaluate(x)
+            bx = b.evaluate(x)
             vf, ef, vbf, ebf = self._radial(t)
-            tn = t ** self.dim
-            return (bx * vf - vbf) / tn, (abs(bx) * ef + ebf) / tn
-        # commutator_dual_hardy
-        if t >= self.f.support_radius:
-            return 0.0, 0.0
-        bx = self.b.evaluate(x)
-        vf, ef, vbf, ebf = self._radial(t)
-        return bx * vf - vbf, abs(bx) * ef + ebf
+            v, e = bx * vf - vbf, abs(bx) * ef + ebf
+        if self._dual:
+            return v, e
+        tn = t ** self.dim
+        return v / tn, e / tn
 
     def evaluate(self, x: float) -> float:
         return self._compute(x)[0]
@@ -326,9 +327,7 @@ class OperatorImage:
     def abs_bound_on(self, lo: float, hi: float) -> float:
         """Crude but certified sup bound for the image on lo <= |x| <= hi."""
         n = self.dim
-        f = self.f
         v = unit_ball_volume(n)
-        R_f = f.support_radius
 
         def hardy_bound(g) -> float:
             if lo <= 0.0:
@@ -346,12 +345,10 @@ class OperatorImage:
             m = g.abs_bound_on(lo, g.support_radius)
             return m * n * v * math.log(g.support_radius / lo)
 
-        if self.kind == "hardy":
-            return hardy_bound(f)
-        if self.kind == "dual_hardy":
-            return dual_bound(f)
-        bound = hardy_bound if self.kind == "commutator_hardy" else dual_bound
-        m = bound(f)
+        bound = dual_bound if self._dual else hardy_bound
+        m = bound(self.f)
+        if self.b is None:
+            return m
         # where f's bound is 0 the image vanishes, whatever b's bound (no inf * 0)
         return (self.b.abs_bound_on(lo, hi) * m if m else 0.0) + bound(self._bf)
 

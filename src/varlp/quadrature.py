@@ -6,7 +6,7 @@ exponent breakpoints).  Splitting the interval at every supplied breakpoint
 before adapting restores fast convergence: on each smooth panel the
 embedded 7-point Gauss rule inside the 15-point Kronrod rule gives a usable
 error estimate, and the globally worst panel is bisected until the summed
-estimate meets the tolerance.
+estimate meets tol or DEFAULT_REL_TOL * |value|, the one acceptance test.
 
 All Kronrod nodes are interior, so integrable endpoint singularities such
 as 1/sqrt(x) on (0, 1] never get evaluated at the singular point itself.
@@ -91,9 +91,9 @@ class QuadResult(NamedTuple):
 _ZERO = QuadResult(0.0, 0.0, 0)
 
 
-def _converged(err: float, value: float, tol: float, rel_tol: float) -> bool:
-    """The acceptance test: the error estimate meets tol, or rel_tol * |value|."""
-    return err <= tol or err <= rel_tol * abs(value)
+def _converged(err: float, value: float, tol: float) -> bool:
+    """The acceptance test: err meets tol, or DEFAULT_REL_TOL * |value|."""
+    return err <= tol or err <= DEFAULT_REL_TOL * abs(value)
 
 
 def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -119,23 +119,17 @@ def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, floa
     return kron, abs(kron - gauss)
 
 
-def integrate_interval(
-    g,
-    a: float,
-    b: float,
-    breakpoints: Iterable[float] = (),
-    tol: float = DEFAULT_TOL,
-    max_panels: int = DEFAULT_MAX_PANELS,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> QuadResult:
+def integrate_interval(g, a: float, b: float, breakpoints: Iterable[float] = (),
+                       tol: float = DEFAULT_TOL,
+                       max_panels: int = DEFAULT_MAX_PANELS) -> QuadResult:
     """Integrate g over [a, b], pre-splitting at the given breakpoints.
 
     g may be a plain callable or anything exposing ``evaluate``.  The
     returned ``abs_error_bound`` is the summed Kronrod-vs-Gauss deviation
     over the final panel set; on success it does not exceed
-    max(tol, rel_tol * |value|).  The relative rung keeps huge integrals
-    (modulars far from the unit ball) from demanding accuracy below the
-    floating-point noise floor.
+    max(tol, DEFAULT_REL_TOL * |value|).  The relative rung keeps huge
+    integrals (modulars far from the unit ball) from demanding accuracy
+    below the floating-point noise floor.
     """
     if not (a <= b):
         raise ValueError(f"empty or reversed interval [{a}, {b}]")
@@ -160,7 +154,7 @@ def integrate_interval(
         value += v
         err_total += e
 
-    while not _converged(err_total, value, tol, rel_tol) and heap:
+    while not _converged(err_total, value, tol) and heap:
         if counter >= max_panels:
             best = QuadResult(value, err_total, counter)
             raise QuadratureNonConvergence(
@@ -174,7 +168,7 @@ def integrate_interval(
             # cannot split further in floating point; keep its contribution
             frozen_err += -neg_err
             err_total += neg_err  # removed from the refinable pool
-            if frozen_err > max(tol, rel_tol * abs(value)):
+            if frozen_err > max(tol, DEFAULT_REL_TOL * abs(value)):
                 best = QuadResult(value, err_total + frozen_err, counter)
                 raise QuadratureNonConvergence(
                     f"unresolvable panel at [{lo:g}, {hi:g}] holds error "
@@ -190,7 +184,7 @@ def integrate_interval(
         err_total += e1 + e2 + neg_err
 
     err_total += frozen_err
-    if not _converged(err_total, value, tol, rel_tol):
+    if not _converged(err_total, value, tol):
         best = QuadResult(value, err_total, counter)
         raise QuadratureNonConvergence(
             f"quadrature stalled at error estimate {err_total:g} > tol {tol:g}", best
@@ -256,9 +250,9 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
                 and bisect_right(pts, inner) == bisect_left(pts, outer)):
             fn = getattr(g, "evaluate", g)
             vl, el = _gk15(fn, -outer, -inner)
-            if _converged(el, vl, half, DEFAULT_REL_TOL) and math.isfinite(vl):
+            if _converged(el, vl, half) and math.isfinite(vl):
                 vr, er = (vl, el) if getattr(g, "even", False) else _gk15(fn, inner, outer)
-                if _converged(er, vr, half, DEFAULT_REL_TOL) and math.isfinite(vr):
+                if _converged(er, vr, half) and math.isfinite(vr):
                     return QuadResult((0.0 + vl) + (0.0 + vr), (0.0 + el) + (0.0 + er), 2)
         left = integrate_interval(g, -outer, -inner, breakpoints=pts, tol=half)
         right = integrate_interval(g, inner, outer, breakpoints=pts, tol=half)

@@ -251,18 +251,18 @@ def herz_breakdown(f, e: Exponent, alpha: float,
     return breakdown, tail
 
 
-def _sum_ring_bounds(f, e: Exponent, alpha: float, start_k: int, step: int,
-                     max_rings: int = 400) -> float:
+def _sum_ring_bounds(f, e: Exponent, alpha: float, start_k: int, step: int) -> float:
     """Bound the weighted ring-norm sum over all rings beyond start_k.
 
     The per-ring majorants of catalog functions and operator images are
     exact powers of 2 in k, so summing explicit bounds until they become
-    negligible relative to the running total certifies the remainder.
+    negligible relative to the running total certifies the remainder; a
+    sum that is not negligible within 400 rings is refused.
     """
     total = 0.0
     term = math.inf
     k = start_k
-    for _ in range(max_rings):
+    for _ in range(400):
         term = 2.0 ** (alpha * k) * _ring_norm_bound(f, e, k)
         if term == 0.0:
             return total

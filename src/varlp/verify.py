@@ -674,14 +674,13 @@ def _run_subsets(cfg: ExperimentConfig) -> tuple[CheckReport, CheckReport]:
             merge_reports("lemma2.5", parts25))
 
 
-def _run_prop31(cfg: ExperimentConfig, p0_override: Optional[float] = None) -> CheckReport:
+def _run_prop31(cfg: ExperimentConfig) -> CheckReport:
     grid = _radius_grid(cfg.grid("counterexample_radius_k"))
-    p0s = [p0_override] if p0_override is not None else cfg.grid("counterexample_p0")
     parts = [check_counterexample(p0, 40, grid, tol=cfg.tol,
                                   slope_tol=cfg.stmt_tol("prop3.1", "slope_tol"),
                                   mean_tol=cfg.stmt_tol("prop3.1", "mean_tol"),
                                   fit_r2=cfg.stmt_tol("prop3.1", "fit_r2"))
-             for p0 in p0s]
+             for p0 in cfg.grid("counterexample_p0")]
     return merge_reports("prop3.1", parts)
 
 
@@ -773,7 +772,7 @@ STATEMENT_IDS = tuple(_REGISTRY)
 
 
 def run_statement(statement_id: str, cfg: ExperimentConfig,
-                  memo: Optional[dict] = None, **kwargs) -> CheckReport:
+                  memo: Optional[dict] = None) -> CheckReport:
     """One statement's report.
 
     A paired sweep's reports are kept in ``memo`` when one is given, so the
@@ -783,8 +782,6 @@ def run_statement(statement_id: str, cfg: ExperimentConfig,
     if statement_id not in _REGISTRY:
         raise KeyError(f"unknown statement id {statement_id!r}; "
                        f"known: {', '.join(STATEMENT_IDS)}")
-    if statement_id == "prop3.1" and "p0" in kwargs:
-        return _run_prop31(cfg, p0_override=kwargs["p0"])
     entry = _REGISTRY[statement_id]
     if not isinstance(entry, tuple):
         return entry(cfg)

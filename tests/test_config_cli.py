@@ -8,12 +8,13 @@ import pytest
 from varlp.cli import main
 from varlp.config import (BUILTIN_EXPONENTS, BUILTIN_FUNCS, ConfigError,
                           ExperimentConfig, make_exponent, make_func)
+from varlp.verify import run_statement
 
 
 def test_config_round_trip(tmp_path):
     cfg = ExperimentConfig(seed=11, tol=1e-8,
                            exponents={"mine": {"kind": "constant", "p": 2.5}},
-                           grids={"radius_k": [-3, 3]})
+                           grids={"cbmo_radius_k": [-3, 3]})
     path = tmp_path / "c.json"
     path.write_text(cfg.to_json())
     back = ExperimentConfig.from_json_file(str(path))
@@ -28,6 +29,30 @@ def test_config_rejects_unknown_fields():
 def test_config_refuses_the_removed_outputs_field():
     with pytest.raises(ConfigError, match="outputs"):
         ExperimentConfig.from_dict({"seed": 1, "outputs": {}})
+
+
+def test_config_refuses_the_removed_dim_field():
+    with pytest.raises(ConfigError, match="dim"):
+        ExperimentConfig.from_dict({"seed": 1, "dim": 2})
+
+
+def test_config_refuses_an_unknown_grid_name():
+    with pytest.raises(ConfigError, match="cbmo_radus_k"):
+        ExperimentConfig.from_dict({"grids": {"cbmo_radus_k": [0, 1]}})
+    # the deleted grids are refused like any misspelling
+    with pytest.raises(ConfigError, match="herz_k"):
+        ExperimentConfig.from_dict({"grids": {"herz_k": [0, 1]}})
+
+
+def test_config_refuses_an_unknown_tolerance_key():
+    with pytest.raises(ConfigError, match="slope_tl"):
+        ExperimentConfig.from_dict({"tolerances": {"prop3.1": {"slope_tl": 0.1}}})
+    # a known key may be set for any statement; the default abs_tol is gone,
+    # so a statement without its own has none
+    cfg = ExperimentConfig.from_dict({"tolerances": {"lemma2.3": {"fit_r2": 0.5}}})
+    assert cfg.stmt_tol("lemma2.3", "fit_r2") == 0.5
+    with pytest.raises(ConfigError, match="abs_tol"):
+        ExperimentConfig().stmt_tol("prop3.1", "abs_tol")
 
 
 def test_make_exponent_errors_name_the_field():
@@ -134,6 +159,20 @@ def test_cli_verify_single_statement(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload[0]["statement_id"] == "lemma2.3" and payload[0]["pass"]
+
+
+def test_cli_verify_p0_overrides_the_counterexample_grid(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    rc = main(["verify", "--statement", "prop3.1", "--p0", "2", "--json", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    cfg = ExperimentConfig()
+    cfg.grids["counterexample_p0"] = [2.0]
+    want = run_statement("prop3.1", cfg)
+    assert json.loads(out.read_text()) == json.loads(json.dumps([want.to_dict()]))
+    # the sweep at p0 = 2 diverges like r^(1 - 1/2)
+    assert want.passed
+    assert abs(want.fitted_exponent - 0.5) <= cfg.stmt_tol("prop3.1", "slope_tol")
 
 
 def test_cli_report_rendering(tmp_path, capsys):

@@ -183,6 +183,16 @@ def test_radial_dimension_two():
     assert abs(got - math.pi / 2.0) <= 1e-9
 
 
+def test_one_dimensional_modular_ignores_the_exponents_dimension():
+    # 2 on the ring 1 <= |x| < 2 under p = 3 on (1, 2) and 2 elsewhere:
+    # 2^3 + 2^2 = 12.  A dim-2 exponent once flagged the integrand even,
+    # and the ring pass mirrored the left side into 2 * 2^2 = 8.
+    f = lincomb([chi_ball(3.0)], [2.0])
+    for dim in (1, 2):
+        e = piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0], dim=dim)
+        assert abs(modular(f, e, DyadicRing(1)) - 12.0) <= 1e-9, dim
+
+
 def test_dual_pairing_self_dual_attains():
     f = chi_interval(0.0, 1.0)
     lower, upper = dual_pairing_sup(f, E2, [chi_interval(0.0, 1.0)])

@@ -155,6 +155,15 @@ def test_dual_hardy_refuses_uncertifiable_tail():
         dual_hardy(power(0.5), 1.0)
 
 
+@pytest.mark.parametrize("kind, b", [("hardy", sign_func()),
+                                     ("dual_hardy", power(1.0)),
+                                     ("commutator_hardy", None),
+                                     ("commutator_dual_hardy", None)])
+def test_only_commutators_take_a_symbol(kind, b):
+    with pytest.raises(ValueError, match="symbol"):
+        OperatorImage(kind, chi_ball(1.0), b=b)
+
+
 def test_maximal_never_exceeds_the_exact_supremum():
     # at r ~ 2^40 the float edges x +- r used to round outward, so the
     # window outgrew 2r and the average read 2.000122 against the exact
