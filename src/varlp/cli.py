@@ -94,8 +94,9 @@ def _cmd_op(args) -> int:
     cfg = _load_config(args.config)
     f = cfg.func(args.f)
     b = cfg.func(args.b) if args.b else None
-    if args.kind.startswith("commutator") and b is None:
-        raise ConfigError("--b SYMBOL is required for commutator kinds")
+    if args.kind.startswith("commutator") != (b is not None):
+        raise ConfigError("--b SYMBOL is required for the commutator kinds, and "
+                          f"only they take one (kind {args.kind!r})")
     tol = args.tol if args.tol is not None else cfg.tol
     xs = [float(t) for t in args.points.split(",")]
     rows = []
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kind", required=True, choices=sorted(_OPS))
     p.add_argument("--f", required=True)
-    p.add_argument("--b", default=None, help="symbol for commutators")
+    p.add_argument("--b", default=None, help="symbol, for the commutator kinds only")
     p.add_argument("--points", required=True, help="comma-separated x values")
     p.add_argument("--csv", default=None)
     p.set_defaults(fn=_cmd_op)

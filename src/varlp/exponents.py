@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 from .report import CheckReport
 
 WORKING_RADIUS = 2.0 ** 20
+CUSTOM_SAMPLES = 4096
 P_MEMBERSHIP_MARGIN = 1e-9
 LOG_HOLDER_CAP = 10.0
 
@@ -206,10 +207,10 @@ def smooth_exponent(formula_id: str, params: Optional[dict] = None,
 
 def custom_exponent(fn: Callable[[float], float], dim: int = 1,
                     breakpoints: Sequence[float] = (),
-                    working_radius: float = WORKING_RADIUS,
-                    samples: int = 4096) -> Exponent:
-    """Wrap an arbitrary callable; bounds are estimated by dense sampling."""
-    xs = _sampling_grid(working_radius, samples)
+                    working_radius: float = WORKING_RADIUS) -> Exponent:
+    """Wrap an arbitrary callable; bounds are estimated from CUSTOM_SAMPLES
+    samples over the working box."""
+    xs = _sampling_grid(working_radius)
     vals = [fn(x) for x in xs]
     return Exponent("custom-evaluable", {"sampled_bounds": True}, fn,
                     min(vals), max(vals), breakpoints=tuple(breakpoints),
@@ -226,14 +227,14 @@ def _sin_range(u0: float, u1: float) -> tuple[float, float]:
     return min(cands), max(cands)
 
 
-def _sampling_grid(radius: float, samples: int) -> list[float]:
+def _sampling_grid(radius: float) -> list[float]:
     xs = [0.0]
     # geometric coverage out to the box edge plus a fine linear patch near 0
-    n_geo = samples // 4
+    n_geo = CUSTOM_SAMPLES // 4
     for j in range(n_geo):
         t = 2.0 ** (-20.0 + j * (math.log2(radius) + 20.0) / max(n_geo - 1, 1))
         xs.extend((t, -t))
-    n_lin = samples // 4
+    n_lin = CUSTOM_SAMPLES // 4
     for j in range(1, n_lin):
         t = 4.0 * j / n_lin
         xs.extend((t, -t))
@@ -244,13 +245,12 @@ def _sampling_grid(radius: float, samples: int) -> list[float]:
 # membership checks
 # ---------------------------------------------------------------------------
 
-def is_in_P(e: Exponent, margin: float = P_MEMBERSHIP_MARGIN) -> bool:
-    """Admissibility: p_minus > 1 (with safety margin) and p_plus finite."""
-    return e.p_minus > 1.0 + margin and math.isfinite(e.p_plus)
+def is_in_P(e: Exponent) -> bool:
+    """Admissibility: p_minus > 1 + P_MEMBERSHIP_MARGIN and p_plus finite."""
+    return e.p_minus > 1.0 + P_MEMBERSHIP_MARGIN and math.isfinite(e.p_plus)
 
 
-def log_holder_check(e: Exponent, sample_budget: int = 2000,
-                     cap: float = LOG_HOLDER_CAP) -> CheckReport:
+def log_holder_check(e: Exponent, sample_budget: int = 2000) -> CheckReport:
     """Estimate the local and at-infinity log-Holder constants by sampling.
 
     Local constant: sup |p(x) - p(y)| * log(1/|x - y|) over sampled pairs
@@ -262,9 +262,10 @@ def log_holder_check(e: Exponent, sample_budget: int = 2000,
     oscillations have room to show themselves), then take
     sup |p(x) - p_inf| * log(e + |x|).
 
-    Both constants must stay below the cap to pass.  Small jumps (below
-    roughly cap / 35) and oscillations slower than the sampling range can
-    escape detection; this is a falsifiable sampling check, not a proof.
+    Both constants must stay below LOG_HOLDER_CAP to pass.  Small jumps
+    (below roughly LOG_HOLDER_CAP / 35) and oscillations slower than the
+    sampling range can escape detection; this is a falsifiable sampling
+    check, not a proof.
     """
     n_base = max(8, sample_budget // 80)
     bases = [0.0, 0.3, 1.0, -1.7]
@@ -301,13 +302,13 @@ def log_holder_check(e: Exponent, sample_budget: int = 2000,
     p_inf = sorted(top)[len(top) // 2]
     c_decay = max(abs(v - p_inf) * math.log(math.e + r) for r, v in far_vals)
 
-    passed = c_local <= cap and c_decay <= cap
+    passed = c_local <= LOG_HOLDER_CAP and c_decay <= LOG_HOLDER_CAP
     return CheckReport(
         statement_id="log-holder",
         passed=passed,
         empirical_constant=max(c_local, c_decay),
         fitted_exponent=p_inf,
-        witnesses=[("local log-Holder constant", c_local, cap),
-                   ("decay log-Holder constant", c_decay, cap)],
-        notes=f"fitted limit p_inf={p_inf:.6g}; cap={cap:g}",
+        witnesses=[("local log-Holder constant", c_local, LOG_HOLDER_CAP),
+                   ("decay log-Holder constant", c_decay, LOG_HOLDER_CAP)],
+        notes=f"fitted limit p_inf={p_inf:.6g}; cap={LOG_HOLDER_CAP:g}",
     )

@@ -52,9 +52,16 @@ class Func:
     is a sorted tuple of distinct floats.  ``even`` promises exact evenness:
     f(-x) is f(x) bit for bit (or raises alike) for every float x, since
     ``integrate_shell`` bisects the jumps, integrates one side and mirrors it.
+    ``odd`` promises exact oddness: f(-x) is -f(x) bit for bit (or raises
+    alike), with a zero of either sign counted as equal, since
+    ``integrate_shell`` returns an exact 0 for it in dimension 1.  The
+    evenness ``with_sign`` and ``pointwise_product`` derive from two odd
+    parities holds with the same note on zeros; the mirror cannot see a
+    zero's sign, since zero terms drop out of every panel sum and the
+    shell adds each side to 0.0.
     """
 
-    __slots__ = ("evaluate", "singular_points", "support_radius", "even",
+    __slots__ = ("evaluate", "singular_points", "support_radius", "even", "odd",
                  "power_tail", "local_majorant", "kind", "params", "_bound")
 
     def __init__(self, fn: Callable[[float], float],
@@ -62,6 +69,7 @@ class Func:
                  support_radius: float = math.inf,
                  even: bool = False,
                  power_tail: Optional[PowerTail] = None, *,
+                 odd: bool = False,
                  bound: Optional[Callable[[float, float], float]] = None,
                  local_majorant: Optional[LocalMajorant] = None,
                  kind: str = "adhoc", params: Optional[dict] = None):
@@ -69,6 +77,7 @@ class Func:
         self.singular_points = tuple(sorted(set(float(s) for s in singular_points)))
         self.support_radius = support_radius
         self.even = even
+        self.odd = odd
         self.power_tail = power_tail
         self.local_majorant = local_majorant
         self.kind = kind
@@ -176,7 +185,7 @@ def sign_func() -> Func:
     def fn(x: float) -> float:
         return float((x > 0.0) - (x < 0.0))
 
-    return Func(fn, (0.0,), math.inf, even=False, power_tail=(1.0, 0.0, 1.0),
+    return Func(fn, (0.0,), math.inf, odd=True, power_tail=(1.0, 0.0, 1.0),
                 bound=lambda lo, hi: 1.0, kind="sign")
 
 
@@ -212,7 +221,7 @@ def dyadic_step(k_max: int = 40) -> Func:
     for j in range(k_max + 1):
         for s in (2.0 ** j, 2.0 ** j + 1.0):
             pts.extend((s, -s))
-    return Func(fn, pts, top, even=False, bound=bound, kind="dyadic-step",
+    return Func(fn, pts, top, odd=True, bound=bound, kind="dyadic-step",
                 params={"k_max": k_max})
 
 
@@ -261,13 +270,14 @@ def lincomb(terms: Sequence[Func], coeffs: Sequence[float]) -> Func:
 
 
 def with_sign(base: Func) -> Func:
-    """sgn(x) * base(x)."""
+    """sgn(x) * base(x); odd for an even base and even for an odd one."""
     bfn = base.evaluate
 
     def fn(x: float) -> float:
         return ((x > 0.0) - (x < 0.0)) * bfn(x)
 
-    return Func(fn, (0.0, *base.singular_points), base.support_radius, even=False,
+    return Func(fn, (0.0, *base.singular_points), base.support_radius,
+                even=base.odd, odd=base.even,
                 power_tail=base.power_tail, bound=base.abs_bound_on,
                 local_majorant=base.local_majorant, kind="product-with-sign")
 
@@ -340,7 +350,13 @@ def combine_tails(weighted: list[tuple[float, Optional[PowerTail]]]) -> Optional
 # ---------------------------------------------------------------------------
 
 def pointwise_product(f, g) -> Func:
-    """f * g with merged metadata; used by the commutator kernels."""
+    """f * g with merged metadata; used by the commutator kernels.
+
+    Even when both factors are even or both odd.  Odd when exactly one is
+    odd and the other even, unless a factor is unbounded near a point: the
+    product carries no local majorant, so ``integrate_shell`` could not
+    tell a shell that holds the singularity from one that does not.
+    """
     ffn, gfn = f.evaluate, g.evaluate
     support = min(f.support_radius, g.support_radius)
     pts = [s for s in (*f.singular_points, *g.singular_points) if abs(s) <= support]
@@ -354,7 +370,10 @@ def pointwise_product(f, g) -> Func:
     def bound(lo: float, hi: float) -> float:
         return f.abs_bound_on(lo, hi) * g.abs_bound_on(lo, hi)
 
-    return Func(lambda x: ffn(x) * gfn(x), pts, support, even=(f.even and g.even),
+    bounded = f.local_majorant is None and g.local_majorant is None
+    return Func(lambda x: ffn(x) * gfn(x), pts, support,
+                even=(f.even and g.even) or (f.odd and g.odd),
+                odd=bounded and ((f.odd and g.even) or (f.even and g.odd)),
                 power_tail=tail, bound=bound, kind="product")
 
 

@@ -20,9 +20,11 @@ radial memo of its table reads: everything of a point query but the
 symbol's value b(x) depends on t = |x| only, and a modular's nodes come in
 mirrored pairs +-x, so x and -x share one entry, computed once.  Each table
 shell lies between consecutive jump radii, so ``integrate_shell`` takes it
-with one GK15 panel per side.  The memo and the shell tables are the only
-state, built lazily on the image instance, never at module level; they die
-with the image.
+with one GK15 panel per side.  In dimension 1 an odd symbol on an even
+input (or an even one on an odd input) makes b f odd, and its table free:
+each shell of b f and of its dual kernel is the exact 0, with no panel.
+The memo and the shell tables are the only state, built lazily on the
+image instance, never at module level; they die with the image.
 """
 
 from __future__ import annotations
@@ -139,7 +141,8 @@ class _ShellTable:
             def k(y: float) -> float:
                 return gfn(y) / abs(y) ** n
 
-        return Func(k, self.g.singular_points, self.g.support_radius, even=self.g.even)
+        return Func(k, self.g.singular_points, self.g.support_radius, even=self.g.even,
+                    odd=self.g.odd)
 
     def _build_tail(self) -> None:
         if math.isinf(self.top):
@@ -232,6 +235,7 @@ class OperatorImage:
 
         self.singular_points = _jump_points(f) if b is None else _jump_points(f, b)
         self.even = (b.even if b is not None else True)
+        self.odd = False
         self.support_radius = math.inf
         self.power_tail = None
         self.local_majorant = None

@@ -238,6 +238,11 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
     call would start from one GK15 panel; those panels run here first (an
     exactly even g mirrors the left one), and where both pass the calls'
     test their sum is the calls' result, bit for bit, -0.0 included.
+
+    An exactly odd g (``odd``) integrates to the exact 0 over a finite
+    shell, with no panel, unless the centre s of its ``local_majorant``
+    has |s| inside the closed shell: there g may not be integrable, and the
+    two calls decide as for any g.
     """
     if not (0.0 <= inner <= outer):
         raise ValueError(f"invalid shell radii ({inner}, {outer})")
@@ -245,6 +250,10 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
         return _ZERO
     pts = getattr(g, "singular_points", ())
     if dim == 1:
+        if getattr(g, "odd", False) and outer < math.inf:
+            local = g.local_majorant
+            if local is None or not inner <= abs(local[2]) <= outer:
+                return _ZERO
         half = tol / 2.0
         if (bisect_right(pts, -outer) == bisect_left(pts, -inner)
                 and bisect_right(pts, inner) == bisect_left(pts, outer)):

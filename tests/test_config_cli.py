@@ -125,6 +125,15 @@ def test_cli_op_commutator_requires_symbol(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("kind", ["hardy", "dual_hardy", "maximal"])
+def test_cli_op_refuses_a_symbol_outside_the_commutators(kind, capsys):
+    rc = main(["op", "--kind", kind, "--f", "chi_pm1", "--b", "sign",
+               "--points", "0.5"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "--b SYMBOL" in captured.err and repr(kind) in captured.err
+
+
 def test_cli_cbmo_breakdown_csv(tmp_path, capsys):
     csv_path = tmp_path / "cbmo.csv"
     rc = main(["cbmo", "--f", "sign", "--p", "const2", "--kmin", "-2",

@@ -16,7 +16,7 @@ from varlp.norms import _seed_lambda, dual_extremizer
 from varlp.verify import (commutator_bank, equivalence_bank, symbol_bank,
                           vv_sequence_bank)
 
-PROTOCOL = ("evaluate", "singular_points", "support_radius", "even",
+PROTOCOL = ("evaluate", "singular_points", "support_radius", "even", "odd",
             "power_tail", "local_majorant", "kind", "abs_bound_on")
 
 # lo = 0, lo < 0, an inner shell, hi = inf, and lo beyond every finite

@@ -14,8 +14,10 @@ from varlp import (Ball, DyadicRing, Func, OperatorImage, QuadratureNonConvergen
 from varlp.config import ExperimentConfig
 from varlp.funcs import pointwise_product
 from varlp.operators import _ShellTable
-from varlp.quadrature import integrate_shell
+from varlp.quadrature import QuadResult, integrate_shell
 from varlp.verify import commutator_bank, symbol_bank
+
+from shell_reference import two_calls
 
 
 def test_constant_on_unit_interval():
@@ -154,7 +156,8 @@ PINNED_QUADRATURE = {
         dyadic_step(), -3000.5, 1e6, breakpoints=_DYADIC_POINTS),
     "dyadic_step_shell": lambda: integrate_shell(abs_power(dyadic_step()), 0.75,
                                                  2.0 ** 30),
-    # odd, so the value is pure roundoff: the most order-sensitive pin here
+    # odd, so the value is the exact 0 (-1.0658e-14 +- 3.99e-11 over 120
+    # panels before odd integrands skipped their panels)
     "dyadic_step_dual_kernel": lambda: integrate_shell(
         _ShellTable(dyadic_step(), 1)._dual_kernel(), 0.75, 2.0 ** 30),
     # |y|^0.25 / |y| on [t, 2t], split into 6 panels
@@ -171,7 +174,7 @@ PINNED_QUADRATURE_REPRS = {
     "interval_generator": "QuadResult(value=1.7976712897207843, abs_error_bound=1.214306433183765e-16, subdivisions=30)",
     "dyadic_step_interval": "QuadResult(value=1044480.0, abs_error_bound=0.0, subdivisions=63)",
     "dyadic_step_shell": "QuadResult(value=2147483646.0, abs_error_bound=0.0, subdivisions=120)",
-    "dyadic_step_dual_kernel": "QuadResult(value=-1.0658141036401503e-14, abs_error_bound=3.9896530523719775e-11, subdivisions=120)",
+    "dyadic_step_dual_kernel": "QuadResult(value=0.0, abs_error_bound=0.0, subdivisions=0)",
     "inv_abs_kernel": "QuadResult(value=0.2691704934737643, abs_error_bound=1.1102230246251565e-15, subdivisions=6)",
     "dim2_shell": "QuadResult(value=8.596285735351673, abs_error_bound=8.428928666148749e-10, subdivisions=3)",
     "table_0.01": "((2.5e-05, 0.0), (0.995, 0.0), (2.0000000000000003e-06, 1.9654529006339954e-14), (0.9424757082487302, 1.4448770491071978e-13))",
@@ -191,12 +194,6 @@ def test_quadrature_is_bit_identical_to_pinned(name):
 # integrate_shell runs one GK15 panel per side where no jump lies strictly
 # inside; each pin compares it with the two adaptive calls it stands for
 
-def _two_calls(g, lo, hi, tol):
-    pts = g.singular_points
-    return (integrate_interval(g, -hi, -lo, pts, tol / 2)
-            + integrate_interval(g, lo, hi, pts, tol / 2))
-
-
 def _outcome(call):
     try:
         return repr(call())
@@ -204,16 +201,27 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+EXACT_ZERO = repr(QuadResult(0.0, 0.0, 0))
+
+
 def _assert_shells_match(g, shells, tol):
-    """Compare g, and for an even g also its copy without the flag, so the
-    mirrored panel meets the one it stands for."""
+    """Compare g, and for an even or odd g also its copy without the flag,
+    with the two calls: the mirrored panel meets the one it stands for.  An
+    odd g itself (these shells are finite and hold no local majorant's
+    centre) is the exact 0, which the two calls meet within their error."""
     variants = [g]
-    if g.even:
+    if g.even or g.odd:
         variants.append(Func(g.evaluate, g.singular_points, g.support_radius))
     for h in variants:
         for lo, hi in shells:
-            assert _outcome(lambda: integrate_shell(h, lo, hi, tol)) == \
-                _outcome(lambda: _two_calls(h, lo, hi, tol)), (h.even, lo, hi)
+            got = _outcome(lambda: integrate_shell(h, lo, hi, tol))
+            if h.odd:
+                assert got == EXACT_ZERO, (lo, hi)
+                ref = two_calls(h, lo, hi, tol)
+                assert abs(ref.value) <= ref.abs_error_bound, (lo, hi)
+            else:
+                assert got == _outcome(lambda: two_calls(h, lo, hi, tol)), \
+                    (h.even, lo, hi)
 
 
 def _forward_tables():
@@ -344,6 +352,29 @@ def test_one_panel_shells_take_one_panel_per_side():
     assert repr(integrate_shell(ODD_SHELL_CASES["negative_zero"][0], 0.5, 1.0)) == \
         "QuadResult(value=0.0, abs_error_bound=0.0, subdivisions=2)"
     assert integrate_shell(ODD_SHELL_CASES["overflowing_sum"][0], 1.0, 3.0).value == math.inf
+
+
+def test_odd_rule_keeps_the_path_where_the_majorant_centre_lies():
+    g = with_sign(power(-1.0))  # odd, and |g| <= |x|^-1 around 0
+    assert g.odd and g.local_majorant == (1.0, -1.0, 0.0)
+    # the shell holds the centre: the two calls decide, and overflow
+    assert _outcome(lambda: integrate_shell(g, 0.0, 1.0)) == \
+        _outcome(lambda: two_calls(g, 0.0, 1.0, 1e-9))
+    with pytest.raises(OverflowError):
+        integrate_shell(g, 0.0, 1.0)
+    assert repr(integrate_shell(g, 0.5, 1.0)) == EXACT_ZERO
+
+
+def test_odd_rule_keeps_the_path_where_the_integral_may_diverge():
+    # an infinite shell, and a product whose singular factor leaves it
+    # with no local majorant, so it is not flagged odd
+    singular = pointwise_product(sign_func(), power(-1.0))
+    assert not singular.odd
+    for g, lo, hi in ((sign_func(), 1.0, math.inf), (singular, 0.0, 1.0)):
+        assert _outcome(lambda: integrate_shell(g, lo, hi)) == \
+            _outcome(lambda: two_calls(g, lo, hi, 1e-9))
+        with pytest.raises((OverflowError, QuadratureNonConvergence)):
+            integrate_shell(g, lo, hi)
 
 
 HALF_TOL_CASES = {

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varlp import (Func, OperatorImage, abs_power, catalog_bank, chi_ball,
-                   constant_exponent, dyadic_step, lincomb, luxemburg_norm,
-                   power, scaled_ball, sign_func, zero)
+                   chi_interval, constant_exponent, dyadic_step, lincomb, luxemburg_norm,
+                   power, scaled_ball, sign_func, with_sign, zero)
 from varlp import operators, quadrature
 from varlp.config import ExperimentConfig
 from varlp.funcs import pointwise_product, shifted
@@ -22,26 +22,18 @@ from varlp.operators import _ShellTable
 from varlp.quadrature import integrate_interval, integrate_shell
 from varlp.verify import commutator_bank, equivalence_bank, symbol_bank
 
-
-def _two_sided(g, lo, hi, tol, dim=1):
-    """The shell integral as it was before the one-panel path existed: in
-    dimension 1 two adaptive ``integrate_interval`` calls at tol / 2."""
-    if dim != 1:
-        return integrate_shell(g, lo, hi, tol=tol, dim=dim)
-    pts = g.singular_points
-    return (integrate_interval(g, -hi, -lo, breakpoints=pts, tol=tol / 2.0)
-            + integrate_interval(g, lo, hi, breakpoints=pts, tol=tol / 2.0))
+from shell_reference import two_calls
 
 
 class _ReferenceTable(_ShellTable):
-    """The table with every shell on ``_two_sided``."""
+    """The table with every shell on ``two_calls``."""
 
     def ball(self, t):
-        with mock.patch.object(operators, "integrate_shell", _two_sided):
+        with mock.patch.object(operators, "integrate_shell", two_calls):
             return super().ball(t)
 
     def tail(self, t):
-        with mock.patch.object(operators, "integrate_shell", _two_sided):
+        with mock.patch.object(operators, "integrate_shell", two_calls):
             return super().tail(t)
 
 
@@ -58,11 +50,25 @@ def _grid(table):
 
 
 def _assert_table_matches_reference(table):
-    ref = _ReferenceTable(table.g, table.dim, table.tol)
+    """Compare the table with the reference bit for bit.  An odd g's table
+    reads the exact 0 with no quadrature error, which the reference meets
+    within its own error; its copy without the flag is compared instead."""
+    g = table.g
+    plain = table
+    if g.odd:
+        plain = _ShellTable(Func(g.evaluate, g.singular_points, g.support_radius,
+                                 power_tail=g.power_tail), table.dim, table.tol)
+    ref = _ReferenceTable(plain.g, table.dim, table.tol)
+    reads = [("ball", _ShellTable.ball, 0.0)]
+    if math.isfinite(table.top):
+        reads.append(("tail", _ShellTable.tail, table._tail_remainder))
     for t in _grid(table):
-        assert repr(table.ball(t)) == repr(ref.ball(t)), ("ball", t)
-        if math.isfinite(table.top):
-            assert repr(table.tail(t)) == repr(ref.tail(t)), ("tail", t)
+        for name, read, remainder in reads:
+            want = read(ref, t)
+            assert repr(read(plain, t)) == repr(want), (name, t)
+            if g.odd:
+                assert repr(read(table, t)) == repr((0.0, remainder)), (name, t)
+                assert abs(want[0]) <= want[1], (name, t)
 
 
 def _forward_images():
@@ -174,6 +180,8 @@ def _even_members():
         bases[name] = f
     for name, _, f in commutator_bank():
         bases[name] = f
+    bases["product(sign,with_sign(chi_ball(1)))"] = pointwise_product(
+        sign_func(), with_sign(chi_ball(1.0)))  # odd times odd
     bases = {name: f for name, f in bases.items() if f.even}
     out = dict(bases)
     names = sorted(bases)
@@ -237,3 +245,67 @@ def test_even_means_exact_evenness(x):
 def test_even_means_exact_evenness_for_images(x):
     for name, f in EVEN_IMAGES.items():
         assert _outcome(f, -x) == _outcome(f, x), (name, x)
+
+
+# -- odd means exact oddness --------------------------------------------------
+
+def _odd_members():
+    bases = {
+        "sign": sign_func(),
+        "dyadic_step": dyadic_step(),
+        "dyadic_step(3)": dyadic_step(3),
+        "with_sign(chi_ball(2))": with_sign(chi_ball(2.0)),
+        "with_sign(scaled_ball(2))": with_sign(scaled_ball(2.0)),
+        "product(sign,chi_ball(1))": pointwise_product(sign_func(), chi_ball(1.0)),
+        "product(dyadic_step,chi_ball(4))": pointwise_product(dyadic_step(),
+                                                              chi_ball(4.0)),
+    }
+    out = dict(bases)
+    for name, f in bases.items():
+        out[f"dual_kernel({name})"] = _ShellTable(f)._dual_kernel()
+    return out
+
+
+ODD_MEMBERS = _odd_members()
+ODD_JUMPS = sorted({t for f in ODD_MEMBERS.values() for s in f.singular_points
+                    for t in (s, -s)})
+
+
+def _signless_outcome(f, x, sign):
+    """sign * f(x) with a zero of either sign as one outcome, and a nan as
+    one; an exception is its type."""
+    try:
+        v = sign * f.evaluate(x)
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc)
+    if v == 0.0 or math.isnan(v):
+        return repr(abs(v))
+    return struct.pack("<d", v)
+
+
+def test_parity_flags():
+    assert all(f.odd and not f.even for f in ODD_MEMBERS.values())
+    odd_times_odd = EVEN_MEMBERS["product(sign,with_sign(chi_ball(1)))"]
+    assert odd_times_odd.even and not odd_times_odd.odd
+    assert with_sign(sign_func()).even and not with_sign(sign_func()).odd
+    lopsided = chi_interval(0.0, 1.0)  # neither parity, so no product has one
+    for f in (with_sign(lopsided), pointwise_product(sign_func(), lopsided)):
+        assert not f.even and not f.odd
+    # a product with a singular factor carries no local majorant, so it is
+    # not flagged odd
+    assert not pointwise_product(sign_func(), power(-0.5)).odd
+    assert not OperatorImage("commutator_hardy", chi_ball(1.0), b=sign_func()).odd
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(), st.sampled_from(ODD_JUMPS),
+                 st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan])))
+@example(0.0)
+@example(5e-324)
+@example(math.nan)
+@example(2.0)
+@example(-2.0)
+def test_odd_means_exact_oddness(x):
+    for name, f in ODD_MEMBERS.items():
+        assert _signless_outcome(f, -x, 1.0) == _signless_outcome(f, x, -1.0), \
+            (name, x)
