@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Time the harness statements of two checkouts in one process, interleaved.
+
+    python3 scripts/ab_statements.py --parent ../parent --change . [--seed 7 --rounds 8]
+
+Each checkout's ``src/varlp`` is loaded under its own package name
+(``varlp_parent``, ``varlp_change``), so both live side by side.  A round
+runs every statement of ``verify.STATEMENT_IDS`` in order, one side after
+the other for each statement, with a fresh sweep memo per side and round
+as ``run_all`` keeps one (so the second statement of a paired sweep reads
+the first one's reports); the side that goes first flips every round.
+Interleaving at the statement level puts both sides under the same load,
+so the comparison holds on a busy machine where separate runs drift.
+
+Prints each side's fastest time per statement over the rounds, their sums
+and the change/parent ratio, and whether the two sides' reports were equal
+in every round.  Standard library only.
+"""
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import pathlib
+import sys
+import time
+
+SIDES = ("parent", "change")
+
+
+def load(root: pathlib.Path, name: str):
+    """Import root/src/varlp as the package ``name``; returns its verify
+    and config modules."""
+    pkg = root / "src" / "varlp"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return (importlib.import_module(f"{name}.verify"),
+            importlib.import_module(f"{name}.config"))
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", type=pathlib.Path, required=True)
+    ap.add_argument("--change", type=pathlib.Path, required=True)
+    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--rounds", type=int, default=8)
+    args = ap.parse_args()
+
+    mods = {side: load(root.resolve(), f"varlp_{side}")
+            for side, root in zip(SIDES, (args.parent, args.change))}
+    ids = mods["parent"][0].STATEMENT_IDS
+    if mods["change"][0].STATEMENT_IDS != ids:
+        raise SystemExit("the two checkouts register different statements")
+    best = {side: [float("inf")] * len(ids) for side in SIDES}
+    same = True
+    for rnd in range(args.rounds):
+        order = SIDES if rnd % 2 == 0 else SIDES[::-1]
+        cfgs = {side: mods[side][1].ExperimentConfig(seed=args.seed) for side in SIDES}
+        memos = {side: {} for side in SIDES}
+        for k, sid in enumerate(ids):
+            reports = {}
+            for side in order:
+                verify = mods[side][0]
+                gc.collect()
+                t0 = time.perf_counter()
+                reports[side] = verify.run_statement(sid, cfgs[side], memo=memos[side])
+                best[side][k] = min(best[side][k], time.perf_counter() - t0)
+            same = same and reports["parent"].to_dict() == reports["change"].to_dict()
+        print(f"round {rnd + 1}/{args.rounds} done", file=sys.stderr, flush=True)
+
+    print(f"{'statement':<26} {'parent_s':>9} {'change_s':>9} {'ratio':>7}")
+    for k, sid in enumerate(ids):
+        p, c = best["parent"][k], best["change"][k]
+        print(f"{sid:<26} {p:9.4f} {c:9.4f} {c / p if p else float('nan'):7.3f}")
+    p, c = sum(best["parent"]), sum(best["change"])
+    print(f"{'sum':<26} {p:9.4f} {c:9.4f} {c / p:7.3f}")
+    print(f"reports equal in every round: {'yes' if same else 'NO'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -58,18 +58,21 @@ class Func:
     evenness ``with_sign`` and ``pointwise_product`` derive from two odd
     parities holds with the same note on zeros; the mirror cannot see a
     zero's sign, since zero terms drop out of every panel sum and the
-    shell adds each side to 0.0.
+    shell adds each side to 0.0.  ``flat`` promises f constant, bit for bit
+    up to a zero's sign, on each open interval between consecutive
+    ``singular_points`` (the two unbounded ends included), since a Luxemburg
+    pass in dimension 1 then evaluates one node per piece.
     """
 
     __slots__ = ("evaluate", "singular_points", "support_radius", "even", "odd",
-                 "power_tail", "local_majorant", "kind", "params", "_bound")
+                 "flat", "power_tail", "local_majorant", "kind", "params", "_bound")
 
     def __init__(self, fn: Callable[[float], float],
                  singular_points: Sequence[float] = (),
                  support_radius: float = math.inf,
                  even: bool = False,
                  power_tail: Optional[PowerTail] = None, *,
-                 odd: bool = False,
+                 odd: bool = False, flat: bool = False,
                  bound: Optional[Callable[[float, float], float]] = None,
                  local_majorant: Optional[LocalMajorant] = None,
                  kind: str = "adhoc", params: Optional[dict] = None):
@@ -78,6 +81,7 @@ class Func:
         self.support_radius = support_radius
         self.even = even
         self.odd = odd
+        self.flat = flat
         self.power_tail = power_tail
         self.local_majorant = local_majorant
         self.kind = kind
@@ -106,8 +110,8 @@ def _overlaps(a1: float, b1: float, a2: float, b2: float) -> bool:
 # ---------------------------------------------------------------------------
 
 def zero() -> Func:
-    return Func(lambda x: 0.0, (), 0.0, even=True, bound=lambda lo, hi: 0.0,
-                kind="zero")
+    return Func(lambda x: 0.0, (), 0.0, even=True, flat=True,
+                bound=lambda lo, hi: 0.0, kind="zero")
 
 
 def constant(c: float) -> Func:
@@ -115,7 +119,8 @@ def constant(c: float) -> Func:
     if c == 0.0:
         return zero()
     return Func(lambda x: c, (), math.inf, even=True, power_tail=(abs(c), 0.0, 1.0),
-                bound=lambda lo, hi: abs(c), kind="constant", params={"c": c})
+                flat=True, bound=lambda lo, hi: abs(c), kind="constant",
+                params={"c": c})
 
 
 def chi_interval(a: float, b: float) -> Func:
@@ -131,8 +136,8 @@ def chi_interval(a: float, b: float) -> Func:
         # does the shell {lo <= |x| <= hi} meet [a, b]?
         return 1.0 if _overlaps(lo, hi, a, b) or _overlaps(-hi, -lo, a, b) else 0.0
 
-    return Func(fn, (a, b), max(abs(a), abs(b)), even=(a == -b), bound=bound,
-                kind="characteristic-of-interval", params={"a": a, "b": b})
+    return Func(fn, (a, b), max(abs(a), abs(b)), even=(a == -b), flat=True,
+                bound=bound, kind="characteristic-of-interval", params={"a": a, "b": b})
 
 
 def chi_ball(radius: float) -> Func:
@@ -147,7 +152,7 @@ def chi_ring(k: int) -> Func:
     def fn(x: float) -> float:
         return 1.0 if inner <= abs(x) < outer else 0.0
 
-    return Func(fn, (-outer, -inner, inner, outer), outer, even=True,
+    return Func(fn, (-outer, -inner, inner, outer), outer, even=True, flat=True,
                 bound=lambda lo, hi: 1.0 if _overlaps(lo, hi, inner, outer) else 0.0,
                 kind="characteristic-of-annulus",
                 params={"k": k, "inner": inner, "outer": outer})
@@ -185,8 +190,8 @@ def sign_func() -> Func:
     def fn(x: float) -> float:
         return float((x > 0.0) - (x < 0.0))
 
-    return Func(fn, (0.0,), math.inf, odd=True, power_tail=(1.0, 0.0, 1.0),
-                bound=lambda lo, hi: 1.0, kind="sign")
+    return Func(fn, (0.0,), math.inf, odd=True, flat=True,
+                power_tail=(1.0, 0.0, 1.0), bound=lambda lo, hi: 1.0, kind="sign")
 
 
 def dyadic_step(k_max: int = 40) -> Func:
@@ -221,7 +226,7 @@ def dyadic_step(k_max: int = 40) -> Func:
     for j in range(k_max + 1):
         for s in (2.0 ** j, 2.0 ** j + 1.0):
             pts.extend((s, -s))
-    return Func(fn, pts, top, odd=True, bound=bound, kind="dyadic-step",
+    return Func(fn, pts, top, odd=True, flat=True, bound=bound, kind="dyadic-step",
                 params={"k_max": k_max})
 
 
@@ -265,8 +270,9 @@ def lincomb(terms: Sequence[Func], coeffs: Sequence[float]) -> Func:
              if math.isinf(g.support_radius)]
     tail = None if any(t is None for _, t in loose) else combine_tails(loose)
     return Func(fn, pts, support, even=all(g.even for _, g in live),
-                power_tail=tail, bound=bound, local_majorant=_combine_local(live),
-                kind="linear-combination", params={"coeffs": [c for c, _ in live]})
+                flat=all(g.flat for _, g in live), power_tail=tail, bound=bound,
+                local_majorant=_combine_local(live), kind="linear-combination",
+                params={"coeffs": [c for c, _ in live]})
 
 
 def with_sign(base: Func) -> Func:
@@ -277,7 +283,7 @@ def with_sign(base: Func) -> Func:
         return ((x > 0.0) - (x < 0.0)) * bfn(x)
 
     return Func(fn, (0.0, *base.singular_points), base.support_radius,
-                even=base.odd, odd=base.even,
+                even=base.odd, odd=base.even, flat=base.flat,
                 power_tail=base.power_tail, bound=base.abs_bound_on,
                 local_majorant=base.local_majorant, kind="product-with-sign")
 
@@ -304,7 +310,7 @@ def abs_power(base: Func, exponent: float = 1.0) -> Func:
         c, a, s = base.local_majorant
         local = (c ** exponent, a * exponent, s)
     return Func(fn, base.singular_points, base.support_radius, even=base.even,
-                power_tail=tail, bound=bound, local_majorant=local,
+                flat=base.flat, power_tail=tail, bound=bound, local_majorant=local,
                 kind="pointwise-abs", params={"power": exponent})
 
 
@@ -374,6 +380,7 @@ def pointwise_product(f, g) -> Func:
     return Func(lambda x: ffn(x) * gfn(x), pts, support,
                 even=(f.even and g.even) or (f.odd and g.odd),
                 odd=bounded and ((f.odd and g.even) or (f.even and g.odd)),
+                flat=f.flat and g.flat,
                 power_tail=tail, bound=bound, kind="product")
 
 
@@ -387,7 +394,7 @@ def shifted(f, c: float) -> Func:
 
     support = f.support_radius if c == 0.0 else math.inf
     return Func(lambda x: ffn(x) - c, f.singular_points, support, even=f.even,
-                bound=bound, kind="shifted")
+                flat=f.flat, bound=bound, kind="shifted")
 
 
 def lr_aggregate(fs: Sequence, r: float) -> Func:
@@ -414,8 +421,9 @@ def lr_aggregate(fs: Sequence, r: float) -> Func:
     def bound(lo: float, hi: float) -> float:
         return sum(f.abs_bound_on(lo, hi) ** r for f in fs) ** (1.0 / r)
 
-    return Func(fn, pts, support, even=all(f.even for f in fs), power_tail=tail,
-                bound=bound, kind="lr-aggregate")
+    return Func(fn, pts, support, even=all(f.even for f in fs),
+                flat=all(f.flat for f in fs), power_tail=tail, bound=bound,
+                kind="lr-aggregate")
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,13 @@ The passes of a solve run over nearly the same quadrature nodes, so it
 keeps a node table from x to (|f(x)|, p(x)) and evaluates f and p once
 per distinct node; each pass recomputes only the power
 (|f(x)| / lambda) ** p(x), so results are bit-identical to evaluating f
-and p in every pass.  The table belongs to the solve and is dropped when
-it returns.
+and p in every pass.  Where p is constant on the domain the table holds
+|f(x)| alone and no node evaluates p.  For flat data in dimension 1 under
+a constant or piecewise-constant p (both constant on each open piece
+between the integrand's cuts), a pass computes one value per piece it
+enters: a node strictly inside the previous node's piece takes that
+piece's value, a node on a cut is computed as any other.  The table
+belongs to the solve and is dropped when it returns.
 
 A pass integrates a piece from the origin with integrate_ball and any other
 with integrate_shell, and the pairing integrates over a ball, so quadrature
@@ -47,8 +52,9 @@ decides every split.  All of it is pure, with no module-level caches.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .exponents import Exponent, r_p_constant
 from .funcs import Func
@@ -158,32 +164,62 @@ def _modular_pieces(f, e: Exponent, domain: Domain, lam: float,
 
 
 def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
-                    table: dict[float, tuple[float, float]]):
+                    p_const: Optional[float], table: dict):
     """rho(lam) -> modular of f / lam, for the passes of one solve.
 
     The integrand and its breakpoints are built once.  The first pass to
     reach a quadrature node stores |f(x)| and p(x) in the caller's node
-    table and every later pass reads them back, so f and p run once per
+    table, or |f(x)| alone where p is the constant p_const on the domain,
+    and every later pass reads them back, so f and p run once per
     distinct node; only (|f(x)| / lam) ** p(x) is recomputed, with the
     same operations as without the table, so every value keeps its last
+    bit.  For flat f in dimension 1 under a constant or piecewise-constant
+    p, a node strictly inside the open piece of the node before it in the
+    same pass returns that piece's value, which is the node's own bit for
     bit.
     """
     ffn = f.evaluate
     pfn = e.evaluate
     lam = 1.0
 
-    def h(x: float) -> float:
-        hit = table.get(x)
-        if hit is None:
-            hit = table[x] = (abs(ffn(x)), pfn(x))
-        return (hit[0] / lam) ** hit[1]
+    if p_const is None:
+        def node(x: float) -> float:
+            hit = table.get(x)
+            if hit is None:
+                hit = table[x] = (abs(ffn(x)), pfn(x))
+            return (hit[0] / lam) ** hit[1]
+    else:
+        def node(x: float) -> float:
+            a = table.get(x)
+            if a is None:
+                a = table[x] = abs(ffn(x))
+            return (a / lam) ** p_const
+
+    # the open piece (lo, hi) of the last node and its value in this pass
+    lo = hi = piece_value = 0.0
+    h = node
+    if (f.flat and domain.dim == 1
+            and e.kind in ("constant", "piecewise-constant")):
+        def h(x: float) -> float:
+            nonlocal lo, hi, piece_value
+            if lo < x < hi:
+                return piece_value
+            value = node(x)
+            j = bisect_left(cuts, x)
+            if j == len(cuts) or cuts[j] != x:
+                lo = cuts[j - 1] if j else -math.inf
+                hi = cuts[j] if j < len(cuts) else math.inf
+                piece_value = value
+            return value
 
     integrand = Func(h, (*f.singular_points, *e.breakpoints), f.support_radius,
                      even=f.even and domain.dim >= 2)
+    cuts = integrand.singular_points  # sorted and distinct, read by h
 
     def rho(at: float) -> float:
-        nonlocal lam
+        nonlocal lam, lo, hi
         lam = at
+        lo = hi = 0.0
         total = 0.0
         try:
             for inner, outer in _modular_pieces(f, e, domain, lam, tol):
@@ -204,7 +240,8 @@ def modular(f, e: Exponent, domain: Domain = FULL_LINE,
             tol: float = 1e-9) -> float:
     """The modular: integral of |f(x)|^p(x) over the domain."""
     _refuse(f, e, domain)
-    return _modular_passes(f, e, domain, tol, {})(1.0)
+    p_const = e.constant_value_on(_components(domain))
+    return _modular_passes(f, e, domain, tol, p_const, {})(1.0)
 
 
 def _seed_lambda(f, e: Exponent, domain: Domain) -> float:
@@ -236,10 +273,11 @@ def luxemburg_norm(f, e: Exponent, domain: Domain = FULL_LINE,
     """
     _refuse(f, e, domain)
     mod_tol = min(tol, MODULAR_TOL)
-    table: dict[float, tuple[float, float]] = {}
+    p_const = e.constant_value_on(_components(domain))
+    table: dict = {}
     try:
-        return _bisect(_modular_passes(f, e, domain, mod_tol, table),
-                       f, e, domain, mod_tol)
+        return _bisect(_modular_passes(f, e, domain, mod_tol, p_const, table),
+                       f, e, domain, mod_tol, p_const)
     finally:
         # the table is the solve's: an error's stored traceback holds the
         # solve's frames, and through them the table
@@ -257,33 +295,36 @@ def _components(domain: Domain) -> list[tuple[float, float]]:
     return [(-outer, -inner), (inner, outer)]
 
 
-def _predict(lam: float, exact: dict[float, float], p_lo: float, p_hi: float,
-             mod_tol: float) -> tuple[float, float]:
+def _predict(lam: float, anchors: list[tuple[float, float, float]], p_lo: float,
+             p_hi: float, mod_tol: float) -> tuple[float, float]:
     """Interval for the computed modular at lam, from the exact passes.
 
     For lam >= mu, (mu/lam)^p_hi rho(mu) <= rho(lam) <= (mu/lam)^p_lo rho(mu)
     when p_lo <= p <= p_hi on the domain (the reverse for lam < mu).  Each
-    computed modular, the anchor's and lam's own, is allowed a relative
-    NOISE and an absolute 2 mod_tol (quadrature plus whole-line tail).
+    anchor (mu, lowest, highest) is a finite, positive exact pass rho(mu)
+    widened by a relative NOISE and an absolute 2 mod_tol (quadrature plus
+    whole-line tail), and lam's own computed modular gets the same widening.
     """
     noise = 2.0 * mod_tol
     lower, upper = 0.0, math.inf
-    for mu, r in exact.items():
-        if not 0.0 < r < math.inf:
-            continue
+    for mu, r_lo, r_hi in anchors:
         t = mu / lam
         try:
-            small, big = t ** p_hi, t ** p_lo
+            if p_lo == p_hi:
+                small = big = t ** p_lo
+            else:
+                small, big = t ** p_hi, t ** p_lo
         except OverflowError:
             continue
         if t > 1.0:
             small, big = big, small
-        lower = max(lower, small * (r * (1.0 - NOISE) - noise))
-        upper = min(upper, big * (r * (1.0 + NOISE) + noise))
+        lower = max(lower, small * r_lo)
+        upper = min(upper, big * r_hi)
     return lower * (1.0 - NOISE) - noise, upper * (1.0 + NOISE) + noise
 
 
-def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float) -> NormResult:
+def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float,
+            p_const: Optional[float]) -> NormResult:
     """Bracket and bisect for rho = 1, running only the passes whose
     outcome the exponent bounds leave open.
 
@@ -305,14 +346,22 @@ def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float) -> NormResult:
     if rho1 == 0.0:
         return NormResult(0.0, 0.0, 0, (0.0, 0.0))
     lam0 = _seed_lambda(f, e, domain)
-    p_const = e.constant_value_on(_components(domain))
     p_lo, p_hi = (p_const, p_const) if p_const is not None else (e.p_minus, e.p_plus)
-    exact = {1.0: rho1}
+    exact: dict[float, float] = {}
+    anchors: list[tuple[float, float, float]] = []
     guessed: dict[float, tuple[float, float]] = {}
+    noise = 2.0 * mod_tol
+
+    def record(lam: float, r: float) -> None:
+        exact[lam] = r
+        if 0.0 < r < math.inf:
+            anchors.append((lam, r * (1.0 - NOISE) - noise, r * (1.0 + NOISE) + noise))
+
+    record(1.0, rho1)
 
     def run(lam: float) -> float:
         if lam not in exact:
-            exact[lam] = rho(lam)
+            record(lam, rho(lam))
         return exact[lam]
 
     def checked(lam: float, lower: float, upper: float) -> float:
@@ -324,7 +373,7 @@ def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float) -> NormResult:
     def probe(lam: float) -> float:
         if lam in exact:
             return exact[lam]
-        lower, upper = _predict(lam, exact, p_lo, p_hi, mod_tol)
+        lower, upper = _predict(lam, anchors, p_lo, p_hi, mod_tol)
         if lower <= upper and (lower > 1.0 + EXIT_BAND or upper < 1.0 - EXIT_BAND):
             guessed[lam] = lower, upper
             return lower if lower > 1.0 else upper

@@ -132,7 +132,14 @@ class _ShellTable:
     # -- dual-kernel shells ---------------------------------------------------
 
     def _dual_kernel(self):
-        gfn = self.g.evaluate
+        """g(y) / |y|^n, with a local majorant centred at 0, where it is
+        unbounded unless g vanishes there: g's sup on |y| <= 1 times
+        |y|^-n, or g's own majorant centred at 0 with n off its exponent.
+        Around a majorant of g centred elsewhere the kernel claims none,
+        and so no oddness (``integrate_shell`` could not tell which shells
+        hold a singularity)."""
+        g = self.g
+        gfn = g.evaluate
         n = self.dim
         if n == 1:  # abs(y) ** 1 == abs(y) exactly, without the pow call
             def k(y: float) -> float:
@@ -141,8 +148,15 @@ class _ShellTable:
             def k(y: float) -> float:
                 return gfn(y) / abs(y) ** n
 
-        return Func(k, self.g.singular_points, self.g.support_radius, even=self.g.even,
-                    odd=self.g.odd)
+        local = g.local_majorant
+        if local is None:
+            local = (g.abs_bound_on(0.0, 1.0), -float(n), 0.0)
+        elif local[2] == 0.0:
+            local = (local[0], local[1] - n, 0.0)
+        else:
+            local = None
+        return Func(k, g.singular_points, g.support_radius, even=g.even,
+                    odd=g.odd and local is not None, local_majorant=local)
 
     def _build_tail(self) -> None:
         if math.isinf(self.top):
@@ -236,6 +250,7 @@ class OperatorImage:
         self.singular_points = _jump_points(f) if b is None else _jump_points(f, b)
         self.even = (b.even if b is not None else True)
         self.odd = False
+        self.flat = False
         self.support_radius = math.inf
         self.power_tail = None
         self.local_majorant = None

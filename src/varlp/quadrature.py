@@ -129,12 +129,17 @@ def integrate_interval(g, a: float, b: float, breakpoints: Iterable[float] = (),
     over the final panel set; on success it does not exceed
     max(tol, DEFAULT_REL_TOL * |value|).  The relative rung keeps huge
     integrals (modulars far from the unit ball) from demanding accuracy
-    below the floating-point noise floor.
+    below the floating-point noise floor.  A non-finite end is refused
+    before any panel runs: every node of a panel reaching it would be nan.
     """
     if not (a <= b):
         raise ValueError(f"empty or reversed interval [{a}, {b}]")
     if a == b:
         return _ZERO
+    if a == -math.inf or b == math.inf:
+        raise QuadratureNonConvergence(
+            f"cannot integrate to the non-finite end {a if a == -math.inf else b}",
+            QuadResult(math.nan, math.inf, 0))
     fn = getattr(g, "evaluate", g)
 
     pts = sorted(set(map(float, breakpoints)))
@@ -242,7 +247,8 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
     An exactly odd g (``odd``) integrates to the exact 0 over a finite
     shell, with no panel, unless the centre s of its ``local_majorant``
     has |s| inside the closed shell: there g may not be integrable, and the
-    two calls decide as for any g.
+    two calls decide as for any g.  An infinite outer radius goes straight
+    to the two calls, which refuse it.
     """
     if not (0.0 <= inner <= outer):
         raise ValueError(f"invalid shell radii ({inner}, {outer})")
@@ -255,7 +261,7 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
             if local is None or not inner <= abs(local[2]) <= outer:
                 return _ZERO
         half = tol / 2.0
-        if (bisect_right(pts, -outer) == bisect_left(pts, -inner)
+        if (outer < math.inf and bisect_right(pts, -outer) == bisect_left(pts, -inner)
                 and bisect_right(pts, inner) == bisect_left(pts, outer)):
             fn = getattr(g, "evaluate", g)
             vl, el = _gk15(fn, -outer, -inner)

@@ -17,7 +17,7 @@ from varlp.verify import (commutator_bank, equivalence_bank, symbol_bank,
                           vv_sequence_bank)
 
 PROTOCOL = ("evaluate", "singular_points", "support_radius", "even", "odd",
-            "power_tail", "local_majorant", "kind", "abs_bound_on")
+            "flat", "power_tail", "local_majorant", "kind", "abs_bound_on")
 
 # lo = 0, lo < 0, an inner shell, hi = inf, and lo beyond every finite
 # support in the table (dyadic_step reaches 2^40 + 1)

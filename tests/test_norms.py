@@ -436,6 +436,12 @@ SYNTHETIC_SOLVES = {
                 "NormResult(value=2.9999999934382133, abs_error_bound=8.077533960185622e-09, "
                 "bisection_iters=28, bracket=(2.9999999855356796, 3.0000000013407475))",
                 True),
+    # infinite up to lam = 1, where the search starts: an infinite pass
+    # bounds no other, so the skipping search must not lean on it
+    "overflow": (lambda lam: math.inf if lam <= 1.0 else (3.0 / lam) ** 2,
+                 "NormResult(value=2.9999999934382133, abs_error_bound=8.077533960185622e-09, "
+                 "bisection_iters=28, bracket=(2.9999999855356796, 3.0000000013407475))",
+                 False),
     # decreasing, but drops by a fifth at lam = 2.5, below the root
     "drop": (lambda lam: (3.0 / lam) ** 2 * (1.0 if lam < 2.5 else 0.8),
              "NormResult(value=2.683281568134172, abs_error_bound=8.060114668838504e-09, "
@@ -453,7 +459,7 @@ def test_modular_off_its_exponent_bounds_falls_back_to_exact_passes(name):
         passes.append(lam)
         return modular_of(lam)
 
-    res = norms._bisect(rho, chi_interval(0.0, 1.0), E2, FULL_LINE, 1e-11)
+    res = norms._bisect(rho, chi_interval(0.0, 1.0), E2, FULL_LINE, 1e-11, 2.0)
     assert repr(res) == want
     # off its bounds, the skipping search misses and the exact one runs in full
     assert len(passes) >= 31 if off_bounds else len(passes) <= 8

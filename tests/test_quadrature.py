@@ -377,6 +377,56 @@ def test_odd_rule_keeps_the_path_where_the_integral_may_diverge():
             integrate_shell(g, lo, hi)
 
 
+def test_dual_kernel_carries_a_majorant_at_the_origin():
+    def kernel(**promises):
+        return _ShellTable(Func(lambda y: 1.0, (0.0,), 1.0, bound=lambda lo, hi: 1.0,
+                                **promises))._dual_kernel()
+
+    # no majorant on g: its sup near 0 times |y|^-1; one centred at 0 loses 1
+    # from its exponent; one centred elsewhere leaves the kernel none, nor oddness
+    assert kernel(odd=True).local_majorant == (1.0, -1.0, 0.0)
+    assert kernel(odd=True, local_majorant=(2.0, -0.5, 0.0)).local_majorant == \
+        (2.0, -1.5, 0.0)
+    off_centre = kernel(odd=True, local_majorant=(2.0, -0.5, 0.25))
+    assert off_centre.local_majorant is None and not off_centre.odd
+    k = _ShellTable(sign_func())._dual_kernel()
+    assert k.odd and k.local_majorant == (1.0, -1.0, 0.0)
+    # sign(y) / |y| is not integrable at 0: refused, not an exact 0
+    assert _outcome(lambda: integrate_shell(k, 0.0, 1.0)) == \
+        _outcome(lambda: two_calls(k, 0.0, 1.0, 1e-9))
+    with pytest.raises(QuadratureNonConvergence):
+        integrate_shell(k, 0.0, 1.0)
+    assert repr(integrate_shell(k, 0.5, 1.0)) == EXACT_ZERO
+
+
+@pytest.mark.parametrize("lo, hi, end", [(1.0, math.inf, "inf"),
+                                         (-math.inf, -1.0, "-inf"),
+                                         (-math.inf, math.inf, "-inf")])
+def test_an_infinite_end_is_refused_before_any_panel(lo, hi, end):
+    calls = []
+    g = Func(lambda y: calls.append(y) or abs(y) ** -2.0, (0.0,))
+    with pytest.raises(QuadratureNonConvergence,
+                       match=f"non-finite end {end}$") as info:
+        integrate_interval(g, lo, hi)
+    assert calls == [] and info.value.best.subdivisions == 0
+
+
+@pytest.mark.parametrize("g, dim", [(power(-2.0), 1), (sign_func(), 1),
+                                    (chi_ball(2.0), 1), (power(-2.0), 2),
+                                    (chi_ball(2.0), 2)],
+                         ids=["power", "sign", "chi", "power-2d", "chi-2d"])
+def test_an_infinite_shell_is_refused_as_its_calls_refuse(g, dim):
+    calls = []
+    counted = Func(lambda y: calls.append(y) or g.evaluate(y), g.singular_points,
+                   g.support_radius, g.even, g.power_tail, odd=g.odd,
+                   local_majorant=g.local_majorant)
+    got = _outcome(lambda: integrate_shell(counted, 1.0, math.inf, dim=dim))
+    end = "-inf" if dim == 1 else "inf"  # the left call comes first
+    assert got == (QuadratureNonConvergence, f"cannot integrate to the non-finite end {end}")
+    assert got == _outcome(lambda: two_calls(g, 1.0, math.inf, 1e-9, dim=dim))
+    assert calls == []  # not even the one-panel path runs
+
+
 HALF_TOL_CASES = {
     "even": Func(lambda y: math.cos(10.0 * y), (), math.inf, even=True),
     "odd": Func(lambda y: math.cos(10.0 * y), (), math.inf),
