@@ -12,9 +12,14 @@ the first one's reports); the side that goes first flips every round.
 Interleaving at the statement level puts both sides under the same load,
 so the comparison holds on a busy machine where separate runs drift.
 
-Prints each side's fastest time per statement over the rounds, their sums
-and the change/parent ratio, and whether the two sides' reports were equal
-in every round.  Standard library only.
+After the timed rounds, one untimed round per side counts the work: it
+wraps that side's ``quadrature._gk15`` and ``OperatorImage._compute`` and
+runs every statement once more.  Prints each side's fastest time per
+statement over the rounds, its GK15 panels and computed image points, the
+sums and the change/parent ratio of the times, and whether the two sides'
+reports were equal in every round.  The counters repeat exactly from run
+to run, so they show a change in work where the times are noisy.
+Standard library only.
 """
 
 import argparse
@@ -29,16 +34,44 @@ SIDES = ("parent", "change")
 
 
 def load(root: pathlib.Path, name: str):
-    """Import root/src/varlp as the package ``name``; returns its verify
-    and config modules."""
+    """Import root/src/varlp as the package ``name``; returns its verify,
+    config, quadrature and operators modules."""
     pkg = root / "src" / "varlp"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return (importlib.import_module(f"{name}.verify"),
-            importlib.import_module(f"{name}.config"))
+    return tuple(importlib.import_module(f"{name}.{sub}")
+                 for sub in ("verify", "config", "quadrature", "operators"))
+
+
+def count_work(verify, config, quadrature, operators, seed: int) -> list[tuple[int, int]]:
+    """(GK15 panels, computed image points) per statement of one untimed
+    round, with one sweep memo as run_all keeps."""
+    counts = [0, 0]
+    gk15, compute = quadrature._gk15, operators.OperatorImage._compute
+
+    def counted_gk15(fn, a, b):
+        counts[0] += 1
+        return gk15(fn, a, b)
+
+    def counted_compute(image, x):
+        counts[1] += 1
+        return compute(image, x)
+
+    quadrature._gk15 = counted_gk15
+    operators.OperatorImage._compute = counted_compute
+    try:
+        cfg, memo, out = config.ExperimentConfig(seed=seed), {}, []
+        for sid in verify.STATEMENT_IDS:
+            counts[:] = 0, 0
+            verify.run_statement(sid, cfg, memo=memo)
+            out.append((counts[0], counts[1]))
+        return out
+    finally:
+        quadrature._gk15 = gk15
+        operators.OperatorImage._compute = compute
 
 
 def main() -> int:
@@ -71,13 +104,21 @@ def main() -> int:
                 best[side][k] = min(best[side][k], time.perf_counter() - t0)
             same = same and reports["parent"].to_dict() == reports["change"].to_dict()
         print(f"round {rnd + 1}/{args.rounds} done", file=sys.stderr, flush=True)
+    work = {side: count_work(*mods[side], args.seed) for side in SIDES}
 
-    print(f"{'statement':<26} {'parent_s':>9} {'change_s':>9} {'ratio':>7}")
+    print(f"{'statement':<26} {'parent_s':>9} {'change_s':>9} {'ratio':>7} "
+          f"{'parent_panels':>13} {'change_panels':>13} "
+          f"{'parent_points':>13} {'change_points':>13}")
     for k, sid in enumerate(ids):
         p, c = best["parent"][k], best["change"][k]
-        print(f"{sid:<26} {p:9.4f} {c:9.4f} {c / p if p else float('nan'):7.3f}")
+        (pp, pi), (cp, ci) = work["parent"][k], work["change"][k]
+        print(f"{sid:<26} {p:9.4f} {c:9.4f} {c / p if p else float('nan'):7.3f} "
+              f"{pp:13d} {cp:13d} {pi:13d} {ci:13d}")
     p, c = sum(best["parent"]), sum(best["change"])
-    print(f"{'sum':<26} {p:9.4f} {c:9.4f} {c / p:7.3f}")
+    totals = {side: [sum(col) for col in zip(*work[side])] for side in SIDES}
+    (pp, pi), (cp, ci) = totals["parent"], totals["change"]
+    print(f"{'sum':<26} {p:9.4f} {c:9.4f} {c / p:7.3f} "
+          f"{pp:13d} {cp:13d} {pi:13d} {ci:13d}")
     print(f"reports equal in every round: {'yes' if same else 'NO'}")
     return 0
 

@@ -51,14 +51,16 @@ class Func:
     evaluation inside quadrature costs one call frame.  ``singular_points``
     is a sorted tuple of distinct floats.  ``even`` promises exact evenness:
     f(-x) is f(x) bit for bit (or raises alike) for every float x, since
-    ``integrate_shell`` bisects the jumps, integrates one side and mirrors it.
-    ``odd`` promises exact oddness: f(-x) is -f(x) bit for bit (or raises
-    alike), with a zero of either sign counted as equal, since
+    quadrature reads a GK15 panel on [-b, -a] from the one on [a, b]
+    instead of evaluating it.  ``odd`` promises exact oddness: f(-x) is
+    -f(x) bit for bit (or raises alike), with a zero of either sign counted
+    as equal, since quadrature reads such a panel negated, and
     ``integrate_shell`` returns an exact 0 for it in dimension 1.  The
-    evenness ``with_sign`` and ``pointwise_product`` derive from two odd
-    parities holds with the same note on zeros; the mirror cannot see a
-    zero's sign, since zero terms drop out of every panel sum and the
-    shell adds each side to 0.0.  ``flat`` promises f constant, bit for bit
+    evenness ``with_sign``, ``pointwise_product`` and ``lr_aggregate``
+    derive from odd parities holds with the same note on zeros; the mirror
+    cannot see a zero's sign, since a read panel differs from a computed
+    one at most in a zero's sign, and every sum that takes it starts at
+    0.0, which absorbs that sign.  ``flat`` promises f constant, bit for bit
     up to a zero's sign, on each open interval between consecutive
     ``singular_points`` (the two unbounded ends included), since a Luxemburg
     pass in dimension 1 then evaluates one node per piece.
@@ -398,7 +400,8 @@ def shifted(f, c: float) -> Func:
 
 
 def lr_aggregate(fs: Sequence, r: float) -> Func:
-    """Pointwise (sum_j |f_j(x)|^r)^(1/r) of finitely many evaluables."""
+    """Pointwise (sum_j |f_j(x)|^r)^(1/r) of finitely many evaluables; even
+    where every member is even or odd, since |f_j| then is."""
     r = float(r)
     if not fs:
         raise ValueError("need at least one function to aggregate")
@@ -421,7 +424,7 @@ def lr_aggregate(fs: Sequence, r: float) -> Func:
     def bound(lo: float, hi: float) -> float:
         return sum(f.abs_bound_on(lo, hi) ** r for f in fs) ** (1.0 / r)
 
-    return Func(fn, pts, support, even=all(f.even for f in fs),
+    return Func(fn, pts, support, even=all(f.even or f.odd for f in fs),
                 flat=all(f.flat for f in fs), power_tail=tail, bound=bound,
                 kind="lr-aggregate")
 

@@ -46,7 +46,12 @@ belongs to the solve and is dropped when it returns.
 
 A pass integrates a piece from the origin with integrate_ball and any other
 with integrate_shell, and the pairing integrates over a ball, so quadrature
-decides every split.  All of it is pure, with no module-level caches.
+decides every split.  In dimension 1 the integrand (|f| / lambda)^p is
+exactly even where f is even or odd and p is constant on the domain, and
+says so, so quadrature reads its panels on the negative side from the
+positive ones and no node evaluates f at both x and -x; in dimension
+>= 2 it is the radial profile of an even f.  All of it is pure, with no
+module-level caches.
 """
 
 from __future__ import annotations
@@ -212,8 +217,11 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
                 piece_value = value
             return value
 
+    # |f|^p is exactly even where f is even or odd and p is one number; in
+    # dimension >= 2 the radial profile of an even f is all that is read
     integrand = Func(h, (*f.singular_points, *e.breakpoints), f.support_radius,
-                     even=f.even and domain.dim >= 2)
+                     even=f.even if domain.dim >= 2
+                     else (f.even or f.odd) and p_const is not None)
     cuts = integrand.singular_points  # sorted and distinct, read by h
 
     def rho(at: float) -> float:

@@ -17,12 +17,16 @@ tails, so the norm layer can integrate them like any catalog function.
 The four kinds are two facts, decoded once per image: ball tables
 (divided by |x|^n) or tail tables, and a symbol or none.  An image keeps a
 radial memo of its table reads: everything of a point query but the
-symbol's value b(x) depends on t = |x| only, and a modular's nodes come in
-mirrored pairs +-x, so x and -x share one entry, computed once.  Each table
-shell lies between consecutive jump radii, so ``integrate_shell`` takes it
-with one GK15 panel per side.  In dimension 1 an odd symbol on an even
-input (or an even one on an odd input) makes b f odd, and its table free:
-each shell of b f and of its dual kernel is the exact 0, with no panel.
+symbol's value b(x) depends on t = |x| only.  An image with a parity flag
+never has -x evaluated where x was: quadrature reads the mirrored panels
+of it, and of the even modular it enters under a constant exponent.  The
+memo serves the images without one, whose nodes x and -x share an entry.
+Each table shell lies between consecutive jump radii, so
+``integrate_shell`` takes it with one GK15 panel per side.  In dimension 1
+an odd symbol on an even input (or an even one on an odd input) makes b f
+odd, and its table free: each shell of b f and of its dual kernel is the
+exact 0, with no panel.  An odd symbol on an even input also makes the
+image odd, b(x) times a function of |x|, and it reads no table of b f.
 The memo and the shell tables are the only state, built lazily on the
 image instance, never at module level; they die with the image.
 """
@@ -155,8 +159,12 @@ class _ShellTable:
             local = (local[0], local[1] - n, 0.0)
         else:
             local = None
-        return Func(k, g.singular_points, g.support_radius, even=g.even,
+        kern = Func(k, (), g.support_radius, even=g.even,
                     odd=g.odd and local is not None, local_majorant=local)
+        # g's tuple is sorted and distinct already, and rebuilding it through
+        # the constructor cost most of the kernel's build for many jumps
+        kern.singular_points = g.singular_points
+        return kern
 
     def _build_tail(self) -> None:
         if math.isinf(self.top):
@@ -249,7 +257,14 @@ class OperatorImage:
 
         self.singular_points = _jump_points(f) if b is None else _jump_points(f, b)
         self.even = (b.even if b is not None else True)
-        self.odd = False
+        # in dimension 1 an odd b f (an odd b on an even f) reads the exact
+        # zero from its table, with the tail remainder as its only error
+        # where the tail is certified, so the image is b(x) times a
+        # function of |x|: odd
+        self.odd = (dim == 1 and b is not None and b.odd and self._bf.odd
+                    and not (self._dual and math.isinf(self._table_bf.top)))
+        if self.odd:
+            self._bf_read = (0.0, self._table_bf._tail_remainder if self._dual else 0.0)
         self.flat = False
         self.support_radius = math.inf
         self.power_tail = None
@@ -300,12 +315,15 @@ class OperatorImage:
 
     def _radial(self, t: float) -> tuple[float, ...]:
         """What a point query at |x| = t reads of the tables, once per t:
-        the input's (value, error), then the product's for a commutator."""
+        the input's (value, error), then the product's for a commutator,
+        which an odd image knows without reading."""
         got = self._memo.get(t)
         if got is None:
             read = _ShellTable.tail if self._dual else _ShellTable.ball
             got = read(self._table_f, t)
-            if self._table_bf is not None:
+            if self.odd:
+                got = (*got, *self._bf_read)
+            elif self._table_bf is not None:
                 got = (*got, *read(self._table_bf, t))
             self._memo[t] = got
         return got

@@ -12,8 +12,16 @@ All Kronrod nodes are interior, so integrable endpoint singularities such
 as 1/sqrt(x) on (0, 1] never get evaluated at the singular point itself.
 Only this module runs a panel, and integrate_ball and integrate_shell split
 every ball and shell the other layers integrate (verify's Minkowski check
-keeps its own interval, with no 0 breakpoint, for its bits).  Everything
-here is pure and reentrant; independent calls can run concurrently.
+keeps its own interval, with no 0 breakpoint, for its bits).
+
+One rule uses parity: within one call (an interval that holds the origin,
+a ball, or both sides of a shell in dimension 1), the panel of an exactly
+even or odd integrand on [-b, -a] is read from the panel on [a, b] when
+that one was computed first, its value negated for an odd integrand.  It
+is what the panel would compute, bit for bit, so the adaptive loop, its
+heap order and its sums are unchanged; only evaluations go away.
+Everything here is pure and reentrant; a call's panels live in the call,
+and independent calls can run concurrently.
 """
 
 from __future__ import annotations
@@ -119,6 +127,51 @@ def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, floa
     return kron, abs(kron - gauss)
 
 
+def _parity(g) -> float:
+    """The factor a GK15 panel's value takes from its mirror: 1.0 for an
+    exactly even g, -1.0 for an exactly odd one, 0.0 (no rule) otherwise."""
+    if getattr(g, "even", False):
+        return 1.0
+    return -1.0 if getattr(g, "odd", False) else 0.0
+
+
+def _panel_rule(parity: float) -> Callable[..., tuple[float, float]]:
+    """panel(fn, lo, hi) -> _gk15(fn, lo, hi), for the panels of one
+    integration call: _gk15 itself where ``parity`` is 0.0.
+
+    Otherwise a panel whose mirror (centre -c for its centre c, the same
+    half-width) was computed before in the call is read from it, its value
+    times ``parity``.  That is what _gk15 returns, bit for bit: _gk15 reads
+    only the centre and the half-width, and under round-to-nearest the
+    nodes, every pair sum and both weighted sums mirror exactly, so at most
+    a zero's sign differs, which the promises allow and every accumulator
+    (each starts at 0.0) absorbs.
+    """
+    if not parity:
+        return _gk15
+    done: dict[tuple[float, float], tuple[float, float]] = {}
+
+    def panel(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+        c = 0.5 * (lo + hi)
+        h = 0.5 * (hi - lo)
+        got = done.get((-c, h))
+        if got is None:
+            got = done[c, h] = _gk15(fn, lo, hi)
+        elif parity < 0.0:
+            got = -got[0], got[1]
+        return got
+
+    return panel
+
+
+class _Sides(NamedTuple):
+    """The integrand of the two sides of a dimension-1 shell, with the panel
+    rule they share, passed to ``integrate_interval`` once per side."""
+
+    evaluate: Callable[[float], float]
+    panel: Callable[..., tuple[float, float]]
+
+
 def integrate_interval(g, a: float, b: float, breakpoints: Iterable[float] = (),
                        tol: float = DEFAULT_TOL,
                        max_panels: int = DEFAULT_MAX_PANELS) -> QuadResult:
@@ -131,6 +184,9 @@ def integrate_interval(g, a: float, b: float, breakpoints: Iterable[float] = (),
     integrals (modulars far from the unit ball) from demanding accuracy
     below the floating-point noise floor.  A non-finite end is refused
     before any panel runs: every node of a panel reaching it would be nan.
+    Where a < 0 < b and g is exactly even or odd, a panel mirroring one
+    already computed is read from it (``_panel_rule``), with the same bits;
+    the two sides of a shell share one rule (``_Sides``).
     """
     if not (a <= b):
         raise ValueError(f"empty or reversed interval [{a}, {b}]")
@@ -141,6 +197,10 @@ def integrate_interval(g, a: float, b: float, breakpoints: Iterable[float] = (),
             f"cannot integrate to the non-finite end {a if a == -math.inf else b}",
             QuadResult(math.nan, math.inf, 0))
     fn = getattr(g, "evaluate", g)
+    if type(g) is _Sides:
+        panel = g.panel
+    else:
+        panel = _panel_rule(_parity(g)) if a < 0.0 < b else _gk15
 
     pts = sorted(set(map(float, breakpoints)))
     edges = [a, *pts[bisect_right(pts, a):bisect_left(pts, b)], b]
@@ -153,7 +213,7 @@ def integrate_interval(g, a: float, b: float, breakpoints: Iterable[float] = (),
     err_total = 0.0
     frozen_err = 0.0  # error stuck in panels too narrow to split further
     for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = _gk15(fn, lo, hi)
+        v, e = panel(fn, lo, hi)
         heapq.heappush(heap, (-e, counter, lo, hi, v))
         counter += 1
         value += v
@@ -179,8 +239,8 @@ def integrate_interval(g, a: float, b: float, breakpoints: Iterable[float] = (),
                     f"unresolvable panel at [{lo:g}, {hi:g}] holds error "
                     f"{frozen_err:g} > tol {tol:g}", best)
             continue
-        v1, e1 = _gk15(fn, lo, mid)
-        v2, e2 = _gk15(fn, mid, hi)
+        v1, e1 = panel(fn, lo, mid)
+        v2, e2 = panel(fn, mid, hi)
         heapq.heappush(heap, (-e1, counter, lo, mid, v1))
         counter += 1
         heapq.heappush(heap, (-e2, counter, mid, hi, v2))
@@ -238,17 +298,21 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
                     dim: int = 1) -> QuadResult:
     """Integral of g over the shell inner <= |x| <= outer.
 
-    In dimension 1, two ``integrate_interval`` calls at tol / 2.  Where no
-    jump of g (``singular_points``, sorted) lies strictly inside a side, its
-    call would start from one GK15 panel; those panels run here first (an
-    exactly even g mirrors the left one), and where both pass the calls'
-    test their sum is the calls' result, bit for bit, -0.0 included.
+    In dimension 1, two adaptive runs at tol / 2, one per side, that share
+    one panel rule (``_panel_rule``): for an exactly even or odd g, every
+    panel of the right side that mirrors one of the left is read from it.
+    Where no jump of g (``singular_points``, sorted) lies strictly inside
+    a side, its run would start from one GK15 panel; those panels are
+    taken here first, the right one read from the left one for an even or
+    odd g (the rule inline: building it would make a table shell about a
+    third slower), and where both pass the runs' test their sum is the
+    runs' result, bit for bit, -0.0 included.
 
     An exactly odd g (``odd``) integrates to the exact 0 over a finite
     shell, with no panel, unless the centre s of its ``local_majorant``
     has |s| inside the closed shell: there g may not be integrable, and the
-    two calls decide as for any g.  An infinite outer radius goes straight
-    to the two calls, which refuse it.
+    two runs decide as for any g.  An infinite outer radius goes straight
+    to the two runs, which refuse it.
     """
     if not (0.0 <= inner <= outer):
         raise ValueError(f"invalid shell radii ({inner}, {outer})")
@@ -256,21 +320,28 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
         return _ZERO
     pts = getattr(g, "singular_points", ())
     if dim == 1:
-        if getattr(g, "odd", False) and outer < math.inf:
+        odd = getattr(g, "odd", False)
+        if odd and outer < math.inf:
             local = g.local_majorant
             if local is None or not inner <= abs(local[2]) <= outer:
                 return _ZERO
         half = tol / 2.0
+        fn = getattr(g, "evaluate", g)
         if (outer < math.inf and bisect_right(pts, -outer) == bisect_left(pts, -inner)
                 and bisect_right(pts, inner) == bisect_left(pts, outer)):
-            fn = getattr(g, "evaluate", g)
             vl, el = _gk15(fn, -outer, -inner)
             if _converged(el, vl, half) and math.isfinite(vl):
-                vr, er = (vl, el) if getattr(g, "even", False) else _gk15(fn, inner, outer)
+                if odd:
+                    vr, er = -vl, el
+                elif getattr(g, "even", False):
+                    vr, er = vl, el
+                else:
+                    vr, er = _gk15(fn, inner, outer)
                 if _converged(er, vr, half) and math.isfinite(vr):
                     return QuadResult((0.0 + vl) + (0.0 + vr), (0.0 + el) + (0.0 + er), 2)
-        left = integrate_interval(g, -outer, -inner, breakpoints=pts, tol=half)
-        right = integrate_interval(g, inner, outer, breakpoints=pts, tol=half)
+        sides = _Sides(fn, _panel_rule(_parity(g)))
+        left = integrate_interval(sides, -outer, -inner, breakpoints=pts, tol=half)
+        right = integrate_interval(sides, inner, outer, breakpoints=pts, tol=half)
         return left + right
     _require_radial(g, dim)
     fn = _radial_weight(getattr(g, "evaluate", g), dim)

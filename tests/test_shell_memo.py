@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from varlp import (Func, OperatorImage, abs_power, catalog_bank, chi_ball,
                    chi_interval, constant_exponent, dyadic_step, lincomb, luxemburg_norm,
-                   power, scaled_ball, sign_func, with_sign, zero)
-from varlp import operators, quadrature
+                   modular, piecewise_exponent, power, scaled_ball, sign_func, with_sign,
+                   zero)
+from varlp import norms, operators, quadrature
+from varlp.geometry import Ball, DyadicRing
 from varlp.config import ExperimentConfig
 from varlp.funcs import pointwise_product, shifted
 from varlp.operators import _ShellTable
-from varlp.quadrature import integrate_interval, integrate_shell
+from varlp.quadrature import QuadResult, integrate_interval, integrate_shell
 from varlp.verify import commutator_bank, equivalence_bank, symbol_bank
 
 from shell_reference import two_calls
@@ -143,8 +145,10 @@ def test_luxemburg_solve_integrates_each_radius_once(monkeypatch):
     monkeypatch.setattr(OperatorImage, "_compute", counted_compute)
     luxemburg_norm(img, constant_exponent(2.0), tol=1e-9)
     assert shells and max(shells.values()) == 1
-    radii = {abs(x) for x in points}
-    assert len(radii) < len(set(points))  # mirrored nodes share an entry
+    radii = Counter(abs(x) for x in points)
+    # the image is odd, so its modular is even: no radius is computed twice,
+    # and no node is evaluated at both +-x
+    assert img.odd and max(radii.values()) == 1
     assert len(img._memo) <= len(radii)
 
 
@@ -294,7 +298,67 @@ def test_parity_flags():
     # a product with a singular factor carries no local majorant, so it is
     # not flagged odd
     assert not pointwise_product(sign_func(), power(-0.5)).odd
-    assert not OperatorImage("commutator_hardy", chi_ball(1.0), b=sign_func()).odd
+    for kind in ("commutator_hardy", "commutator_dual_hardy"):
+        # an odd b on an even f: b f is odd, its table the exact zero
+        img = OperatorImage(kind, chi_ball(1.0), b=sign_func())
+        assert img.odd and not img.even, kind
+        for f, b in ((lopsided, sign_func()),  # b f has no parity
+                     (with_sign(chi_ball(1.0)), chi_ball(2.0)),  # even b, odd f
+                     (power(-0.5), sign_func())):  # singular f: b f not flagged
+            assert not OperatorImage(kind, f, b=b).odd, (kind, f, b)
+    assert not OperatorImage("hardy", chi_ball(1.0)).odd
+    # in dimension 2 the odd b f table is refused as non-radial, as before
+    img = OperatorImage("commutator_dual_hardy", chi_ball(1.0), b=sign_func(), dim=2)
+    assert not img.odd
+    with pytest.raises(ValueError):
+        img.evaluate(0.5)
+    # |f|^p of an even or odd f is even under a constant p, not under pw23
+    pw23 = piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0])
+    for f in (chi_ball(1.0), sign_func(), dyadic_step(3)):
+        for domain in (Ball(2.0), DyadicRing(1)):
+            assert all(g.even for g in _modular_integrands(f, constant_exponent(2.0),
+                                                           domain)), (f, domain)
+            assert not any(g.even for g in _modular_integrands(f, pw23, domain)), \
+                (f, domain)
+    assert not any(g.even for g in _modular_integrands(lopsided, constant_exponent(2.0),
+                                                       Ball(2.0)))
+
+
+def _decaying_bump():
+    """Even, bounded, with a decaying tail and no compact support, so an
+    odd symbol's b f tail table carries a nonzero remainder."""
+    return Func(lambda x: 1.0 / (1.0 + x * x), (), math.inf, even=True,
+                power_tail=(1.0, -2.0, 1.0), bound=lambda lo, hi: 1.0 / (1.0 + lo * lo))
+
+
+@pytest.mark.parametrize("kind", ["commutator_hardy", "commutator_dual_hardy"])
+@pytest.mark.parametrize("f_name", ["chi_ball(2)", "scaled_ball(1)", "decaying"])
+def test_odd_images_read_what_the_product_table_holds(kind, f_name):
+    f = {"chi_ball(2)": chi_ball(2.0), "scaled_ball(1)": scaled_ball(1.0),
+         "decaying": _decaying_bump()}[f_name]
+    img = OperatorImage(kind, f, b=sign_func())
+    assert img.odd
+    read = _ShellTable.tail if kind.endswith("dual_hardy") else _ShellTable.ball
+    table = img._table_bf
+    if f_name == "decaying" and kind.endswith("dual_hardy"):
+        assert table._tail_remainder > 0.0
+    for t in (2.0 ** -70, 1e-3, 0.3, 1.0, 1.7, 2.0, 5.0, 1e3, 1e20):
+        assert repr(img._radial(t)[2:]) == repr(read(table, t)), t
+
+
+def _modular_integrands(f, e, domain):
+    """The integrands one modular pass of f hands to quadrature."""
+    seen = []
+
+    def record(g, *args, **kwargs):
+        seen.append(g)
+        return QuadResult(1.0, 0.0, 1)
+
+    with mock.patch.object(norms, "integrate_ball", record), \
+            mock.patch.object(norms, "integrate_shell", record):
+        modular(f, e, domain)
+    assert seen
+    return seen
 
 
 @settings(max_examples=300, deadline=None)

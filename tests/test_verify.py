@@ -218,3 +218,26 @@ def test_subset_ratio_reports_are_bit_identical_to_pinned(name):
     reports = check_subset_ratios(e, subset_pairs(36), [1.5, 2.0],
                                   label=f"{name} ")
     assert tuple(repr(r) for r in reports) == want
+
+
+def test_forward_statement_work_stays_within_its_budget(monkeypatch):
+    # thm4.1-forward is the largest statement; its odd commutator images
+    # and their even modulars read every mirrored panel instead of
+    # computing it (188,460 image points and 55,786 panels without that)
+    from varlp import operators, quadrature
+
+    counts = {"panels": 0, "points": 0}
+    gk15, compute = quadrature._gk15, operators.OperatorImage._compute
+
+    def counted_gk15(fn, a, b):
+        counts["panels"] += 1
+        return gk15(fn, a, b)
+
+    def counted_compute(image, x):
+        counts["points"] += 1
+        return compute(image, x)
+
+    monkeypatch.setattr(quadrature, "_gk15", counted_gk15)
+    monkeypatch.setattr(operators.OperatorImage, "_compute", counted_compute)
+    assert run_statement("thm4.1-forward", ExperimentConfig(seed=7)).passed
+    assert counts["points"] <= 105_000 and counts["panels"] <= 46_000, counts
