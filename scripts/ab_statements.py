@@ -13,11 +13,12 @@ Interleaving at the statement level puts both sides under the same load,
 so the comparison holds on a busy machine where separate runs drift.
 
 After the timed rounds, one untimed round per side counts the work: it
-wraps that side's ``quadrature._gk15`` and ``OperatorImage._compute`` and
-runs every statement once more.  Prints each side's fastest time per
-statement over the rounds, its GK15 panels and computed image points, the
-sums and the change/parent ratio of the times, and whether the two sides'
-reports were equal in every round.  The counters repeat exactly from run
+wraps that side's ``quadrature._gk15``, ``OperatorImage._compute`` and
+``norms._modular_passes`` and runs every statement once more.  Prints
+each side's fastest time per statement over the rounds, its GK15 panels,
+computed image points and modular passes, the sums and the change/parent
+ratio of the times, and whether the two sides' reports were equal in
+every round.  The counters repeat exactly from run
 to run, so they show a change in work where the times are noisy.
 Standard library only.
 """
@@ -35,7 +36,7 @@ SIDES = ("parent", "change")
 
 def load(root: pathlib.Path, name: str):
     """Import root/src/varlp as the package ``name``; returns its verify,
-    config, quadrature and operators modules."""
+    config, quadrature, operators and norms modules."""
     pkg = root / "src" / "varlp"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
@@ -43,14 +44,16 @@ def load(root: pathlib.Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return tuple(importlib.import_module(f"{name}.{sub}")
-                 for sub in ("verify", "config", "quadrature", "operators"))
+                 for sub in ("verify", "config", "quadrature", "operators", "norms"))
 
 
-def count_work(verify, config, quadrature, operators, seed: int) -> list[tuple[int, int]]:
-    """(GK15 panels, computed image points) per statement of one untimed
-    round, with one sweep memo as run_all keeps."""
-    counts = [0, 0]
+def count_work(verify, config, quadrature, operators, norms,
+               seed: int) -> list[tuple[int, int, int]]:
+    """(GK15 panels, computed image points, modular passes) per statement
+    of one untimed round, with one sweep memo as run_all keeps."""
+    counts = [0, 0, 0]
     gk15, compute = quadrature._gk15, operators.OperatorImage._compute
+    make = norms._modular_passes
 
     def counted_gk15(fn, a, b):
         counts[0] += 1
@@ -60,18 +63,29 @@ def count_work(verify, config, quadrature, operators, seed: int) -> list[tuple[i
         counts[1] += 1
         return compute(image, x)
 
+    def counted_passes(*args):
+        rho = make(*args)
+
+        def counted(lam):
+            counts[2] += 1
+            return rho(lam)
+
+        return counted
+
     quadrature._gk15 = counted_gk15
     operators.OperatorImage._compute = counted_compute
+    norms._modular_passes = counted_passes
     try:
         cfg, memo, out = config.ExperimentConfig(seed=seed), {}, []
         for sid in verify.STATEMENT_IDS:
-            counts[:] = 0, 0
+            counts[:] = 0, 0, 0
             verify.run_statement(sid, cfg, memo=memo)
-            out.append((counts[0], counts[1]))
+            out.append(tuple(counts))
         return out
     finally:
         quadrature._gk15 = gk15
         operators.OperatorImage._compute = compute
+        norms._modular_passes = make
 
 
 def main() -> int:
@@ -108,17 +122,18 @@ def main() -> int:
 
     print(f"{'statement':<26} {'parent_s':>9} {'change_s':>9} {'ratio':>7} "
           f"{'parent_panels':>13} {'change_panels':>13} "
-          f"{'parent_points':>13} {'change_points':>13}")
+          f"{'parent_points':>13} {'change_points':>13} "
+          f"{'parent_passes':>13} {'change_passes':>13}")
     for k, sid in enumerate(ids):
         p, c = best["parent"][k], best["change"][k]
-        (pp, pi), (cp, ci) = work["parent"][k], work["change"][k]
+        (pp, pi, pm), (cp, ci, cm) = work["parent"][k], work["change"][k]
         print(f"{sid:<26} {p:9.4f} {c:9.4f} {c / p if p else float('nan'):7.3f} "
-              f"{pp:13d} {cp:13d} {pi:13d} {ci:13d}")
+              f"{pp:13d} {cp:13d} {pi:13d} {ci:13d} {pm:13d} {cm:13d}")
     p, c = sum(best["parent"]), sum(best["change"])
     totals = {side: [sum(col) for col in zip(*work[side])] for side in SIDES}
-    (pp, pi), (cp, ci) = totals["parent"], totals["change"]
+    (pp, pi, pm), (cp, ci, cm) = totals["parent"], totals["change"]
     print(f"{'sum':<26} {p:9.4f} {c:9.4f} {c / p:7.3f} "
-          f"{pp:13d} {cp:13d} {pi:13d} {ci:13d}")
+          f"{pp:13d} {cp:13d} {pi:13d} {ci:13d} {pm:13d} {cm:13d}")
     print(f"reports equal in every round: {'yes' if same else 'NO'}")
     return 0
 

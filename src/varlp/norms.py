@@ -17,18 +17,18 @@ do not depend on lambda, so they are made before a solve builds anything.
 
 The bisection stops when hi - lo <= 1e-8 hi, a relative width, so small
 norms keep their relative accuracy.  Its result depends only on how each
-modular it tries compares with 1 and with the exit band, never on the
-modular's value.  For lambda >= mu the modular obeys
-(mu/lambda)^p_plus rho(mu) <= rho(lambda) <= (mu/lambda)^p_minus rho(mu),
-with p_minus = p_plus = p where the exponent is constant on the domain, so
-every exact pass bounds the modular at the next lambda, and a pass runs
-only when those bounds, widened by a quadrature-noise margin, reach into
-the exit band: about 3 passes per solve where p is constant on the
-domain, about 10 where it varies, instead of about 30.  Exact passes at
-the final lo and hi, and at the bracket edge the bisection did not pass,
-vouch for every skipped comparison, because the modular decreases
-between points that lie at least ~1e-8 apart in relative terms; if one of
-them, or any pass run on the way, lands outside its predicted interval,
+modular it tries compares with 1 and with the exit band, so a pass runs
+only where that comparison is open.  Where the modular has a known form,
+sum of w lam^-q (rho(1) lam^-p where p is constant on the domain, and
+sum of |I| |c|^q lam^-q over the pieces of flat data under a
+piecewise-constant p in dimension 1), only passes within a noise margin
+of its root run: about 3 per solve.  Elsewhere each exact pass bounds the
+next through (mu/lambda)^p_plus rho(mu) <= rho(lambda) <=
+(mu/lambda)^p_minus rho(mu) for lambda >= mu: about 10 passes, instead of
+about 30.  Exact passes at the final lo and hi, and at the bracket edge
+the bisection did not pass, vouch for every skipped comparison, because
+the modular decreases between points at least ~1e-8 apart in relative
+terms; if one lands on the wrong side, or any pass off its prediction,
 the search runs again with every pass exact.  Results are therefore
 bit-identical to running every pass.
 
@@ -318,10 +318,7 @@ def _predict(lam: float, anchors: list[tuple[float, float, float]], p_lo: float,
     for mu, r_lo, r_hi in anchors:
         t = mu / lam
         try:
-            if p_lo == p_hi:
-                small = big = t ** p_lo
-            else:
-                small, big = t ** p_hi, t ** p_lo
+            small, big = t ** p_hi, t ** p_lo
         except OverflowError:
             continue
         if t > 1.0:
@@ -331,24 +328,75 @@ def _predict(lam: float, anchors: list[tuple[float, float, float]], p_lo: float,
     return lower * (1.0 - NOISE) - noise, upper * (1.0 + NOISE) + noise
 
 
+def _model(f, e: Exponent, domain: Domain, mod_tol: float,
+           p_const: Optional[float], rho1: float) -> Optional[list[tuple[float, float]]]:
+    """The modular's known form rho(lam) = sum of w lam^-q, as [(w, q), ...]:
+    rho(1) lam^-p where p is the constant p_const on the domain; for flat f
+    in dimension 1 under a piecewise-constant p, |I| |c|^q per open piece I
+    between the integrand's cuts, where f is c and p is q, grouped by q.
+    None otherwise, or where a weight overflows, underflows or is not
+    finite.  Never raises: a model decides which passes run, not a result.
+    """
+    try:
+        if p_const is not None:
+            terms = {p_const: rho1}
+        elif f.flat and domain.dim == 1 and e.kind == "piecewise-constant":
+            cuts = sorted({*f.singular_points, *e.breakpoints})
+            terms = {}
+            for inner, outer in _modular_pieces(f, e, domain, 1.0, mod_tol):
+                for a, b in ([(-outer, outer)] if inner == 0.0
+                             else [(-outer, -inner), (inner, outer)]):
+                    edges = [a, *(s for s in cuts if a < s < b), b]
+                    for x0, x1 in zip(edges, edges[1:]):
+                        c, q = abs(f.evaluate(0.5 * (x0 + x1))), e.evaluate(0.5 * (x0 + x1))
+                        w = (x1 - x0) * c ** q
+                        if c and not w > 0.0:
+                            return None  # underflow
+                        terms[q] = terms.get(q, 0.0) + w
+        else:
+            return None
+        model = [(w, q) for q, w in terms.items() if w]
+        return model if model and all(w < math.inf for w, _ in model) else None
+    except Exception:
+        return None
+
+
+def _model_root(model: list[tuple[float, float]]) -> float:
+    """The lam where sum of w lam^-q is 1: Newton in t = ln lam from
+    t0 = max ln(w) / q, the closed form for one term.  The log of the sum
+    is convex and decreasing in t and at least 0 at t0, so the iterates
+    rise to the root, every term at most 1 on the way."""
+    logs = [(math.log(w), q) for w, q in model]
+    t = max(lw / q for lw, q in logs)
+    for _ in range(100):
+        terms = [(q, math.exp(lw - q * t)) for lw, q in logs]
+        total = sum(term for _, term in terms)
+        step = math.log(total) * total / sum(q * term for q, term in terms)
+        t += step
+        if not step > 1e-13:
+            break
+    return math.exp(t)
+
+
 def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float,
             p_const: Optional[float]) -> NormResult:
     """Bracket and bisect for rho = 1, running only the passes whose
-    outcome the exponent bounds leave open.
+    outcome is open.
 
     The result depends only on how each rho(lam) compares with 1 and with
-    the exit band, never on rho itself.  So a pass is skipped when
-    _predict, applied to every exact pass so far, puts rho(lam) off the
-    band [1 - EXIT_BAND, 1 + EXIT_BAND]: the search goes on with a stand-in
-    from the predicted interval.  Bisection points lie at least ~1e-8 apart
-    in relative terms, far above the quadrature noise, so rho computed at
-    them decreases; then every skipped comparison left of the final lo,
-    right of the final hi, or beyond the bracket edge the expansion left
-    is vouched for by an exact pass at that point (see _search).  If one of
-    those lands outside its predicted interval, or anything fails before
-    the checks, the search runs again with every pass exact, so the result
-    is always the one the exact search gives.  rho(1) is always exact,
-    because the zero test reads it.
+    the exit band [1 - EXIT_BAND, 1 + EXIT_BAND], so a probe whose side is
+    known runs no pass and reads a stand-in on that side: off
+    lam* (1 +- delta) the side of a model (_model) of root lam*, delta
+    four times the noise over its slope, and without one the side
+    _predict gives from the exact passes so far.  Every pass must fit the
+    model, or _predict, within a relative NOISE and an absolute 2 mod_tol.
+    Bisection points lie ~1e-8 apart in relative terms, far above that
+    noise, so rho computed at them decreases; then every skipped
+    comparison left of the final lo, right of the final hi, or beyond the
+    bracket edge the expansion left is vouched for by an exact pass there,
+    on its side (see _search).  Any miss or failure before the checks
+    reruns the search with every pass exact, so the result is always the
+    exact search's.  rho(1) is always exact: the zero test reads it.
     """
     rho1 = rho(1.0)
     if rho1 == 0.0:
@@ -359,10 +407,13 @@ def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float,
     anchors: list[tuple[float, float, float]] = []
     guessed: dict[float, tuple[float, float]] = {}
     noise = 2.0 * mod_tol
+    model = _model(f, e, domain, mod_tol, p_const, rho1)
+    above = math.nextafter(1.0 + EXIT_BAND, math.inf), math.inf
+    below = -math.inf, math.nextafter(1.0 - EXIT_BAND, -math.inf)
 
     def record(lam: float, r: float) -> None:
         exact[lam] = r
-        if 0.0 < r < math.inf:
+        if model is None and 0.0 < r < math.inf:
             anchors.append((lam, r * (1.0 - NOISE) - noise, r * (1.0 + NOISE) + noise))
 
     record(1.0, rho1)
@@ -372,22 +423,35 @@ def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float,
             record(lam, rho(lam))
         return exact[lam]
 
+    def fits(lam: float, value: float) -> bool:
+        m = sum(w * lam ** -q for w, q in model)
+        return m * (1.0 - NOISE) - noise <= value <= m * (1.0 + NOISE) + noise
+
     def checked(lam: float, lower: float, upper: float) -> float:
         value = run(lam)
-        if not lower <= value <= upper:
+        if not lower <= value <= upper or model and not fits(lam, value):
             raise _BoundsMiss(lam)
         return value
 
     def probe(lam: float) -> float:
         if lam in exact:
             return exact[lam]
-        lower, upper = _predict(lam, anchors, p_lo, p_hi, mod_tol)
+        if model is None:
+            lower, upper = _predict(lam, anchors, p_lo, p_hi, mod_tol)
+        else:
+            lower, upper = (above if lam < window[0] else
+                            below if lam > window[1] else (-math.inf, math.inf))
         if lower <= upper and (lower > 1.0 + EXIT_BAND or upper < 1.0 - EXIT_BAND):
             guessed[lam] = lower, upper
             return lower if lower > 1.0 else upper
         return checked(lam, lower, upper)
 
     try:
+        if model:
+            checked(1.0, -math.inf, math.inf)
+            lam_star = _model_root(model)
+            delta = 4.0 * (EXIT_BAND + NOISE + noise) / min(q for _, q in model)
+            window = lam_star * (1.0 - delta), lam_star * (1.0 + delta)
         result, checks = _search(probe, lam0, e.p_minus, mod_tol)
         for lam in checks:
             if lam in guessed:
@@ -477,8 +541,8 @@ def chi_norm(region, e: Exponent, tol: float = 1e-9) -> NormResult:
         value = region.measure ** (1.0 / p_const)
         return NormResult(value, 4.0 * math.ulp(value), 0, (value, value))
 
-    one = Func(lambda x: 1.0, (), math.inf, even=True, power_tail=(1.0, 0.0, 1.0),
-               kind="one")
+    one = Func(lambda x: 1.0, (), math.inf, even=True, flat=True,
+               power_tail=(1.0, 0.0, 1.0), kind="one")
     return luxemburg_norm(one, e, region, tol)
 
 

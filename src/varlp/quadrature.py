@@ -19,7 +19,8 @@ a ball, or both sides of a shell in dimension 1), the panel of an exactly
 even or odd integrand on [-b, -a] is read from the panel on [a, b] when
 that one was computed first, its value negated for an odd integrand.  It
 is what the panel would compute, bit for bit, so the adaptive loop, its
-heap order and its sums are unchanged; only evaluations go away.
+heap order and its sums are unchanged; only evaluations go away.  The
+same rule hands a shell's two runs the panels its one-panel test took.
 Everything here is pure and reentrant; a call's panels live in the call,
 and independent calls can run concurrently.
 """
@@ -135,30 +136,38 @@ def _parity(g) -> float:
     return -1.0 if getattr(g, "odd", False) else 0.0
 
 
-def _panel_rule(parity: float) -> Callable[..., tuple[float, float]]:
+def _panel_rule(parity: float, known: Iterable = ()) -> Callable[..., tuple[float, float]]:
     """panel(fn, lo, hi) -> _gk15(fn, lo, hi), for the panels of one
-    integration call: _gk15 itself where ``parity`` is 0.0.
+    integration call: _gk15 itself with no ``parity`` and none ``known``.
 
-    Otherwise a panel whose mirror (centre -c for its centre c, the same
-    half-width) was computed before in the call is read from it, its value
-    times ``parity``.  That is what _gk15 returns, bit for bit: _gk15 reads
-    only the centre and the half-width, and under round-to-nearest the
-    nodes, every pair sum and both weighted sums mirror exactly, so at most
-    a zero's sign differs, which the promises allow and every accumulator
-    (each starts at 0.0) absorbs.
+    A panel is read, not computed, when it is one of the ``known``
+    (lo, hi, (value, error)) that _gk15 returned for the same fn, or when
+    its mirror (centre -c for its centre c, the same half-width) was known
+    or computed before in the call, its value times a nonzero ``parity``.
+    That is what _gk15 returns, bit for bit: _gk15 reads only the centre
+    and the half-width, and under round-to-nearest the nodes, every pair
+    sum and both weighted sums mirror exactly, so at most a zero's sign
+    differs, which the promises allow and every accumulator (each starts
+    at 0.0) absorbs.
     """
-    if not parity:
+    if not parity and not known:
         return _gk15
     done: dict[tuple[float, float], tuple[float, float]] = {}
+
+    for lo, hi, got in known:
+        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        done[c, h] = got
+        if parity:
+            done[-c, h] = parity * got[0], got[1]
 
     def panel(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
         c = 0.5 * (lo + hi)
         h = 0.5 * (hi - lo)
-        got = done.get((-c, h))
+        got = done.get((c, h))
         if got is None:
-            got = done[c, h] = _gk15(fn, lo, hi)
-        elif parity < 0.0:
-            got = -got[0], got[1]
+            got = _gk15(fn, lo, hi)
+            if parity:
+                done[-c, h] = parity * got[0], got[1]
         return got
 
     return panel
@@ -306,7 +315,8 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
     taken here first, the right one read from the left one for an even or
     odd g (the rule inline: building it would make a table shell about a
     third slower), and where both pass the runs' test their sum is the
-    runs' result, bit for bit, -0.0 included.
+    runs' result, bit for bit, -0.0 included.  Otherwise the runs' rule
+    knows the panels taken, so neither is computed again.
 
     An exactly odd g (``odd``) integrates to the exact 0 over a finite
     shell, with no panel, unless the centre s of its ``local_majorant``
@@ -327,19 +337,24 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
                 return _ZERO
         half = tol / 2.0
         fn = getattr(g, "evaluate", g)
+        known = ()
         if (outer < math.inf and bisect_right(pts, -outer) == bisect_left(pts, -inner)
                 and bisect_right(pts, inner) == bisect_left(pts, outer)):
             vl, el = _gk15(fn, -outer, -inner)
+            taken = None
             if _converged(el, vl, half) and math.isfinite(vl):
                 if odd:
                     vr, er = -vl, el
                 elif getattr(g, "even", False):
                     vr, er = vl, el
                 else:
-                    vr, er = _gk15(fn, inner, outer)
+                    vr, er = taken = _gk15(fn, inner, outer)
                 if _converged(er, vr, half) and math.isfinite(vr):
                     return QuadResult((0.0 + vl) + (0.0 + vr), (0.0 + el) + (0.0 + er), 2)
-        sides = _Sides(fn, _panel_rule(_parity(g)))
+            known = [(-outer, -inner, (vl, el))]
+            if taken:
+                known.append((inner, outer, taken))
+        sides = _Sides(fn, _panel_rule(_parity(g), known))
         left = integrate_interval(sides, -outer, -inner, breakpoints=pts, tol=half)
         right = integrate_interval(sides, inner, outer, breakpoints=pts, tol=half)
         return left + right

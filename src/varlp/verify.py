@@ -481,13 +481,14 @@ def check_commutator_bounded(b: Func, e: Exponent,
     witnesses = []
     ok = True
     worst = 0.0
+    input_norms = {exp_label: [luxemburg_norm(f, ee, tol=tol).value
+                               for _, _, f in func_bank] for exp_label, ee in exps}
     for op_kind, op_label in (("commutator_hardy", "[b,H]"),
                               ("commutator_dual_hardy", "[b,H*]")):
         for exp_label, ee in exps:
             scales, ratios = [], []
             sup = 0.0
-            for name, scale, f in func_bank:
-                nf = luxemburg_norm(f, ee, tol=tol).value
+            for (name, scale, f), nf in zip(func_bank, input_norms[exp_label]):
                 if nf == 0.0:
                     continue
                 img = OperatorImage(op_kind, f, b=b, tol=tol / 10)

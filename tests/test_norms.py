@@ -387,22 +387,24 @@ _BANK = dict(catalog_bank())
 _OUTSIDE_B1 = lincomb([constant(1.0), chi_ball(1.0)], [1.0, -1.0])
 
 # reprs recorded while every solve ran all of its passes (30 or 31 here);
-# skipping the passes the exponent bounds decide keeps every bit.  The
-# last entry is the most passes a solve may make: few where p is constant
-# on the domain, fewer than the exact search's wherever it varies
+# skipping the passes the modular's known form or the exponent bounds
+# decide keeps every bit.  The last entry is the most passes a solve may
+# make: 4 where the modular has a known form (p constant on the domain, or
+# flat f under a piecewise-constant p), fewer than the exact search's
+# elsewhere
 SKIPPING_SOLVES = {
     "hat_const2_line": (
         lambda: luxemburg_norm(_BANK["hat"], E2),
         "NormResult(value=2.236067970371936, abs_error_bound=8.035517698916977e-09, "
-        "bisection_iters=27, bracket=(2.2360679624694018, 2.2360679782744697))", 8),
+        "bisection_iters=27, bracket=(2.2360679624694018, 2.2360679782744697))", 4),
     "dyadic_step_pw23_ring_in_one_piece": (
         lambda: luxemburg_norm(dyadic_step(), PW23, DyadicRing(2)),
         "NormResult(value=2.8284271317972767, abs_error_bound=9.035857991168257e-09, "
-        "bisection_iters=27, bracket=(2.828427122926982, 2.828427140667571))", 8),
+        "bisection_iters=27, bracket=(2.828427122926982, 2.828427140667571))", 4),
     "step_mix_pw23_line": (
         lambda: luxemburg_norm(_BANK["step_mix"], PW23),
         "NormResult(value=2.802588751212263, abs_error_bound=7.779606862564288e-09, "
-        "bisection_iters=28, bracket=(2.8025887435967984, 2.8025887588277274))", 29),
+        "bisection_iters=28, bracket=(2.8025887435967984, 2.8025887588277274))", 4),
     "ramp_smooth_ball": (
         lambda: luxemburg_norm(_BANK["ramp_half"], smooth_exponent("inv_one_plus_abs"),
                                Ball(1.5)),

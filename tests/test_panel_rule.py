@@ -201,3 +201,49 @@ def test_mirrored_panels_are_read_not_evaluated():
         integrate_ball(_copy(g, False, False, plain), Ball(2.0), tol=1e-12)
         assert flagged == [x for x in plain if x < 0.0], name
         assert len(flagged) < 0.6 * len(plain), name
+
+
+# integrands over shells with no jump inside a side whose one-panel test
+# fails, so the two runs refine: the right side fails alone for "steep_right"
+SHELL_FALLBACKS = {
+    "even": (Func(lambda x: math.cos(40.0 * x), (), math.inf, even=True), 0.5),
+    # a majorant centred at 0 keeps the shell that holds 0 off the exact zero
+    "odd": (Func(lambda x: math.sin(40.0 * x), (), math.inf, odd=True,
+                 local_majorant=(1.0, 0.0, 0.0)), 0.0),
+    "no_parity": (Func(lambda x: math.exp(3.0 * x) * math.cos(20.0 * x), (),
+                       math.inf), 0.5),
+    "steep_right": (Func(lambda x: 1.0 if x < 0.0 else math.cos(40.0 * x), (),
+                         math.inf), 0.5),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("name", sorted(SHELL_FALLBACKS))
+def test_shell_runs_start_from_the_panels_of_the_one_panel_test(name, tol):
+    g, inner = SHELL_FALLBACKS[name]
+    outer = inner + 2.0
+    gk15 = quadrature._gk15
+
+    def run(integrate):
+        panels = []
+
+        def counted(fn, a, b):
+            panels.append((a, b))
+            return gk15(fn, a, b)
+
+        with mock.patch.object(quadrature, "_gk15", counted):
+            return integrate(), panels
+
+    got, panels = run(lambda: integrate_shell(g, inner, outer, tol=tol))
+
+    # the two runs alone, as they ran when they computed the test's panels again
+    def runs():
+        sides = quadrature._Sides(g.evaluate, quadrature._panel_rule(quadrature._parity(g)))
+        return (integrate_interval(sides, -outer, -inner, tol=tol / 2)
+                + integrate_interval(sides, inner, outer, tol=tol / 2))
+
+    want, run_panels = run(runs)
+    assert got.subdivisions > 2  # the one-panel test failed
+    assert struct.pack("<ddq", *got) == struct.pack("<ddq", *want)
+    # the test's panels are the runs' first ones: no panel is computed twice
+    assert len(panels) == len(set(panels)) == len(run_panels)

@@ -241,3 +241,26 @@ def test_forward_statement_work_stays_within_its_budget(monkeypatch):
     monkeypatch.setattr(operators.OperatorImage, "_compute", counted_compute)
     assert run_statement("thm4.1-forward", ExperimentConfig(seed=7)).passed
     assert counts["points"] <= 105_000 and counts["panels"] <= 46_000, counts
+
+
+def test_oscillation_statement_passes_stay_within_their_budget(monkeypatch):
+    # prop3.3's shifted flat solves under const2 and pw23 run only the
+    # passes near the root of the modular's known form (14,283 passes when
+    # the pw23 solves were bracketed by the exponent bounds alone)
+    from varlp import norms
+
+    passes = []
+    make = norms._modular_passes
+
+    def counting(*args):
+        rho = make(*args)
+
+        def counted(lam):
+            passes.append(lam)
+            return rho(lam)
+
+        return counted
+
+    monkeypatch.setattr(norms, "_modular_passes", counting)
+    assert run_statement("prop3.3", ExperimentConfig(seed=7)).passed
+    assert len(passes) <= 8_100, len(passes)
