@@ -13,20 +13,25 @@ Interleaving at the statement level puts both sides under the same load,
 so the comparison holds on a busy machine where separate runs drift.
 
 After the timed rounds, one untimed round per side counts the work: it
-wraps that side's ``quadrature._gk15``, ``OperatorImage._compute`` and
-``norms._modular_passes`` and runs every statement once more.  Prints
-each side's fastest time per statement over the rounds, its GK15 panels,
-computed image points and modular passes, the sums and the change/parent
-ratio of the times, and whether the two sides' reports were equal in
-every round.  The counters repeat exactly from run
-to run, so they show a change in work where the times are noisy.
-Standard library only.
+wraps that side's ``quadrature._gk15``, ``OperatorImage._compute``,
+``norms._modular_passes`` and ``norms._search`` and runs every statement
+once more.  Prints each side's fastest time per statement over the
+rounds, its GK15 panels, computed image points, modular passes and
+bisection searches (more searches than solves means exact reruns), the
+sums and the change/parent ratio of the times, whether the two sides'
+reports were equal in every round, and whether each side's reports hashed
+in every round to the SHA-256 its checkout's
+``perfbench/reference/harness_reference.json`` stores for the seed (read
+only).  The counters repeat exactly from run to run, so they show a
+change in work where the times are noisy.  Standard library only.
 """
 
 import argparse
 import gc
+import hashlib
 import importlib
 import importlib.util
+import json
 import pathlib
 import sys
 import time
@@ -47,13 +52,27 @@ def load(root: pathlib.Path, name: str):
                  for sub in ("verify", "config", "quadrature", "operators", "norms"))
 
 
+def stored_digest(root: pathlib.Path, seed: int):
+    """The report SHA-256 the checkout stores for the seed, or None."""
+    ref = root / "perfbench" / "reference" / "harness_reference.json"
+    if not ref.is_file():
+        return None
+    return json.loads(ref.read_text()).get("sha256", {}).get(str(seed))
+
+
+def report_digest(reports) -> str:
+    """SHA-256 of a round's reports, as the benchmark hashes run_all's."""
+    payload = json.dumps([r.to_dict() for r in reports], sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def count_work(verify, config, quadrature, operators, norms,
-               seed: int) -> list[tuple[int, int, int]]:
-    """(GK15 panels, computed image points, modular passes) per statement
-    of one untimed round, with one sweep memo as run_all keeps."""
-    counts = [0, 0, 0]
+               seed: int) -> list[tuple[int, int, int, int]]:
+    """(GK15 panels, computed image points, modular passes, searches) per
+    statement of one untimed round, with one sweep memo as run_all keeps."""
+    counts = [0, 0, 0, 0]
     gk15, compute = quadrature._gk15, operators.OperatorImage._compute
-    make = norms._modular_passes
+    make, search = norms._modular_passes, norms._search
 
     def counted_gk15(fn, a, b):
         counts[0] += 1
@@ -72,13 +91,18 @@ def count_work(verify, config, quadrature, operators, norms,
 
         return counted
 
+    def counted_search(*args):
+        counts[3] += 1
+        return search(*args)
+
     quadrature._gk15 = counted_gk15
     operators.OperatorImage._compute = counted_compute
     norms._modular_passes = counted_passes
+    norms._search = counted_search
     try:
         cfg, memo, out = config.ExperimentConfig(seed=seed), {}, []
         for sid in verify.STATEMENT_IDS:
-            counts[:] = 0, 0, 0
+            counts[:] = 0, 0, 0, 0
             verify.run_statement(sid, cfg, memo=memo)
             out.append(tuple(counts))
         return out
@@ -86,6 +110,7 @@ def count_work(verify, config, quadrature, operators, norms,
         quadrature._gk15 = gk15
         operators.OperatorImage._compute = compute
         norms._modular_passes = make
+        norms._search = search
 
 
 def main() -> int:
@@ -97,8 +122,10 @@ def main() -> int:
     ap.add_argument("--rounds", type=int, default=8)
     args = ap.parse_args()
 
-    mods = {side: load(root.resolve(), f"varlp_{side}")
-            for side, root in zip(SIDES, (args.parent, args.change))}
+    roots = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
+    mods = {side: load(roots[side], f"varlp_{side}") for side in SIDES}
+    stored = {side: stored_digest(roots[side], args.seed) for side in SIDES}
+    digests = {side: set() for side in SIDES}
     ids = mods["parent"][0].STATEMENT_IDS
     if mods["change"][0].STATEMENT_IDS != ids:
         raise SystemExit("the two checkouts register different statements")
@@ -108,6 +135,7 @@ def main() -> int:
         order = SIDES if rnd % 2 == 0 else SIDES[::-1]
         cfgs = {side: mods[side][1].ExperimentConfig(seed=args.seed) for side in SIDES}
         memos = {side: {} for side in SIDES}
+        rounds = {side: [] for side in SIDES}
         for k, sid in enumerate(ids):
             reports = {}
             for side in order:
@@ -116,25 +144,36 @@ def main() -> int:
                 t0 = time.perf_counter()
                 reports[side] = verify.run_statement(sid, cfgs[side], memo=memos[side])
                 best[side][k] = min(best[side][k], time.perf_counter() - t0)
+                rounds[side].append(reports[side])
             same = same and reports["parent"].to_dict() == reports["change"].to_dict()
+        for side in SIDES:
+            digests[side].add(report_digest(rounds[side]))
         print(f"round {rnd + 1}/{args.rounds} done", file=sys.stderr, flush=True)
     work = {side: count_work(*mods[side], args.seed) for side in SIDES}
 
+    counters = ("panels", "points", "passes", "searches")
     print(f"{'statement':<26} {'parent_s':>9} {'change_s':>9} {'ratio':>7} "
-          f"{'parent_panels':>13} {'change_panels':>13} "
-          f"{'parent_points':>13} {'change_points':>13} "
-          f"{'parent_passes':>13} {'change_passes':>13}")
+          + " ".join(f"{side + '_' + name:>15}" for name in counters for side in SIDES))
+
+    def row(label, p, c, parent_work, change_work):
+        cells = " ".join(f"{n:15d}" for pair in zip(parent_work, change_work)
+                         for n in pair)
+        print(f"{label:<26} {p:9.4f} {c:9.4f} {c / p if p else float('nan'):7.3f} {cells}")
+
     for k, sid in enumerate(ids):
-        p, c = best["parent"][k], best["change"][k]
-        (pp, pi, pm), (cp, ci, cm) = work["parent"][k], work["change"][k]
-        print(f"{sid:<26} {p:9.4f} {c:9.4f} {c / p if p else float('nan'):7.3f} "
-              f"{pp:13d} {cp:13d} {pi:13d} {ci:13d} {pm:13d} {cm:13d}")
-    p, c = sum(best["parent"]), sum(best["change"])
+        row(sid, best["parent"][k], best["change"][k], work["parent"][k],
+            work["change"][k])
     totals = {side: [sum(col) for col in zip(*work[side])] for side in SIDES}
-    (pp, pi, pm), (cp, ci, cm) = totals["parent"], totals["change"]
-    print(f"{'sum':<26} {p:9.4f} {c:9.4f} {c / p:7.3f} "
-          f"{pp:13d} {cp:13d} {pi:13d} {ci:13d} {pm:13d} {cm:13d}")
+    row("sum", sum(best["parent"]), sum(best["change"]), totals["parent"],
+        totals["change"])
     print(f"reports equal in every round: {'yes' if same else 'NO'}")
+    for side in SIDES:
+        if stored[side] is None:
+            verdict = f"no stored digest for seed {args.seed}"
+        else:
+            verdict = "yes" if digests[side] == {stored[side]} else "NO"
+        print(f"{side} reports hash to the stored seed-{args.seed} digest "
+              f"in every round: {verdict}")
     return 0
 
 

@@ -2,10 +2,12 @@
 log-Holder regularity check.
 
 An exponent is admissible when its essential bounds satisfy
-1 < p_minus <= p(x) <= p_plus < infinity.  Bounds are exact for the catalog
-kinds (constant, piecewise-constant, the named smooth formulas) and sampled
-over a working box [-R_work, R_work] for custom callables, because an
-essential infimum of an arbitrary callable is not computable.
+1 < p_minus <= p(x) <= p_plus < infinity.  Bounds are exact for step
+exponents (kind "piecewise-constant"; a constant exponent is the step
+exponent with no steps) and, over the working box [-WORKING_RADIUS,
+WORKING_RADIUS], for the named smooth formulas; for custom callables they
+are sampled over that box, because an essential infimum of an arbitrary
+callable is not computable.
 
 Membership in the class of exponents whose maximal operator is bounded is
 not decidable numerically; log-Holder continuity (local plus decay at
@@ -56,49 +58,34 @@ class Exponent:
             raise ValueError(f"exponent evaluated outside its domain: x={x}")
         return self._fn(x)
 
-    def __call__(self, x: float) -> float:
-        return self._fn(x)
-
     def conjugate(self) -> "Exponent":
         """Pointwise conjugate p'(x) = p(x)/(p(x) - 1); bounds swap exactly."""
-        q_minus = _conj(self.p_plus)
-        q_plus = _conj(self.p_minus)
-        if self.kind == "constant":
-            return constant_exponent(_conj(self.params["p"]), dim=self.dim)
-        if self.kind == "piecewise-constant":
-            vals = [_conj(v) for v in self.params["values"]]
-            return piecewise_exponent(list(self.params["breaks"]), vals, dim=self.dim)
-        fn = self._fn
-        return Exponent(
-            "custom-evaluable",
-            {"derived": "conjugate", "of": self.kind},
-            lambda x: _conj(fn(x)),
-            q_minus, q_plus,
-            breakpoints=self.breakpoints, dim=self.dim)
+        return self._mapped(_conj, _conj(self.p_plus), _conj(self.p_minus),
+                            {"derived": "conjugate", "of": self.kind})
 
     def divided_by(self, p0: float) -> "Exponent":
         """The exponent x -> p(x)/p0 (used by the power identity of the norm)."""
         if p0 <= 0:
             raise ValueError(f"divisor must be positive, got {p0}")
-        if self.kind == "constant":
-            return constant_exponent(self.params["p"] / p0, dim=self.dim)
+        return self._mapped(lambda v: v / p0, self.p_minus / p0, self.p_plus / p0,
+                            {"derived": "scaled", "of": self.kind, "divisor": p0})
+
+    def _mapped(self, g: Callable[[float], float], lo: float, hi: float,
+                params: dict) -> "Exponent":
+        """The exponent x -> g(p(x)) with bounds lo and hi: a step exponent
+        maps its values, any other exponent wraps its formula."""
         if self.kind == "piecewise-constant":
-            vals = [v / p0 for v in self.params["values"]]
-            return piecewise_exponent(list(self.params["breaks"]), vals, dim=self.dim)
+            return piecewise_exponent(self.params["breaks"],
+                                      [g(v) for v in self.params["values"]], dim=self.dim)
         fn = self._fn
-        return Exponent(
-            "custom-evaluable",
-            {"derived": "scaled", "of": self.kind, "divisor": p0},
-            lambda x: fn(x) / p0,
-            self.p_minus / p0, self.p_plus / p0,
-            breakpoints=self.breakpoints, dim=self.dim)
+        return Exponent("custom-evaluable", params, lambda x: g(fn(x)), lo, hi,
+                        breakpoints=self.breakpoints, dim=self.dim)
 
     def sup_near(self, s: float) -> float:
         """The largest value p takes arbitrarily close to s.
 
-        Exact for the constant and piecewise-constant kinds (at a breakpoint
-        both neighbouring pieces count); p_plus, a certified upper bound,
-        for every other kind.
+        Exact for a step exponent (at a breakpoint both neighbouring pieces
+        count); p_plus, a certified upper bound, for every other kind.
         """
         if self.kind != "piecewise-constant":
             return self.p_plus
@@ -112,8 +99,6 @@ class Exponent:
         Detects when a closed-form |E|^(1/p) shortcut applies: no breakpoint
         may fall strictly inside any interval and all piece values must agree.
         """
-        if self.kind == "constant":
-            return self.params["p"]
         if self.kind != "piecewise-constant":
             return None
         values = []
@@ -140,13 +125,13 @@ def r_p_constant(e: Exponent) -> float:
 # ---------------------------------------------------------------------------
 
 def constant_exponent(p: float, dim: int = 1) -> Exponent:
-    p = float(p)
-    return Exponent("constant", {"p": p}, lambda x: p, p, p, dim=dim)
+    """The constant exponent p: the step exponent with no steps."""
+    return piecewise_exponent([], [p], dim=dim)
 
 
 def piecewise_exponent(breaks: Sequence[float], values: Sequence[float],
                        dim: int = 1) -> Exponent:
-    """Piecewise-constant exponent: values[i] on [breaks[i-1], breaks[i]).
+    """Step exponent: values[i] on [breaks[i-1], breaks[i]).
 
     values must have exactly one more entry than breaks; the first value
     covers (-inf, breaks[0]) and the last [breaks[-1], inf).
@@ -171,7 +156,7 @@ def piecewise_exponent(breaks: Sequence[float], values: Sequence[float],
 
 
 def smooth_exponent(formula_id: str, params: Optional[dict] = None,
-                    dim: int = 1, working_radius: float = WORKING_RADIUS) -> Exponent:
+                    dim: int = 1) -> Exponent:
     """Named smooth exponent formulas with exact bounds over the working box.
 
     inv_one_plus_abs:  base + amp / (1 + |x|)
@@ -181,7 +166,7 @@ def smooth_exponent(formula_id: str, params: Optional[dict] = None,
     params = dict(params or {})
     base = float(params.get("base", 2.0))
     amp = float(params.get("amp", 1.0))
-    R = working_radius
+    R = WORKING_RADIUS
     if formula_id == "inv_one_plus_abs":
         fn = lambda x: base + amp / (1.0 + abs(x))
         lo, hi = base + amp / (1.0 + R), base + amp
@@ -206,12 +191,10 @@ def smooth_exponent(formula_id: str, params: Optional[dict] = None,
 
 
 def custom_exponent(fn: Callable[[float], float], dim: int = 1,
-                    breakpoints: Sequence[float] = (),
-                    working_radius: float = WORKING_RADIUS) -> Exponent:
+                    breakpoints: Sequence[float] = ()) -> Exponent:
     """Wrap an arbitrary callable; bounds are estimated from CUSTOM_SAMPLES
     samples over the working box."""
-    xs = _sampling_grid(working_radius)
-    vals = [fn(x) for x in xs]
+    vals = [fn(x) for x in _sampling_grid()]
     return Exponent("custom-evaluable", {"sampled_bounds": True}, fn,
                     min(vals), max(vals), breakpoints=tuple(breakpoints),
                     dim=dim)
@@ -227,12 +210,12 @@ def _sin_range(u0: float, u1: float) -> tuple[float, float]:
     return min(cands), max(cands)
 
 
-def _sampling_grid(radius: float) -> list[float]:
+def _sampling_grid() -> list[float]:
     xs = [0.0]
     # geometric coverage out to the box edge plus a fine linear patch near 0
     n_geo = CUSTOM_SAMPLES // 4
     for j in range(n_geo):
-        t = 2.0 ** (-20.0 + j * (math.log2(radius) + 20.0) / max(n_geo - 1, 1))
+        t = 2.0 ** (-20.0 + j * (math.log2(WORKING_RADIUS) + 20.0) / max(n_geo - 1, 1))
         xs.extend((t, -t))
     n_lin = CUSTOM_SAMPLES // 4
     for j in range(1, n_lin):

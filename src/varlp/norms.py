@@ -20,17 +20,16 @@ norms keep their relative accuracy.  Its result depends only on how each
 modular it tries compares with 1 and with the exit band, so a pass runs
 only where that comparison is open.  Where the modular has a known form,
 sum of w lam^-q (rho(1) lam^-p where p is constant on the domain, and
-sum of |I| |c|^q lam^-q over the pieces of flat data under a
-piecewise-constant p in dimension 1), only passes within a noise margin
-of its root run: about 3 per solve.  Elsewhere each exact pass bounds the
-next through (mu/lambda)^p_plus rho(mu) <= rho(lambda) <=
-(mu/lambda)^p_minus rho(mu) for lambda >= mu: about 10 passes, instead of
-about 30.  Exact passes at the final lo and hi, and at the bracket edge
-the bisection did not pass, vouch for every skipped comparison, because
-the modular decreases between points at least ~1e-8 apart in relative
-terms; if one lands on the wrong side, or any pass off its prediction,
-the search runs again with every pass exact.  Results are therefore
-bit-identical to running every pass.
+sum of |I| |c|^q lam^-q over the pieces of flat data under a step p in
+dimension 1), only passes within a noise margin of its root run: about 3
+per solve.  Elsewhere each exact pass bounds the next through
+(mu/lambda)^p_plus rho(mu) <= rho(lambda) <= (mu/lambda)^p_minus rho(mu)
+for lambda >= mu: about 10 passes, instead of about 30.  Exact passes at
+the final lo and hi, and at the bracket edge the bisection did not pass,
+vouch for every skipped comparison, because the modular decreases between
+points at least ~1e-8 apart in relative terms; if one lands on the wrong
+side, or any pass off its prediction, the search runs again with every
+pass exact.  Results are therefore bit-identical to running every pass.
 
 The passes of a solve run over nearly the same quadrature nodes, so it
 keeps a node table from x to (|f(x)|, p(x)) and evaluates f and p once
@@ -38,11 +37,11 @@ per distinct node; each pass recomputes only the power
 (|f(x)| / lambda) ** p(x), so results are bit-identical to evaluating f
 and p in every pass.  Where p is constant on the domain the table holds
 |f(x)| alone and no node evaluates p.  For flat data in dimension 1 under
-a constant or piecewise-constant p (both constant on each open piece
-between the integrand's cuts), a pass computes one value per piece it
-enters: a node strictly inside the previous node's piece takes that
-piece's value, a node on a cut is computed as any other.  The table
-belongs to the solve and is dropped when it returns.
+a step p (constant on each open piece between the integrand's cuts), a
+pass computes one value per piece it enters: a node strictly inside the
+previous node's piece takes that piece's value, a node on a cut is
+computed as any other.  The table belongs to the solve and is dropped
+when it returns.
 
 A pass integrates a piece from the origin with integrate_ball and any other
 with integrate_shell, and the pairing integrates over a ball, so quadrature
@@ -178,10 +177,9 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
     and every later pass reads them back, so f and p run once per
     distinct node; only (|f(x)| / lam) ** p(x) is recomputed, with the
     same operations as without the table, so every value keeps its last
-    bit.  For flat f in dimension 1 under a constant or piecewise-constant
-    p, a node strictly inside the open piece of the node before it in the
-    same pass returns that piece's value, which is the node's own bit for
-    bit.
+    bit.  For flat f in dimension 1 under a step p, a node strictly
+    inside the open piece of the node before it in the same pass returns
+    that piece's value, which is the node's own bit for bit.
     """
     ffn = f.evaluate
     pfn = e.evaluate
@@ -203,8 +201,7 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
     # the open piece (lo, hi) of the last node and its value in this pass
     lo = hi = piece_value = 0.0
     h = node
-    if (f.flat and domain.dim == 1
-            and e.kind in ("constant", "piecewise-constant")):
+    if f.flat and domain.dim == 1 and e.kind == "piecewise-constant":
         def h(x: float) -> float:
             nonlocal lo, hi, piece_value
             if lo < x < hi:
@@ -276,8 +273,8 @@ def luxemburg_norm(f, e: Exponent, domain: Domain = FULL_LINE,
     Returns 0 exactly when the modular of f is 0 (f vanishes almost
     everywhere, or |f|^p underflows).  Raises NotInSpaceError when no
     scaling can make the modular finite, and BracketExpansionError if the
-    geometric bracket search gives out (which does not happen for catalog
-    inputs).
+    geometric bracket search gives out, from the seed and, where the
+    modular has a known form, from its root.
     """
     _refuse(f, e, domain)
     mod_tol = min(tol, MODULAR_TOL)
@@ -332,8 +329,8 @@ def _model(f, e: Exponent, domain: Domain, mod_tol: float,
            p_const: Optional[float], rho1: float) -> Optional[list[tuple[float, float]]]:
     """The modular's known form rho(lam) = sum of w lam^-q, as [(w, q), ...]:
     rho(1) lam^-p where p is the constant p_const on the domain; for flat f
-    in dimension 1 under a piecewise-constant p, |I| |c|^q per open piece I
-    between the integrand's cuts, where f is c and p is q, grouped by q.
+    in dimension 1 under a step p, |I| |c|^q per open piece I between the
+    integrand's cuts, where f is c and p is q, grouped by q.
     None otherwise, or where a weight overflows, underflows or is not
     finite.  Never raises: a model decides which passes run, not a result.
     """
@@ -396,7 +393,8 @@ def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float,
     bracket edge the expansion left is vouched for by an exact pass there,
     on its side (see _search).  Any miss or failure before the checks
     reruns the search with every pass exact, so the result is always the
-    exact search's.  rho(1) is always exact: the zero test reads it.
+    exact search's; where its bracket gives out, a model's root starts it
+    again.  rho(1) is always exact: the zero test reads it.
     """
     rho1 = rho(1.0)
     if rho1 == 0.0:
@@ -462,7 +460,12 @@ def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float,
         # exact search may never try; the exact search below raises again
         # if the failure is its own
         pass
-    return _search(run, lam0, e.p_minus, mod_tol)[0]
+    try:
+        return _search(run, lam0, e.p_minus, mod_tol)[0]
+    except BracketExpansionError:
+        if not model:
+            raise
+        return _search(run, _model_root(model), e.p_minus, mod_tol)[0]
 
 
 def _search(rho, lam0: float, p_minus: float,

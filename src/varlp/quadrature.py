@@ -12,7 +12,8 @@ All Kronrod nodes are interior, so integrable endpoint singularities such
 as 1/sqrt(x) on (0, 1] never get evaluated at the singular point itself.
 Only this module runs a panel, and integrate_ball and integrate_shell split
 every ball and shell the other layers integrate (verify's Minkowski check
-keeps its own interval, with no 0 breakpoint, for its bits).
+keeps its own interval, with no 0 breakpoint, for its bits).  Intervals
+and both sides of a dimension-1 shell run one adaptive loop, _adapt.
 
 One rule uses parity: within one call (an interval that holds the origin,
 a ball, or both sides of a shell in dimension 1), the panel of an exactly
@@ -173,14 +174,6 @@ def _panel_rule(parity: float, known: Iterable = ()) -> Callable[..., tuple[floa
     return panel
 
 
-class _Sides(NamedTuple):
-    """The integrand of the two sides of a dimension-1 shell, with the panel
-    rule they share, passed to ``integrate_interval`` once per side."""
-
-    evaluate: Callable[[float], float]
-    panel: Callable[..., tuple[float, float]]
-
-
 def integrate_interval(g, a: float, b: float, breakpoints: Iterable[float] = (),
                        tol: float = DEFAULT_TOL,
                        max_panels: int = DEFAULT_MAX_PANELS) -> QuadResult:
@@ -194,24 +187,27 @@ def integrate_interval(g, a: float, b: float, breakpoints: Iterable[float] = (),
     below the floating-point noise floor.  A non-finite end is refused
     before any panel runs: every node of a panel reaching it would be nan.
     Where a < 0 < b and g is exactly even or odd, a panel mirroring one
-    already computed is read from it (``_panel_rule``), with the same bits;
-    the two sides of a shell share one rule (``_Sides``).
+    already computed is read from it (``_panel_rule``), with the same bits.
     """
     if not (a <= b):
         raise ValueError(f"empty or reversed interval [{a}, {b}]")
     if a == b:
         return _ZERO
+    panel = _panel_rule(_parity(g)) if a < 0.0 < b else _gk15
+    return _adapt(getattr(g, "evaluate", g), panel, a, b,
+                  sorted(set(map(float, breakpoints))), tol, max_panels)
+
+
+def _adapt(fn: Callable[[float], float], panel: Callable[..., tuple[float, float]],
+           a: float, b: float, pts: list[float], tol: float,
+           max_panels: int) -> QuadResult:
+    """The adaptive loop of ``integrate_interval`` over [a, b], a < b, split
+    first at the sorted, distinct pts that lie strictly inside, with the
+    panel rule given; the two sides of a shell call it with one rule."""
     if a == -math.inf or b == math.inf:
         raise QuadratureNonConvergence(
             f"cannot integrate to the non-finite end {a if a == -math.inf else b}",
             QuadResult(math.nan, math.inf, 0))
-    fn = getattr(g, "evaluate", g)
-    if type(g) is _Sides:
-        panel = g.panel
-    else:
-        panel = _panel_rule(_parity(g)) if a < 0.0 < b else _gk15
-
-    pts = sorted(set(map(float, breakpoints)))
     edges = [a, *pts[bisect_right(pts, a):bisect_left(pts, b)], b]
 
     # (negated error, insertion counter, a, b, value) so the heap pops the
@@ -310,7 +306,7 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
     In dimension 1, two adaptive runs at tol / 2, one per side, that share
     one panel rule (``_panel_rule``): for an exactly even or odd g, every
     panel of the right side that mirrors one of the left is read from it.
-    Where no jump of g (``singular_points``, sorted) lies strictly inside
+    Where no jump of g (``singular_points``, sorted and distinct) lies inside
     a side, its run would start from one GK15 panel; those panels are
     taken here first, the right one read from the left one for an even or
     odd g (the rule inline: building it would make a table shell about a
@@ -354,10 +350,9 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
             known = [(-outer, -inner, (vl, el))]
             if taken:
                 known.append((inner, outer, taken))
-        sides = _Sides(fn, _panel_rule(_parity(g), known))
-        left = integrate_interval(sides, -outer, -inner, breakpoints=pts, tol=half)
-        right = integrate_interval(sides, inner, outer, breakpoints=pts, tol=half)
-        return left + right
+        panel = _panel_rule(_parity(g), known)
+        return (_adapt(fn, panel, -outer, -inner, pts, half, DEFAULT_MAX_PANELS)
+                + _adapt(fn, panel, inner, outer, pts, half, DEFAULT_MAX_PANELS))
     _require_radial(g, dim)
     fn = _radial_weight(getattr(g, "evaluate", g), dim)
     radial_pts = tuple(abs(s) for s in pts)

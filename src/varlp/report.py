@@ -72,12 +72,12 @@ def fit_loglog(scales: Sequence[float], values: Sequence[float],
 
 
 def slope_is_flat(scales: Sequence[float], values: Sequence[float],
-                  slope_tol: float = 0.05, decades: float = 1.0) -> bool:
+                  slope_tol: float = 0.05) -> bool:
     """True when the top-decade growth slope stays below slope_tol.
 
     An all-zero or single-point sweep counts as flat: nothing is growing.
     """
-    fit = fit_loglog(scales, values, decades)
+    fit = fit_loglog(scales, values)
     if fit is None:
         return True
     return fit[0] < slope_tol

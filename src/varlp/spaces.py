@@ -209,10 +209,6 @@ def lq_aggregate(contribs: Sequence[float], q: float) -> float:
     return lq_aggregate_large(contribs, q)
 
 
-def default_ring_range(k_lo: int = -20, k_hi: int = 20) -> range:
-    return range(k_lo, k_hi + 1)
-
-
 def _ring_norm_bound(f, e: Exponent, k: int) -> float:
     """Certified upper bound for ||f chi_k||: sup on the ring times the
     measure-based bound for the ring characteristic norm."""
@@ -227,13 +223,13 @@ def _ring_norm_bound(f, e: Exponent, k: int) -> float:
 def herz_breakdown(f, e: Exponent, alpha: float,
                    k_range: Optional[Sequence[int]] = None,
                    tol: float = 1e-9) -> tuple[list[tuple[float, float]], float]:
-    """Per-ring contributions 2^(alpha k) ||f chi_k|| plus a certified bound
-    for everything outside the computed range.
+    """Per-ring contributions 2^(alpha k) ||f chi_k|| over k_range (k = -20
+    to 20 by default) plus a certified bound for everything outside it.
 
     Raises when the out-of-range sum cannot be certified (the function
     neither vanishes there nor admits a usable majorant).
     """
-    ks = list(k_range) if k_range is not None else list(default_ring_range())
+    ks = list(k_range) if k_range is not None else list(range(-20, 21))
     breakdown = []
     for k in ks:
         ring = DyadicRing(k, e.dim)

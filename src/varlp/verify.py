@@ -292,11 +292,10 @@ def check_subset_ratios(e: Exponent,
     """Subset-to-ball norm ratios: the doubling bound, the fitted reverse
     exponent, and its sharpened 1/p0 form.  Returns the two reports."""
     from .norms import chi_norm
-    rows = []
-    for desc, B, chi_s, meas_s in pairs:
-        nb = chi_norm(B, e, tol=tol).value
-        ns = luxemburg_norm(chi_s, e, tol=tol).value
-        rows.append((desc, nb, ns, B.measure, meas_s))
+    ball_norms = {B: chi_norm(B, e, tol=tol).value
+                  for B in dict.fromkeys(B for _, B, _, _ in pairs)}
+    rows = [(desc, ball_norms[B], luxemburg_norm(chi_s, e, tol=tol).value,
+             B.measure, meas_s) for desc, B, chi_s, meas_s in pairs]
 
     # forward bound: ||chi_B|| / ||chi_S|| <= C |B| / |S|
     c_forward = max((nb / ns) / (mb / ms) for _, nb, ns, mb, ms in rows)
@@ -315,7 +314,7 @@ def check_subset_ratios(e: Exponent,
     wit25 = []
     ok25 = True
     worst = 0.0
-    is_const = e.kind == "constant"
+    is_const = e.p_minus == e.p_plus
     for p0 in p0_grid:
         c25 = max((nb / ns) / (mb / ms) ** (1.0 / p0)
                   for _, nb, ns, mb, ms in rows)
@@ -323,7 +322,7 @@ def check_subset_ratios(e: Exponent,
         wit25.append((f"{label}p0={p0:g}", c25,
                       1.0 + rel_tol if is_const else math.inf))
         ok25 = ok25 and math.isfinite(c25)
-        if is_const and p0 <= e.params["p"]:
+        if is_const and p0 <= e.p_plus:
             # exactness at constant exponent: the ratio is (|B|/|S|)^(1/p)
             ok25 = ok25 and c25 <= 1.0 + rel_tol
     rep25 = CheckReport("lemma2.5", ok25, worst, None, wit25,
@@ -370,10 +369,10 @@ def check_embedding_cbmo_q(e: Exponent, q_grid: Sequence[float],
     the ratio must stay finite for the largest tested q."""
     witnesses = []
     sup_by_q = {}
+    nums = [cbmo_var_norm(f, e, radius_grid, tol=tol).value for _, f in func_bank]
     for q in q_grid:
         sup = 0.0
-        for name, f in func_bank:
-            num = cbmo_var_norm(f, e, radius_grid, tol=tol).value
+        for (_, f), num in zip(func_bank, nums):
             den = cbmo_classical_norm(f, q, radius_grid, tol=tol).value
             if den <= tol:
                 continue
@@ -476,7 +475,7 @@ def check_commutator_bounded(b: Func, e: Exponent,
     symbol cannot have bounded commutators.
     """
     e_conj = e.conjugate()
-    same = (e.kind == "constant" and abs(e.params["p"] - 2.0) < 1e-12)
+    same = e.p_minus == e.p_plus and abs(e.p_plus - 2.0) < 1e-12
     exps = [("p", e)] if same else [("p", e), ("p'", e_conj)]
     witnesses = []
     ok = True

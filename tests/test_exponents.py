@@ -18,6 +18,38 @@ def test_constant_evaluation():
     assert e.p_minus == e.p_plus == 2.0
 
 
+def _same_exponent(a, b):
+    assert (a.kind, a.params, a.dim, a.p_minus, a.p_plus, a.breakpoints) == \
+        (b.kind, b.params, b.dim, b.p_minus, b.p_plus, b.breakpoints)
+    for x in (-1e6, -0.3, 0.0, 0.3, 1e6):
+        assert a.evaluate(x) == b.evaluate(x)
+        assert a.sup_near(x) == b.sup_near(x) == a.p_plus
+    for intervals in ([(-1.0, 1.0)], [(-2.0, -1.0), (1.0, 2.0)],
+                      [(-math.inf, math.inf)], [(0.0, math.inf)]):
+        assert a.constant_value_on(intervals) == b.constant_value_on(intervals) \
+            == a.p_plus
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.7, 10.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_constant_is_the_step_exponent_with_no_steps(p, dim):
+    const, step = constant_exponent(p, dim=dim), piecewise_exponent([], [p], dim=dim)
+    assert const.kind == "piecewise-constant" and const.p_plus == p
+    _same_exponent(const, step)
+    _same_exponent(const.conjugate(), step.conjugate())
+    _same_exponent(const.divided_by(1.5), step.divided_by(1.5))
+    assert const.conjugate().p_plus == p / (p - 1.0)
+    assert const.divided_by(1.5).p_plus == p / 1.5
+
+
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+def test_constant_refuses_a_non_finite_p(p):
+    with pytest.raises(ValueError, match="finite"):
+        constant_exponent(p)
+    with pytest.raises(ConfigError, match="finite"):
+        make_exponent({"kind": "constant", "p": p})
+
+
 def test_piecewise_lookup():
     e = piecewise_exponent([0.5], [2.0, 3.0])
     assert e.evaluate(0.75) == 3.0

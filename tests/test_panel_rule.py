@@ -238,9 +238,11 @@ def test_shell_runs_start_from_the_panels_of_the_one_panel_test(name, tol):
 
     # the two runs alone, as they ran when they computed the test's panels again
     def runs():
-        sides = quadrature._Sides(g.evaluate, quadrature._panel_rule(quadrature._parity(g)))
-        return (integrate_interval(sides, -outer, -inner, tol=tol / 2)
-                + integrate_interval(sides, inner, outer, tol=tol / 2))
+        panel = quadrature._panel_rule(quadrature._parity(g))
+        return (quadrature._adapt(g.evaluate, panel, -outer, -inner, [], tol / 2,
+                                  quadrature.DEFAULT_MAX_PANELS)
+                + quadrature._adapt(g.evaluate, panel, inner, outer, [], tol / 2,
+                                    quadrature.DEFAULT_MAX_PANELS))
 
     want, run_panels = run(runs)
     assert got.subdivisions > 2  # the one-panel test failed
