@@ -13,14 +13,14 @@ import argparse
 import csv
 import json
 import sys
+from functools import partial
 from typing import Optional, Sequence
 
 from .config import ConfigError, ExperimentConfig
 from .exponents import log_holder_check
 from .geometry import FULL_LINE, Ball, DyadicRing
 from .norms import NormResult, luxemburg_norm, modular
-from .operators import (commutator_dual_hardy, commutator_hardy, dual_hardy,
-                        hardy, maximal)
+from .operators import OperatorImage, maximal
 from .spaces import (cbmo_classical_norm, cbmo_inf_norm, cbmo_star_norm,
                      cbmo_var_norm, default_radius_grid, herz_norm)
 from .verify import STATEMENT_IDS, run_all, run_statement, summary_table
@@ -81,13 +81,10 @@ def _cmd_norm(args) -> int:
     return 0
 
 
-_OPS = {
-    "hardy": lambda f, b, x, tol: hardy(f, x, tol=tol),
-    "dual_hardy": lambda f, b, x, tol: dual_hardy(f, x, tol=tol),
-    "commutator": lambda f, b, x, tol: commutator_hardy(b, f, x, tol=tol),
-    "commutator_dual": lambda f, b, x, tol: commutator_dual_hardy(b, f, x, tol=tol),
-    "maximal": lambda f, b, x, tol: maximal(f, x, tol=tol),
-}
+# the OperatorImage kind of each image the op command samples
+_IMAGE_KINDS = {"hardy": "hardy", "dual_hardy": "dual_hardy",
+                "commutator": "commutator_hardy",
+                "commutator_dual": "commutator_dual_hardy"}
 
 
 def _cmd_op(args) -> int:
@@ -99,9 +96,12 @@ def _cmd_op(args) -> int:
                           f"only they take one (kind {args.kind!r})")
     tol = args.tol if args.tol is not None else cfg.tol
     xs = [float(t) for t in args.points.split(",")]
+    # one image serves every point, so its tables are built once
+    sample = (partial(maximal, f, tol=tol) if args.kind == "maximal" else
+              OperatorImage(_IMAGE_KINDS[args.kind], f, b=b, tol=tol).sample)
     rows = []
     for x in xs:
-        s = _OPS[args.kind](f, b, x, tol)
+        s = sample(x)
         rows.append((s.x, s.value, s.abs_error_bound))
         print(f"{args.kind}({args.f})({x:g}) = {s.value:.12g}  "
               f"(err <= {s.abs_error_bound:.3g})")
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("op", help="evaluate an operator pointwise")
     common(p)
-    p.add_argument("--kind", required=True, choices=sorted(_OPS))
+    p.add_argument("--kind", required=True, choices=sorted([*_IMAGE_KINDS, "maximal"]))
     p.add_argument("--f", required=True)
     p.add_argument("--b", default=None, help="symbol, for the commutator kinds only")
     p.add_argument("--points", required=True, help="comma-separated x values")

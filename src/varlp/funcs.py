@@ -90,9 +90,6 @@ class Func:
         self.params = {} if params is None else params
         self._bound = bound
 
-    def __call__(self, x: float) -> float:
-        return self.evaluate(x)
-
     def __repr__(self) -> str:
         return f"Func({self.kind}, {self.params})"
 

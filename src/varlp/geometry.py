@@ -76,9 +76,11 @@ class DyadicRing:
 
 @dataclass(frozen=True)
 class FullLine:
-    """The whole space R^n (the real line when dim == 1)."""
+    """The whole space R^n (the real line when dim == 1): radii 0 to inf."""
 
     dim: int = 1
+    inner = 0.0
+    outer = math.inf
 
 
 FULL_LINE = FullLine()

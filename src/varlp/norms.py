@@ -6,14 +6,16 @@ exponent bound finite the map lambda -> modular(f / lambda) is continuous
 and strictly decreasing wherever positive, so the infimum is the unique
 root of modular = 1 and plain bisection finds it with a guaranteed bracket.
 
-Whole-line modulars of compactly supported functions are exact; functions
-with a certified power-law tail get a cutoff radius chosen so the analytic
-tail bound sits below a quarter of the modular tolerance, which the
-reported error covers.  A function with a certified local majorant
-c |x - s|^a is refused when |f|^p cannot be certified integrable near s,
-judged with the largest exponent value taken near s.
-Anything else is refused rather than silently truncated.  These refusals
-do not depend on lambda, so they are made before a solve builds anything.
+A domain is read by its radii: a ball, a dyadic ring and the whole line
+(inner 0, outer inf) all carry inner and outer.  Whole-line modulars of
+compactly supported functions are exact; functions with a certified
+power-law tail get a cutoff radius chosen so the analytic tail bound sits
+below a quarter of the modular tolerance, which the reported error covers.
+A function with a certified local majorant c |x - s|^a is refused when
+|f|^p cannot be certified integrable near s, judged with the largest
+exponent value taken near s.  Anything else is refused rather than
+silently truncated.  These refusals do not depend on lambda, so they are
+made before a solve builds anything.
 
 The bisection stops when hi - lo <= 1e-8 hi, a relative width, so small
 norms keep their relative accuracy.  Its result depends only on how each
@@ -62,7 +64,7 @@ from typing import Optional, Sequence
 
 from .exponents import Exponent, r_p_constant
 from .funcs import Func
-from .geometry import FULL_LINE, Ball, Domain, FullLine, unit_ball_volume
+from .geometry import FULL_LINE, Ball, Domain, unit_ball_volume
 from .quadrature import integrate_ball, integrate_shell
 
 BRACKET_EXPANSIONS = 200
@@ -101,11 +103,6 @@ def _tail_bound(coef: float, a: float, p_minus: float, dim: int, R: float) -> fl
     return dim * unit_ball_volume(dim) * coef ** p_minus * R ** decay / (-decay)
 
 
-def _contains(domain: Domain, s: float) -> bool:
-    """Whether the closed domain holds the radius |s|."""
-    return isinstance(domain, FullLine) or domain.inner <= abs(s) <= domain.outer
-
-
 def _refuse(f, e: Exponent, domain: Domain) -> None:
     """Raise NotInSpaceError when no scaling of f has a certified finite
     modular: a local majorant too singular for the exponent near its
@@ -117,12 +114,12 @@ def _refuse(f, e: Exponent, domain: Domain) -> None:
         # for the largest p taken near s
         codim = domain.dim if s == 0.0 else 1
         p_near = e.sup_near(s)
-        if _contains(domain, s) and a * p_near + codim <= 0.0:
+        if domain.inner <= abs(s) <= domain.outer and a * p_near + codim <= 0.0:
             raise NotInSpaceError(
                 f"local majorant {coef:g}*|x-{s:g}|^{a:g} is not certifiably "
                 f"integrable to the power {p_near:g} in dimension {domain.dim}"
             )
-    if not isinstance(domain, FullLine) or math.isfinite(f.support_radius):
+    if domain.outer < math.inf or math.isfinite(f.support_radius):
         return
     tail = f.power_tail
     if tail is None:
@@ -142,7 +139,7 @@ def _modular_pieces(f, e: Exponent, domain: Domain, lam: float,
     """Radial integration pieces [(inner, outer), ...] of a function that
     passed _refuse; on the whole line the cutoff leaves a certified tail
     below tol / 4."""
-    if not isinstance(domain, FullLine):
+    if domain.outer < math.inf:
         return [(domain.inner, domain.outer)]
     R = f.support_radius
     if math.isfinite(R):
@@ -250,12 +247,11 @@ def modular(f, e: Exponent, domain: Domain = FULL_LINE,
 
 
 def _seed_lambda(f, e: Exponent, domain: Domain) -> float:
-    if not isinstance(domain, FullLine):
-        radius, measure = domain.outer, domain.measure
+    radius = domain.outer
+    if radius < math.inf:
+        measure = domain.measure
     else:
-        radius = f.support_radius
-        if not math.isfinite(radius):
-            radius = 2.0 ** 20
+        radius = f.support_radius if math.isfinite(f.support_radius) else 2.0 ** 20
         measure = unit_ball_volume(domain.dim) * radius ** domain.dim
     try:
         bound = f.abs_bound_on(0.0, radius)
@@ -291,8 +287,7 @@ def luxemburg_norm(f, e: Exponent, domain: Domain = FULL_LINE,
 
 def _components(domain: Domain) -> list[tuple[float, float]]:
     """The open intervals the domain covers (radii in dimension >= 2)."""
-    inner, outer = (0.0, math.inf) if isinstance(domain, FullLine) \
-        else (domain.inner, domain.outer)
+    inner, outer = domain.inner, domain.outer
     if domain.dim > 1:
         return [(inner, outer)]
     if inner == 0.0:
@@ -422,7 +417,8 @@ def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float,
         return exact[lam]
 
     def fits(lam: float, value: float) -> bool:
-        m = sum(w * lam ** -q for w, q in model)
+        # in logs: lam ** -q overflows for a tiny lam where w lam^-q does not
+        m = sum(math.exp(math.log(w) - q * math.log(lam)) for w, q in model)
         return m * (1.0 - NOISE) - noise <= value <= m * (1.0 + NOISE) + noise
 
     def checked(lam: float, lower: float, upper: float) -> float:
@@ -537,7 +533,7 @@ def chi_norm(region, e: Exponent, tol: float = 1e-9) -> NormResult:
     Uses the closed form measure^(1/p) whenever the exponent is constant
     across the region; falls back to the bisection engine otherwise.
     """
-    if isinstance(region, FullLine):
+    if region.outer == math.inf:
         raise TypeError("chi_norm needs a Ball or DyadicRing, got the whole space")
     p_const = e.constant_value_on(_components(region))
     if p_const is not None:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .funcs import Func, combine_tails, pointwise_product
@@ -105,17 +106,27 @@ class _ShellTable:
         self._tail_suff: Optional[list[float]] = None
         self._tail_err = 0.0
 
+    def _shells(self, g, from_origin: bool) -> tuple[list[float], float]:
+        """The integrals of g over the shells between consecutive radii,
+        innermost first, and their summed error; the shell at the origin
+        reads 0 unless ``from_origin`` (the dual kernel may not be
+        integrable down to 0)."""
+        values = []
+        err = 0.0
+        for lo, hi in zip(self.radii[:-1], self.radii[1:]):
+            if lo == 0.0 and not from_origin:
+                values.append(0.0)
+                continue
+            res = integrate_shell(g, lo, hi, tol=self.tol, dim=self.dim)
+            values.append(res.value)
+            err += res.abs_error_bound
+        return values, err
+
     # -- plain shells -------------------------------------------------------
 
     def _build_ball(self) -> None:
-        pref = [0.0]
-        err = 0.0
-        for lo, hi in zip(self.radii[:-1], self.radii[1:]):
-            res = integrate_shell(self.g, lo, hi, tol=self.tol, dim=self.dim)
-            pref.append(pref[-1] + res.value)
-            err += res.abs_error_bound
-        self._ball_pref = pref
-        self._ball_err = err
+        values, self._ball_err = self._shells(self.g, True)
+        self._ball_pref = list(accumulate(values, initial=0.0))
 
     def ball(self, t: float) -> tuple[float, float]:
         if t <= 0.0:
@@ -173,20 +184,8 @@ class _ShellTable:
                 "no decaying power majorant"
             )
         kern = self._dual_kernel()
-        vals = []
-        err = 0.0
-        for lo, hi in zip(self.radii[:-1], self.radii[1:]):
-            if lo == 0.0:
-                vals.append(None)  # the kernel may not be integrable down to 0
-                continue
-            res = integrate_shell(kern, lo, hi, tol=self.tol, dim=self.dim)
-            vals.append(res.value)
-            err += res.abs_error_bound
-        suff = [0.0] * len(self.radii)
-        for i in range(len(self.radii) - 2, -1, -1):
-            piece = vals[i] if vals[i] is not None else 0.0
-            suff[i] = suff[i + 1] + piece
-        self._tail_suff = suff
+        values, err = self._shells(kern, False)
+        self._tail_suff = list(accumulate(reversed(values), initial=0.0))[::-1]
         self._tail_err = err + self._tail_remainder
         self._tail_kernel = kern
 
@@ -352,9 +351,6 @@ class OperatorImage:
     def evaluate(self, x: float) -> float:
         return self._compute(x)[0]
 
-    def __call__(self, x: float) -> float:
-        return self.evaluate(x)
-
     def sample(self, x: float) -> OperatorSample:
         value, err = self._compute(x)
         return OperatorSample(x, value, err)
@@ -477,10 +473,8 @@ def maximal(f, x: float, radius_grid: Optional[Sequence[float]] = None,
         prev_lo = prev_hi = x
         for r in grid:
             lo, hi = _inner_edges(x, r)
-            left = integrate_interval(absf, lo, prev_lo,
-                                      breakpoints=f.singular_points, tol=tol)
-            right = integrate_interval(absf, prev_hi, hi,
-                                       breakpoints=f.singular_points, tol=tol)
+            left = integrate_interval(absf, lo, prev_lo, tol=tol)
+            right = integrate_interval(absf, prev_hi, hi, tol=tol)
             acc += left.value + right.value
             acc_err += left.abs_error_bound + right.abs_error_bound
             avg = acc / (2.0 * r)

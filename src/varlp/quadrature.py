@@ -1,19 +1,21 @@
 """Adaptive Gauss-Kronrod integration with explicit breakpoint splitting.
 
-The integrands here are piecewise smooth with jump and kink locations that
-are known exactly (characteristic functions, dyadic steps, |x|^a kinks,
-exponent breakpoints).  Splitting the interval at every supplied breakpoint
-before adapting restores fast convergence: on each smooth panel the
-embedded 7-point Gauss rule inside the 15-point Kronrod rule gives a usable
-error estimate, and the globally worst panel is bisected until the summed
-estimate meets tol or DEFAULT_REL_TOL * |value|, the one acceptance test.
+Every integrand is an evaluable (a ``funcs.Func`` or an
+``operators.OperatorImage``): piecewise smooth, with its exactly known
+jump and kink locations in ``singular_points`` and its parity in ``even``
+and ``odd``, which quadrature reads from it.  Splitting the interval at
+those points before adapting restores fast convergence: on each smooth
+panel the embedded 7-point Gauss rule inside the 15-point Kronrod rule
+gives a usable error estimate, and the globally worst panel is bisected,
+up to DEFAULT_MAX_PANELS panels, until the summed estimate meets tol or
+DEFAULT_REL_TOL * |value|, the one acceptance test.
 
 All Kronrod nodes are interior, so integrable endpoint singularities such
 as 1/sqrt(x) on (0, 1] never get evaluated at the singular point itself.
 Only this module runs a panel, and integrate_ball and integrate_shell split
 every ball and shell the other layers integrate (verify's Minkowski check
-keeps its own interval, with no 0 breakpoint, for its bits).  Intervals
-and both sides of a dimension-1 shell run one adaptive loop, _adapt.
+keeps its own interval, with no 0 breakpoint, for its bits).  Intervals,
+balls and shells run one adaptive loop, _adapt.
 
 One rule uses parity: within one call (an interval that holds the origin,
 a ball, or both sides of a shell in dimension 1), the panel of an exactly
@@ -31,7 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .geometry import Ball, DyadicRing, unit_ball_volume
 
@@ -132,9 +134,7 @@ def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, floa
 def _parity(g) -> float:
     """The factor a GK15 panel's value takes from its mirror: 1.0 for an
     exactly even g, -1.0 for an exactly odd one, 0.0 (no rule) otherwise."""
-    if getattr(g, "even", False):
-        return 1.0
-    return -1.0 if getattr(g, "odd", False) else 0.0
+    return 1.0 if g.even else -1.0 if g.odd else 0.0
 
 
 def _panel_rule(parity: float, known: Iterable = ()) -> Callable[..., tuple[float, float]]:
@@ -174,13 +174,11 @@ def _panel_rule(parity: float, known: Iterable = ()) -> Callable[..., tuple[floa
     return panel
 
 
-def integrate_interval(g, a: float, b: float, breakpoints: Iterable[float] = (),
-                       tol: float = DEFAULT_TOL,
-                       max_panels: int = DEFAULT_MAX_PANELS) -> QuadResult:
-    """Integrate g over [a, b], pre-splitting at the given breakpoints.
+def integrate_interval(g, a: float, b: float, tol: float = DEFAULT_TOL) -> QuadResult:
+    """Integrate the evaluable g over [a, b], pre-splitting at its own
+    ``singular_points``.
 
-    g may be a plain callable or anything exposing ``evaluate``.  The
-    returned ``abs_error_bound`` is the summed Kronrod-vs-Gauss deviation
+    The returned ``abs_error_bound`` is the summed Kronrod-vs-Gauss deviation
     over the final panel set; on success it does not exceed
     max(tol, DEFAULT_REL_TOL * |value|).  The relative rung keeps huge
     integrals (modulars far from the unit ball) from demanding accuracy
@@ -194,16 +192,15 @@ def integrate_interval(g, a: float, b: float, breakpoints: Iterable[float] = (),
     if a == b:
         return _ZERO
     panel = _panel_rule(_parity(g)) if a < 0.0 < b else _gk15
-    return _adapt(getattr(g, "evaluate", g), panel, a, b,
-                  sorted(set(map(float, breakpoints))), tol, max_panels)
+    return _adapt(g.evaluate, panel, a, b, g.singular_points, tol)
 
 
 def _adapt(fn: Callable[[float], float], panel: Callable[..., tuple[float, float]],
-           a: float, b: float, pts: list[float], tol: float,
-           max_panels: int) -> QuadResult:
-    """The adaptive loop of ``integrate_interval`` over [a, b], a < b, split
-    first at the sorted, distinct pts that lie strictly inside, with the
-    panel rule given; the two sides of a shell call it with one rule."""
+           a: float, b: float, pts: Sequence[float], tol: float) -> QuadResult:
+    """The adaptive loop over [a, b], a < b, split first at the sorted,
+    distinct pts that lie strictly inside, with the panel rule given, in at
+    most DEFAULT_MAX_PANELS panels; the two sides of a shell call it with
+    one rule."""
     if a == -math.inf or b == math.inf:
         raise QuadratureNonConvergence(
             f"cannot integrate to the non-finite end {a if a == -math.inf else b}",
@@ -225,11 +222,11 @@ def _adapt(fn: Callable[[float], float], panel: Callable[..., tuple[float, float
         err_total += e
 
     while not _converged(err_total, value, tol) and heap:
-        if counter >= max_panels:
+        if counter >= DEFAULT_MAX_PANELS:
             best = QuadResult(value, err_total, counter)
             raise QuadratureNonConvergence(
-                f"quadrature did not reach tol={tol:g} within {max_panels} panels "
-                f"(error estimate {err_total:g})",
+                f"quadrature did not reach tol={tol:g} within {DEFAULT_MAX_PANELS} "
+                f"panels (error estimate {err_total:g})",
                 best,
             )
         neg_err, _, lo, hi, old_v = heapq.heappop(heap)
@@ -277,7 +274,7 @@ def _radial_weight(fn: Callable[[float], float], dim: int) -> Callable[[float], 
 
 
 def _require_radial(g, dim: int) -> None:
-    if dim >= 2 and getattr(g, "even", True) is False:
+    if dim >= 2 and not g.even:
         raise ValueError(
             "non-radial integrand in dimension >= 2: only even profiles are accepted"
         )
@@ -288,8 +285,8 @@ def integrate_ball(g, ball: Ball, tol: float = DEFAULT_TOL) -> QuadResult:
     formula dim * v_dim * int_0^r g(rho) rho^(dim-1) drho otherwise."""
     r = ball.radius
     if ball.dim == 1:
-        pts = (0.0, *getattr(g, "singular_points", ()))
-        return integrate_interval(g, -r, r, breakpoints=pts, tol=tol)
+        return _adapt(g.evaluate, _panel_rule(_parity(g)), -r, r,
+                      sorted({0.0, *g.singular_points}), tol)
     return integrate_shell(g, 0.0, r, tol=tol, dim=ball.dim)
 
 
@@ -324,15 +321,15 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
         raise ValueError(f"invalid shell radii ({inner}, {outer})")
     if inner == outer:
         return _ZERO
-    pts = getattr(g, "singular_points", ())
+    pts = g.singular_points
+    fn = g.evaluate
     if dim == 1:
-        odd = getattr(g, "odd", False)
+        odd = g.odd
         if odd and outer < math.inf:
             local = g.local_majorant
             if local is None or not inner <= abs(local[2]) <= outer:
                 return _ZERO
         half = tol / 2.0
-        fn = getattr(g, "evaluate", g)
         known = ()
         if (outer < math.inf and bisect_right(pts, -outer) == bisect_left(pts, -inner)
                 and bisect_right(pts, inner) == bisect_left(pts, outer)):
@@ -341,7 +338,7 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
             if _converged(el, vl, half) and math.isfinite(vl):
                 if odd:
                     vr, er = -vl, el
-                elif getattr(g, "even", False):
+                elif g.even:
                     vr, er = vl, el
                 else:
                     vr, er = taken = _gk15(fn, inner, outer)
@@ -351,9 +348,8 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
             if taken:
                 known.append((inner, outer, taken))
         panel = _panel_rule(_parity(g), known)
-        return (_adapt(fn, panel, -outer, -inner, pts, half, DEFAULT_MAX_PANELS)
-                + _adapt(fn, panel, inner, outer, pts, half, DEFAULT_MAX_PANELS))
+        return (_adapt(fn, panel, -outer, -inner, pts, half)
+                + _adapt(fn, panel, inner, outer, pts, half))
     _require_radial(g, dim)
-    fn = _radial_weight(getattr(g, "evaluate", g), dim)
-    radial_pts = tuple(abs(s) for s in pts)
-    return integrate_interval(fn, inner, outer, breakpoints=radial_pts, tol=tol)
+    return _adapt(_radial_weight(fn, dim), _gk15, inner, outer,
+                  sorted({abs(s) for s in pts}), tol)

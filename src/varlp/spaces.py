@@ -4,12 +4,13 @@ The central BMO quantities are suprema over origin-centered balls of the
 oscillation ratio ||(f - c) chi_B|| / ||chi_B||, with the center c taken as
 the ball average (the defining variant), an arbitrary per-ball number (the
 star variant), or the minimizing constant (the inf variant, convex in c and
-found by golden-section search).  Suprema are grid-approximated on a
-geometric radius grid; a sweep whose maximum sits at the grid edge gets a
-log-log growth fit attached so divergence claims are reproducible rather
-than anecdotal.
+found by golden-section search).  Suprema are grid-approximated on the
+radius grid the caller passes (``default_radius_grid`` builds a geometric
+one); a sweep whose maximum sits at the grid edge gets a log-log growth
+fit attached so divergence claims are reproducible rather than anecdotal.
 
-Herz norms aggregate weighted ring norms 2^(alpha k) ||f chi_k|| in l^q.
+Herz norms aggregate weighted ring norms 2^(alpha k) ||f chi_k|| in l^q
+over the ring range the caller passes.
 The two aggregation branches (q <= 1 and q > 1) are deliberately separate
 code paths that must agree at q = 1; ring sums outside the computed range
 are bounded through sup-on-ring majorants and reported, never guessed.
@@ -42,7 +43,8 @@ class SpaceNormResult:
     tail_bound: float = 0.0
 
 
-def default_radius_grid(k_lo: int = -10, k_hi: int = 20) -> list[float]:
+def default_radius_grid(k_lo: int, k_hi: int) -> list[float]:
+    """The geometric grid 2^k_lo, ..., 2^k_hi."""
     return [2.0 ** k for k in range(k_lo, k_hi + 1)]
 
 
@@ -66,11 +68,7 @@ def _sweep(grid: Sequence[float], ratio) -> SpaceNormResult:
     return _attach_divergence(SpaceNormResult(value, breakdown))
 
 
-def _grid(radius_grid: Optional[Sequence[float]]) -> list[float]:
-    return list(radius_grid) if radius_grid is not None else default_radius_grid()
-
-
-def _center_sweep(f, e: Exponent, grid: list[float],
+def _center_sweep(f, e: Exponent, grid: Sequence[float],
                   centers: Optional[Sequence[float]], tol: float) -> SpaceNormResult:
     """Oscillation sweep about centers[i] on the i-th grid ball, or about
     each ball's average when centers is None."""
@@ -85,17 +83,17 @@ def _center_sweep(f, e: Exponent, grid: list[float],
     return _sweep(grid, ratio)
 
 
-def cbmo_var_norm(f, e: Exponent, radius_grid: Optional[Sequence[float]] = None,
+def cbmo_var_norm(f, e: Exponent, radius_grid: Sequence[float],
                   tol: float = 1e-9) -> SpaceNormResult:
-    """sup over grid balls of ||(f - f_B) chi_B|| / ||chi_B|| in L^p(.)."""
-    return _center_sweep(f, e, _grid(radius_grid), None, tol)
+    """sup over the grid's balls of ||(f - f_B) chi_B|| / ||chi_B|| in L^p(.)."""
+    return _center_sweep(f, e, radius_grid, None, tol)
 
 
-def cbmo_classical_norm(f, p: float, radius_grid: Optional[Sequence[float]] = None,
+def cbmo_classical_norm(f, p: float, radius_grid: Sequence[float],
                         tol: float = 1e-9) -> SpaceNormResult:
-    """sup over grid balls of the p-mean oscillation, computed directly from
-    the integral formula (no bisection), so it can serve as an independent
-    cross-check of the variable-exponent engine at constant exponents."""
+    """sup over the grid's balls of the p-mean oscillation, computed directly
+    from the integral formula (no bisection), so it can serve as an
+    independent cross-check of the variable-exponent engine at constant p."""
     if not 1.0 <= p < math.inf:
         raise ValueError(f"classical oscillation index must be in [1, inf), got {p}")
 
@@ -107,30 +105,30 @@ def cbmo_classical_norm(f, p: float, radius_grid: Optional[Sequence[float]] = No
         res = integrate_ball(h, ball, tol=tol)
         return (res.value / ball.measure) ** (1.0 / p)
 
-    return _sweep(_grid(radius_grid), ratio)
+    return _sweep(radius_grid, ratio)
 
 
 CenterRule = Union[str, Sequence[float]]
 
 
-def cbmo_star_norm(f, e: Exponent, center_rule: CenterRule = "ball-average",
-                   radius_grid: Optional[Sequence[float]] = None,
+def cbmo_star_norm(f, e: Exponent, center_rule: CenterRule,
+                   radius_grid: Sequence[float],
                    tol: float = 1e-9) -> SpaceNormResult:
-    """Oscillation supremum with per-ball centers c_B supplied by the rule.
+    """Oscillation supremum over the grid's balls with per-ball centers c_B
+    supplied by the rule.
 
     center_rule is either "ball-average" (reduces to the defining variant)
     or a sequence of centers parallel to the radius grid.
     """
-    grid = _grid(radius_grid)
     if isinstance(center_rule, str):
         if center_rule != "ball-average":
             raise ValueError(f"unknown center rule {center_rule!r}")
         centers = None
     else:
         centers = [float(c) for c in center_rule]
-        if len(centers) != len(grid):
+        if len(centers) != len(radius_grid):
             raise ValueError("per-ball center list must match the radius grid")
-    return _center_sweep(f, e, grid, centers, tol)
+    return _center_sweep(f, e, radius_grid, centers, tol)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -159,9 +157,9 @@ def golden_min(fn, lo: float, hi: float) -> tuple[float, float]:
     return x, min(fc, fd)
 
 
-def cbmo_inf_norm(f, e: Exponent, radius_grid: Optional[Sequence[float]] = None,
+def cbmo_inf_norm(f, e: Exponent, radius_grid: Sequence[float],
                   tol: float = 1e-9) -> SpaceNormResult:
-    """sup over grid balls of inf_c ||(f - c) chi_B|| / ||chi_B||.
+    """sup over the grid's balls of inf_c ||(f - c) chi_B|| / ||chi_B||.
 
     The norm is convex in the shift c and the minimizer lies in the closed
     hull of f's values on the ball, so golden-section on that bracket is
@@ -179,7 +177,7 @@ def cbmo_inf_norm(f, e: Exponent, radius_grid: Optional[Sequence[float]] = None,
             lo - 1e-6 * span, hi + 1e-6 * span)
         return best / den
 
-    return _sweep(_grid(radius_grid), ratio)
+    return _sweep(radius_grid, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +218,16 @@ def _ring_norm_bound(f, e: Exponent, k: int) -> float:
     return sup * max(m ** (1.0 / e.p_minus), m ** (1.0 / e.p_plus))
 
 
-def herz_breakdown(f, e: Exponent, alpha: float,
-                   k_range: Optional[Sequence[int]] = None,
+def herz_breakdown(f, e: Exponent, alpha: float, k_range: Sequence[int],
                    tol: float = 1e-9) -> tuple[list[tuple[float, float]], float]:
-    """Per-ring contributions 2^(alpha k) ||f chi_k|| over k_range (k = -20
-    to 20 by default) plus a certified bound for everything outside it.
+    """Per-ring contributions 2^(alpha k) ||f chi_k|| over the increasing
+    k_range plus a certified bound for everything outside it.
 
     Raises when the out-of-range sum cannot be certified (the function
     neither vanishes there nor admits a usable majorant).
     """
-    ks = list(k_range) if k_range is not None else list(range(-20, 21))
     breakdown = []
-    for k in ks:
+    for k in k_range:
         ring = DyadicRing(k, e.dim)
         if ring.inner >= f.support_radius:
             breakdown.append((2.0 ** k, 0.0))
@@ -240,7 +236,7 @@ def herz_breakdown(f, e: Exponent, alpha: float,
         breakdown.append((2.0 ** k, 2.0 ** (alpha * k) * nrm))
 
     tail = 0.0
-    k_hi, k_lo = ks[-1], ks[0]
+    k_hi, k_lo = k_range[-1], k_range[0]
     if not (math.isfinite(f.support_radius) and 2.0 ** k_hi >= f.support_radius):
         tail += _sum_ring_bounds(f, e, alpha, k_hi + 1, step=1)
     tail += _sum_ring_bounds(f, e, alpha, k_lo - 1, step=-1)
@@ -272,11 +268,10 @@ def _sum_ring_bounds(f, e: Exponent, alpha: float, start_k: int, step: int) -> f
     )
 
 
-def herz_norm(f, e: Exponent, alpha: float, q: float,
-              k_range: Optional[Sequence[int]] = None,
+def herz_norm(f, e: Exponent, alpha: float, q: float, k_range: Sequence[int],
               tol: float = 1e-9) -> SpaceNormResult:
-    """Homogeneous Herz norm: the l^q aggregate over dyadic rings of the
-    weighted ring norms 2^(alpha k) ||f chi_k||."""
+    """Homogeneous Herz norm: the l^q aggregate over the dyadic rings of
+    k_range of the weighted ring norms 2^(alpha k) ||f chi_k||."""
     if not 0.0 < q < math.inf:
         raise ValueError(f"Herz index q must be in (0, inf), got {q}")
     breakdown, tail = herz_breakdown(f, e, alpha, k_range, tol)
@@ -286,8 +281,7 @@ def herz_norm(f, e: Exponent, alpha: float, q: float,
 
 
 def herz_norm_vector(fs: Sequence, r: float, e: Exponent, alpha: float, q: float,
-                     k_range: Optional[Sequence[int]] = None,
-                     tol: float = 1e-9) -> SpaceNormResult:
+                     k_range: Sequence[int], tol: float = 1e-9) -> SpaceNormResult:
     """Herz norm of the pointwise l^r aggregate of finitely many functions."""
     if not 1.0 < r < math.inf:
         raise ValueError(f"vector aggregation index must be in (1, inf), got {r}")

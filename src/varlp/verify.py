@@ -222,7 +222,7 @@ def check_diening_single_family(e: Exponent,
     within a constant of ||sum t_Q chi_Q||."""
     means = []
     for (a, b) in cubes:
-        res = integrate_interval(f, a, b, breakpoints=f.singular_points, tol=tol)
+        res = integrate_interval(f, a, b, tol=tol)
         means.append(res.value / (b - a))
     usable = [(q, t, m) for q, t, m in zip(cubes, weights, means) if m != 0.0]
     skipped = len(means) - len(usable)
@@ -530,15 +530,11 @@ def check_minkowski(func_lists: Sequence[Sequence[Func]],
             for f in members:
                 R = f.support_radius
                 fa = funcs.abs_power(f, 1.0)
-                ints.append(integrate_interval(fa, -R, R,
-                                               breakpoints=fa.singular_points,
-                                               tol=tol).value)
+                ints.append(integrate_interval(fa, -R, R, tol=tol).value)
             lhs = sum(v ** r for v in ints) ** (1.0 / r)
             agg = lr_aggregate(members, r)
             R = max(f.support_radius for f in members)
-            rhs = integrate_interval(agg, -R, R,
-                                     breakpoints=agg.singular_points,
-                                     tol=tol).value
+            rhs = integrate_interval(agg, -R, R, tol=tol).value
             gap = lhs - rhs
             worst_gap = max(worst_gap, gap)
             if gap > abs_tol:

@@ -9,6 +9,5 @@ def two_calls(g, lo, hi, tol, dim=1):
     zero; ``integrate_shell`` itself in higher dimensions."""
     if dim != 1:
         return integrate_shell(g, lo, hi, tol=tol, dim=dim)
-    pts = g.singular_points
-    return (integrate_interval(g, -hi, -lo, breakpoints=pts, tol=tol / 2.0)
-            + integrate_interval(g, lo, hi, breakpoints=pts, tol=tol / 2.0))
+    return (integrate_interval(g, -hi, -lo, tol=tol / 2.0)
+            + integrate_interval(g, lo, hi, tol=tol / 2.0))

@@ -120,6 +120,39 @@ def test_cli_op_table(tmp_path, capsys):
     assert float(rows[2].split(",")[1]) == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["hardy", "dual_hardy", "commutator",
+                                  "commutator_dual", "maximal"])
+def test_cli_op_samples_one_image_at_every_point(kind, tmp_path, capsys,
+                                                 monkeypatch):
+    from varlp import cli
+
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return cli_image(*args, **kwargs)
+
+    cli_image = cli.OperatorImage
+    monkeypatch.setattr(cli, "OperatorImage", counted)
+    symbol = ["--b", "sign"] if kind.startswith("commutator") else []
+    points = ["0.5", "-0.5", "1.5", "-3", "0.25"]
+
+    def run(pts, name):
+        csv_path = tmp_path / f"{name}.csv"
+        rc = main(["op", "--kind", kind, "--f", "chi02", *symbol,
+                   "--points", ",".join(pts), "--csv", str(csv_path)])
+        assert rc == 0
+        return capsys.readouterr().out, csv_path.read_text().splitlines()
+
+    out, rows = run(points, "all")
+    assert len(built) == (0 if kind == "maximal" else 1)
+    one_by_one = [run([x], f"point{i}") for i, x in enumerate(points)]
+    assert len(built) == (0 if kind == "maximal" else 1 + len(points))
+    assert out == "".join(o for o, _ in one_by_one)
+    assert rows == [rows[0]] + [r[1] for _, r in one_by_one]
+    assert len(rows) == 1 + len(points)
+
+
 def test_cli_op_commutator_requires_symbol(capsys):
     rc = main(["op", "--kind", "commutator", "--f", "chi01", "--points", "1"])
     assert rc == 1

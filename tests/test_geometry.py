@@ -2,8 +2,15 @@
 
 import gc
 import importlib
+import math
 import sys
 import weakref
+
+import pytest
+
+from varlp import FULL_LINE, Ball, DyadicRing
+from varlp.geometry import FullLine
+from varlp.norms import _components
 
 
 def _is_varlp(name):
@@ -29,3 +36,23 @@ def test_reimported_domain_classes_are_freed():
         sys.modules.update(live)
     gc.collect()
     assert refs and all(ref() is None for ref in refs)
+
+
+# (inner, outer, the open intervals a norm's exponent is read on): the
+# whole space has radii 0 and inf like a ball of infinite radius, and in
+# dimension >= 2 every domain is read on its radii
+DOMAINS = {
+    "ball": (Ball(2.0), 0.0, 2.0, [(-2.0, 2.0)]),
+    "ball_dim2": (Ball(2.0, 2), 0.0, 2.0, [(0.0, 2.0)]),
+    "ring": (DyadicRing(1), 1.0, 2.0, [(-2.0, -1.0), (1.0, 2.0)]),
+    "ring_dim2": (DyadicRing(-1, 2), 0.25, 0.5, [(0.25, 0.5)]),
+    "line": (FULL_LINE, 0.0, math.inf, [(-math.inf, math.inf)]),
+    "line_dim2": (FullLine(2), 0.0, math.inf, [(0.0, math.inf)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_every_domain_carries_its_radii(name):
+    domain, inner, outer, components = DOMAINS[name]
+    assert (domain.inner, domain.outer) == (inner, outer)
+    assert _components(domain) == components

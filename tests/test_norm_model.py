@@ -160,6 +160,21 @@ def test_random_flat_solves_match_the_exact_search(case):
     _solve(f, e, domain)
 
 
+# a norm near 2e-62 that hypothesis drew: under q = 5 the fit check's
+# lam ** -q overflowed at the passes near the root, and each overflow reran
+# the exact search (221 passes, 2 searches)
+TINY_FLAT = shifted(lincomb([chi_interval(-1.0, 0.0)], [1.9585316867964824e-62]), 0.0)
+
+
+@pytest.mark.parametrize("e", [piecewise_exponent([0.0], [5.0, 2.0]),
+                               constant_exponent(5.0)], ids=["pw(5|2)", "const5"])
+def test_a_tiny_norm_is_checked_against_its_model_in_logs(e):
+    # one search (checked by _solve), in at most 5 passes
+    assert _solve(TINY_FLAT, e, Ball(1.0)) <= 5
+    assert luxemburg_norm(TINY_FLAT, e, Ball(1.0)).value == \
+        pytest.approx(1.9585316867964824e-62, rel=1e-8)
+
+
 TWO_TERMS = [(2.0, 2.0), (3.0, 3.0)]
 
 

@@ -10,14 +10,14 @@ from varlp import (Ball, chi_ball, chi_interval, commutator_dual_hardy,
                    dyadic_step, hardy, lincomb, luxemburg_norm, maximal,
                    mean_on_ball, power, scaled_ball, sign_func, with_sign)
 from varlp.operators import OperatorImage
-from varlp.quadrature import integrate_interval
+from varlp.quadrature import integrate_ball
 
 
 def _direct_hardy(f, x):
-    # independent oracle: one adaptive pass over the ball, no shell tables
+    # independent oracle: one adaptive pass over [-|x|, |x|], split at 0 and
+    # at f's jumps, with no shell tables
     t = abs(x)
-    res = integrate_interval(f, -t, t, breakpoints=(0.0, *f.singular_points),
-                             tol=1e-11)
+    res = integrate_ball(f, Ball(t), tol=1e-11)
     return res.value / t
 
 

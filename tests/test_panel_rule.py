@@ -76,6 +76,12 @@ def _copy(g, even, odd, seen=None):
                 local_majorant=g.local_majorant)
 
 
+def _with_points(g, pts):
+    """g with the extra jump points pts, evaluated by g's own closure."""
+    return Func(g.evaluate, (*pts, *g.singular_points), g.support_radius,
+                even=g.even, odd=g.odd, local_majorant=g.local_majorant)
+
+
 def _outcome(call):
     """A result as its packed bits, an error as its type, text and best result."""
     try:
@@ -164,8 +170,7 @@ def _intervals(draw):
 def test_integrate_interval_matches_the_unflagged_copy(name, interval, tol):
     g = MEMBERS[name]
     a, b, pts, mirrored = interval
-    pts = [*pts, *g.singular_points]
-    _check(g, lambda h: integrate_interval(h, a, b, breakpoints=pts, tol=tol),
+    _check(g, lambda h: integrate_interval(_with_points(h, pts), a, b, tol=tol),
            nodes=mirrored)
 
 
@@ -239,10 +244,8 @@ def test_shell_runs_start_from_the_panels_of_the_one_panel_test(name, tol):
     # the two runs alone, as they ran when they computed the test's panels again
     def runs():
         panel = quadrature._panel_rule(quadrature._parity(g))
-        return (quadrature._adapt(g.evaluate, panel, -outer, -inner, [], tol / 2,
-                                  quadrature.DEFAULT_MAX_PANELS)
-                + quadrature._adapt(g.evaluate, panel, inner, outer, [], tol / 2,
-                                    quadrature.DEFAULT_MAX_PANELS))
+        return (quadrature._adapt(g.evaluate, panel, -outer, -inner, [], tol / 2)
+                + quadrature._adapt(g.evaluate, panel, inner, outer, [], tol / 2))
 
     want, run_panels = run(runs)
     assert got.subdivisions > 2  # the one-panel test failed

@@ -2,6 +2,7 @@
 arithmetic, and the refinement/linearity invariants."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -21,29 +22,28 @@ from shell_reference import two_calls
 
 
 def test_constant_on_unit_interval():
-    res = integrate_interval(lambda x: 1.0, 0.0, 1.0)
+    res = integrate_interval(Func(lambda x: 1.0), 0.0, 1.0)
     assert abs(res.value - 1.0) <= 1e-12
 
 
 def test_polynomial_exactness():
-    res = integrate_interval(lambda x: x * x, 0.0, 1.0)
+    res = integrate_interval(Func(lambda x: x * x), 0.0, 1.0)
     assert abs(res.value - 1.0 / 3.0) <= 1e-12
     assert res.abs_error_bound <= 1e-9
 
 
 def test_inverse_sqrt_endpoint_singularity():
     # oracle: closed form 2*sqrt(1); cross-check against a refined run
-    res = integrate_interval(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0,
-                             breakpoints=[0.0], tol=1e-9)
+    g = Func(lambda x: 1.0 / math.sqrt(x), (0.0,))
+    res = integrate_interval(g, 0.0, 1.0, tol=1e-9)
     assert abs(res.value - 2.0) <= 5e-9
-    finer = integrate_interval(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0,
-                               breakpoints=[0.0], tol=1e-11)
+    finer = integrate_interval(g, 0.0, 1.0, tol=1e-11)
     assert abs(finer.value - 2.0) <= abs(res.value - 2.0) + 1e-12
 
 
 def test_breakpoint_splitting_handles_jumps():
-    jump = lambda x: 1.0 if x < 0.5 else 3.0
-    res = integrate_interval(jump, 0.0, 1.0, breakpoints=[0.5])
+    jump = Func(lambda x: 1.0 if x < 0.5 else 3.0, (0.5,))
+    res = integrate_interval(jump, 0.0, 1.0)
     assert abs(res.value - 2.0) <= 1e-12
 
 
@@ -86,9 +86,10 @@ def test_additivity_ball_equals_annuli_sum():
 @settings(max_examples=20, deadline=None)
 @given(st.floats(-3, 3), st.floats(-3, 3))
 def test_linearity(a, b):
-    f = lambda x: math.sin(x)
-    g = lambda x: x * x
-    combo = integrate_interval(lambda x: a * f(x) + b * g(x), 0.0, 2.0).value
+    f = Func(lambda x: math.sin(x))
+    g = Func(lambda x: x * x)
+    combo = integrate_interval(Func(lambda x: a * f.evaluate(x) + b * g.evaluate(x)),
+                               0.0, 2.0).value
     separate = a * integrate_interval(f, 0.0, 2.0).value \
         + b * integrate_interval(g, 0.0, 2.0).value
     assert abs(combo - separate) <= 1e-9 * (1.0 + abs(a) + abs(b))
@@ -96,16 +97,15 @@ def test_linearity(a, b):
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
 def test_monotone_refinement(tol):
-    res = integrate_interval(lambda x: math.exp(-x) / math.sqrt(x), 0.0, 1.0,
-                             breakpoints=[0.0], tol=tol)
+    res = integrate_interval(Func(lambda x: math.exp(-x) / math.sqrt(x), (0.0,)),
+                             0.0, 1.0, tol=tol)
     assert res.abs_error_bound <= tol
 
 
 def test_budget_exhaustion_carries_best_estimate():
-    wild = lambda x: math.sin(1.0 / x) / x if x != 0 else 0.0
+    wild = Func(lambda x: math.sin(1.0 / x) / x if x != 0 else 0.0, (0.0,))
     with pytest.raises(QuadratureNonConvergence) as exc:
-        integrate_interval(wild, 0.0, 1.0, breakpoints=[0.0], tol=1e-14,
-                           max_panels=64)
+        integrate_interval(wild, 0.0, 1.0, tol=1e-14)
     assert math.isfinite(exc.value.best.value)
 
 
@@ -115,9 +115,9 @@ def test_shell_both_sides():
 
 
 def test_empty_interval():
-    assert integrate_interval(lambda x: 1.0, 2.0, 2.0).value == 0.0
+    assert integrate_interval(Func(lambda x: 1.0), 2.0, 2.0).value == 0.0
     with pytest.raises(ValueError):
-        integrate_interval(lambda x: 1.0, 2.0, 1.0)
+        integrate_interval(Func(lambda x: 1.0), 2.0, 1.0)
 
 
 # reprs recorded before the GK15 panel became straight-line code, the
@@ -128,7 +128,7 @@ def _jumpy(x):
 
 
 def _pinned_interval(breakpoints):
-    return lambda: integrate_interval(_jumpy, -1.0, 2.0, breakpoints=breakpoints(),
+    return lambda: integrate_interval(Func(_jumpy, breakpoints()), -1.0, 2.0,
                                       tol=1e-12)
 
 
@@ -152,8 +152,7 @@ PINNED_QUADRATURE = {
     "interval_outside": _pinned_interval(
         lambda: [-5.0, -1.0, 0.3, 2.0, 7.0, math.inf, -math.inf]),
     "interval_generator": _pinned_interval(lambda: (0.1 * k for k in range(-20, 30))),
-    "dyadic_step_interval": lambda: integrate_interval(
-        dyadic_step(), -3000.5, 1e6, breakpoints=_DYADIC_POINTS),
+    "dyadic_step_interval": lambda: integrate_interval(dyadic_step(), -3000.5, 1e6),
     "dyadic_step_shell": lambda: integrate_shell(abs_power(dyadic_step()), 0.75,
                                                  2.0 ** 30),
     # odd, so the value is the exact 0 (-1.0658e-14 +- 3.99e-11 over 120
@@ -188,6 +187,26 @@ PINNED_QUADRATURE_REPRS = {
 @pytest.mark.parametrize("name", sorted(PINNED_QUADRATURE))
 def test_quadrature_is_bit_identical_to_pinned(name):
     assert repr(PINNED_QUADRATURE[name]()) == PINNED_QUADRATURE_REPRS[name]
+
+
+def _packed(res):
+    return struct.pack("<ddq", *res)
+
+
+def test_an_integrand_s_own_points_split_the_interval():
+    # integrate_interval splits at g.singular_points alone: jumps given in
+    # any order, or more than once, build the same Func and the same bits
+    dyadic = dyadic_step()
+    assert dyadic.singular_points == tuple(sorted(set(_DYADIC_POINTS)))
+    for points in (_DYADIC_POINTS, _DYADIC_POINTS[::-1], _DYADIC_POINTS * 2):
+        copy = Func(dyadic.evaluate, points, dyadic.support_radius, odd=True)
+        assert _packed(integrate_interval(copy, -3000.5, 1e6)) == \
+            _packed(integrate_interval(dyadic, -3000.5, 1e6))
+    want = _packed(integrate_interval(Func(_jumpy, (-0.7, 0.3, 1.1, 1.5)), -1.0, 2.0,
+                                      tol=1e-12))
+    for points in ([1.5, 0.3, -0.7, 1.1], [1.1, 1.5, 1.1, -0.7, 0.3, 0.3, -0.7]):
+        assert _packed(integrate_interval(Func(_jumpy, points), -1.0, 2.0,
+                                          tol=1e-12)) == want
 
 
 # -- the one-panel shell path --------------------------------------------------
