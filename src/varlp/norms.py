@@ -20,18 +20,20 @@ made before a solve builds anything.
 The bisection stops when hi - lo <= 1e-8 hi, a relative width, so small
 norms keep their relative accuracy.  Its result depends only on how each
 modular it tries compares with 1 and with the exit band, so a pass runs
-only where that comparison is open.  Where the modular has a known form,
-sum of w lam^-q (rho(1) lam^-p where p is constant on the domain, and
+only where that comparison is open.  The modular's model, a sum of
+w lam^-q, decides which: rho(1) lam^-p where p is constant on the domain,
 sum of |I| |c|^q lam^-q over the pieces of flat data under a step p in
-dimension 1), only passes within a noise margin of its root run: about 3
-per solve.  Elsewhere each exact pass bounds the next through
-(mu/lambda)^p_plus rho(mu) <= rho(lambda) <= (mu/lambda)^p_minus rho(mu)
-for lambda >= mu: about 10 passes, instead of about 30.  Exact passes at
-the final lo and hi, and at the bracket edge the bisection did not pass,
-vouch for every skipped comparison, because the modular decreases between
-points at least ~1e-8 apart in relative terms; if one lands on the wrong
-side, or any pass off its prediction, the search runs again with every
-pass exact.  Results are therefore bit-identical to running every pass.
+dimension 1, and otherwise the lam = 1 pass's own GK15 sum of
+|f(x)|^p(x) lam^-p(x), read from the node table and grouped by p(x).
+Only passes within a noise margin of its root run: about 3 per solve.
+Where a pass misses the model (the lam = 1 panels of a chi norm are too
+coarse at its root), the model is rebuilt once from that pass's panels.
+Exact passes at the final lo and hi, and at the bracket edge the
+bisection did not pass, vouch for every skipped comparison, because the
+modular decreases between points at least ~1e-8 apart in relative terms;
+if one lands on the wrong side, or a pass misses the rebuilt model, the
+search runs again with every pass exact, as does a solve with no model.
+Results are therefore bit-identical to running every pass.
 
 The passes of a solve run over nearly the same quadrature nodes, so it
 keeps a node table from x to (|f(x)|, p(x)) and evaluates f and p once
@@ -58,6 +60,7 @@ module-level caches.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -65,7 +68,7 @@ from typing import Optional, Sequence
 from .exponents import Exponent, r_p_constant
 from .funcs import Func
 from .geometry import FULL_LINE, Ball, Domain, unit_ball_volume
-from .quadrature import integrate_ball, integrate_shell
+from .quadrature import gk15_nodes, integrate_ball, integrate_shell
 
 BRACKET_EXPANSIONS = 200
 MODULAR_TOL = 1e-11
@@ -82,7 +85,8 @@ class BracketExpansionError(RuntimeError):
 
 
 class _BoundsMiss(Exception):
-    """A pass fell outside the interval the exponent bounds predicted."""
+    """An exact pass, its lam the one argument, missed the model, or fell
+    on the wrong side of a comparison the model skipped."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,7 +169,7 @@ def _modular_pieces(f, e: Exponent, domain: Domain, lam: float,
 
 
 def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
-                    p_const: Optional[float], table: dict):
+                    p_const: Optional[float], table: dict, passes: dict):
     """rho(lam) -> modular of f / lam, for the passes of one solve.
 
     The integrand and its breakpoints are built once.  The first pass to
@@ -176,7 +180,9 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
     same operations as without the table, so every value keeps its last
     bit.  For flat f in dimension 1 under a step p, a node strictly
     inside the open piece of the node before it in the same pass returns
-    that piece's value, which is the node's own bit for bit.
+    that piece's value, which is the node's own bit for bit.  Each pass
+    puts the (lo, hi) of its final quadrature panels in the caller's
+    ``passes`` under its lam.
     """
     ffn = f.evaluate
     pfn = e.evaluate
@@ -223,13 +229,15 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
         lam = at
         lo = hi = 0.0
         total = 0.0
+        panels = passes[at] = []
         try:
             for inner, outer in _modular_pieces(f, e, domain, lam, tol):
                 if inner == 0.0 < outer:
-                    res = integrate_ball(integrand, Ball(outer, domain.dim), tol=tol)
+                    res = integrate_ball(integrand, Ball(outer, domain.dim), tol=tol,
+                                         panels=panels)
                 else:
                     res = integrate_shell(integrand, inner, outer, tol=tol,
-                                          dim=domain.dim)
+                                          dim=domain.dim, panels=panels)
                 total += res.value
         except OverflowError:
             return math.inf
@@ -243,7 +251,7 @@ def modular(f, e: Exponent, domain: Domain = FULL_LINE,
     """The modular: integral of |f(x)|^p(x) over the domain."""
     _refuse(f, e, domain)
     p_const = e.constant_value_on(_components(domain))
-    return _modular_passes(f, e, domain, tol, p_const, {})(1.0)
+    return _modular_passes(f, e, domain, tol, p_const, {}, {})(1.0)
 
 
 def _seed_lambda(f, e: Exponent, domain: Domain) -> float:
@@ -270,19 +278,21 @@ def luxemburg_norm(f, e: Exponent, domain: Domain = FULL_LINE,
     everywhere, or |f|^p underflows).  Raises NotInSpaceError when no
     scaling can make the modular finite, and BracketExpansionError if the
     geometric bracket search gives out, from the seed and, where the
-    modular has a known form, from its root.
+    modular has a model, from its root.
     """
     _refuse(f, e, domain)
     mod_tol = min(tol, MODULAR_TOL)
     p_const = e.constant_value_on(_components(domain))
     table: dict = {}
+    passes: dict = {}
     try:
-        return _bisect(_modular_passes(f, e, domain, mod_tol, p_const, table),
-                       f, e, domain, mod_tol, p_const)
+        rho = _modular_passes(f, e, domain, mod_tol, p_const, table, passes)
+        return _bisect(rho, f, e, domain, mod_tol, p_const, table, passes)
     finally:
-        # the table is the solve's: an error's stored traceback holds the
-        # solve's frames, and through them the table
+        # the table and the panels are the solve's: an error's stored
+        # traceback holds the solve's frames, and through them both
         table.clear()
+        passes.clear()
 
 
 def _components(domain: Domain) -> list[tuple[float, float]]:
@@ -295,62 +305,50 @@ def _components(domain: Domain) -> list[tuple[float, float]]:
     return [(-outer, -inner), (inner, outer)]
 
 
-def _predict(lam: float, anchors: list[tuple[float, float, float]], p_lo: float,
-             p_hi: float, mod_tol: float) -> tuple[float, float]:
-    """Interval for the computed modular at lam, from the exact passes.
-
-    For lam >= mu, (mu/lam)^p_hi rho(mu) <= rho(lam) <= (mu/lam)^p_lo rho(mu)
-    when p_lo <= p <= p_hi on the domain (the reverse for lam < mu).  Each
-    anchor (mu, lowest, highest) is a finite, positive exact pass rho(mu)
-    widened by a relative NOISE and an absolute 2 mod_tol (quadrature plus
-    whole-line tail), and lam's own computed modular gets the same widening.
-    """
-    noise = 2.0 * mod_tol
-    lower, upper = 0.0, math.inf
-    for mu, r_lo, r_hi in anchors:
-        t = mu / lam
-        try:
-            small, big = t ** p_hi, t ** p_lo
-        except OverflowError:
-            continue
-        if t > 1.0:
-            small, big = big, small
-        lower = max(lower, small * r_lo)
-        upper = min(upper, big * r_hi)
-    return lower * (1.0 - NOISE) - noise, upper * (1.0 + NOISE) + noise
-
-
-def _model(f, e: Exponent, domain: Domain, mod_tol: float,
-           p_const: Optional[float], rho1: float) -> Optional[list[tuple[float, float]]]:
-    """The modular's known form rho(lam) = sum of w lam^-q, as [(w, q), ...]:
-    rho(1) lam^-p where p is the constant p_const on the domain; for flat f
-    in dimension 1 under a step p, |I| |c|^q per open piece I between the
-    integrand's cuts, where f is c and p is q, grouped by q.
-    None otherwise, or where a weight overflows, underflows or is not
-    finite.  Never raises: a model decides which passes run, not a result.
+def _model(f, e: Exponent, domain: Domain, mod_tol: float, p_const: Optional[float],
+           rho1: float, table: dict, panels: list) -> Optional[list[tuple[float, float]]]:
+    """The modular's form rho(lam) = sum of w lam^-q, as [(w, q), ...],
+    grouped by q: rho(1) lam^-p where p is the constant p_const on the
+    domain; |I| |c|^q per piece (_flat_pieces) for flat f in dimension 1
+    under a step p; otherwise the GK15 weight times |f(x)|^p(x) per node x
+    of one pass's final ``panels``, read from the node table.  A node whose
+    GK15 weight is subnormal (imprecise) drops out.  None where a weight
+    overflows or is not finite, a piece's weight underflows, no term is
+    left, or a node is not in the table.  Never raises: a model decides
+    which passes run, not a result.
     """
     try:
         if p_const is not None:
             terms = {p_const: rho1}
-        elif f.flat and domain.dim == 1 and e.kind == "piecewise-constant":
-            cuts = sorted({*f.singular_points, *e.breakpoints})
-            terms = {}
-            for inner, outer in _modular_pieces(f, e, domain, 1.0, mod_tol):
-                for a, b in ([(-outer, outer)] if inner == 0.0
-                             else [(-outer, -inner), (inner, outer)]):
-                    edges = [a, *(s for s in cuts if a < s < b), b]
-                    for x0, x1 in zip(edges, edges[1:]):
-                        c, q = abs(f.evaluate(0.5 * (x0 + x1))), e.evaluate(0.5 * (x0 + x1))
-                        w = (x1 - x0) * c ** q
-                        if c and not w > 0.0:
-                            return None  # underflow
-                        terms[q] = terms.get(q, 0.0) + w
         else:
-            return None
+            flat = f.flat and domain.dim == 1 and e.kind == "piecewise-constant"
+            nodes = (_flat_pieces(f, e, domain, mod_tol) if flat else
+                     ((w, *table[x]) for lo, hi in panels
+                      for x, w in gk15_nodes(lo, hi, domain.dim)
+                      if w >= sys.float_info.min))
+            terms = {}
+            for width, c, q in nodes:
+                w = width * c ** q
+                if flat and c and not w > 0.0:
+                    return None  # a piece's weight underflows
+                terms[q] = terms.get(q, 0.0) + w
         model = [(w, q) for q, w in terms.items() if w]
         return model if model and all(w < math.inf for w, _ in model) else None
     except Exception:
         return None
+
+
+def _flat_pieces(f, e: Exponent, domain: Domain, mod_tol: float):
+    """(|I|, |c|, q) per open piece I between the integrand's cuts, where
+    the flat f is c and the step p is q, in dimension 1."""
+    cuts = sorted({*f.singular_points, *e.breakpoints})
+    for inner, outer in _modular_pieces(f, e, domain, 1.0, mod_tol):
+        for a, b in ([(-outer, outer)] if inner == 0.0
+                     else [(-outer, -inner), (inner, outer)]):
+            edges = [a, *(s for s in cuts if a < s < b), b]
+            for x0, x1 in zip(edges, edges[1:]):
+                mid = 0.5 * (x0 + x1)
+                yield x1 - x0, abs(f.evaluate(mid)), e.evaluate(mid)
 
 
 def _model_root(model: list[tuple[float, float]]) -> float:
@@ -371,88 +369,40 @@ def _model_root(model: list[tuple[float, float]]) -> float:
 
 
 def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float,
-            p_const: Optional[float]) -> NormResult:
-    """Bracket and bisect for rho = 1, running only the passes whose
-    outcome is open.
-
-    The result depends only on how each rho(lam) compares with 1 and with
-    the exit band [1 - EXIT_BAND, 1 + EXIT_BAND], so a probe whose side is
-    known runs no pass and reads a stand-in on that side: off
-    lam* (1 +- delta) the side of a model (_model) of root lam*, delta
-    four times the noise over its slope, and without one the side
-    _predict gives from the exact passes so far.  Every pass must fit the
-    model, or _predict, within a relative NOISE and an absolute 2 mod_tol.
-    Bisection points lie ~1e-8 apart in relative terms, far above that
-    noise, so rho computed at them decreases; then every skipped
-    comparison left of the final lo, right of the final hi, or beyond the
-    bracket edge the expansion left is vouched for by an exact pass there,
-    on its side (see _search).  Any miss or failure before the checks
-    reruns the search with every pass exact, so the result is always the
-    exact search's; where its bracket gives out, a model's root starts it
-    again.  rho(1) is always exact: the zero test reads it.
+            p_const: Optional[float], table: dict, passes: dict) -> NormResult:
+    """Bracket and bisect for rho = 1: _guided on the model (_model) of the
+    lam = 1 pass, and where a pass misses it, once more on the model of
+    that pass's panels, keeping every exact pass.  Any other miss or
+    failure, or no model, runs the search with every pass exact, so the
+    result is always the exact search's; where its bracket gives out, the
+    lam = 1 model's root starts it again.  rho(1) is always exact: the
+    zero test reads it.
     """
     rho1 = rho(1.0)
     if rho1 == 0.0:
         return NormResult(0.0, 0.0, 0, (0.0, 0.0))
     lam0 = _seed_lambda(f, e, domain)
-    p_lo, p_hi = (p_const, p_const) if p_const is not None else (e.p_minus, e.p_plus)
-    exact: dict[float, float] = {}
-    anchors: list[tuple[float, float, float]] = []
-    guessed: dict[float, tuple[float, float]] = {}
-    noise = 2.0 * mod_tol
-    model = _model(f, e, domain, mod_tol, p_const, rho1)
-    above = math.nextafter(1.0 + EXIT_BAND, math.inf), math.inf
-    below = -math.inf, math.nextafter(1.0 - EXIT_BAND, -math.inf)
-
-    def record(lam: float, r: float) -> None:
-        exact[lam] = r
-        if model is None and 0.0 < r < math.inf:
-            anchors.append((lam, r * (1.0 - NOISE) - noise, r * (1.0 + NOISE) + noise))
-
-    record(1.0, rho1)
+    exact = {1.0: rho1}
 
     def run(lam: float) -> float:
         if lam not in exact:
-            record(lam, rho(lam))
+            exact[lam] = rho(lam)
         return exact[lam]
 
-    def fits(lam: float, value: float) -> bool:
-        # in logs: lam ** -q overflows for a tiny lam where w lam^-q does not
-        m = sum(math.exp(math.log(w) - q * math.log(lam)) for w, q in model)
-        return m * (1.0 - NOISE) - noise <= value <= m * (1.0 + NOISE) + noise
+    def model_from(lam: float) -> Optional[list[tuple[float, float]]]:
+        return _model(f, e, domain, mod_tol, p_const, rho1, table, passes[lam])
 
-    def checked(lam: float, lower: float, upper: float) -> float:
-        value = run(lam)
-        if not lower <= value <= upper or model and not fits(lam, value):
-            raise _BoundsMiss(lam)
-        return value
-
-    def probe(lam: float) -> float:
-        if lam in exact:
-            return exact[lam]
-        if model is None:
-            lower, upper = _predict(lam, anchors, p_lo, p_hi, mod_tol)
-        else:
-            lower, upper = (above if lam < window[0] else
-                            below if lam > window[1] else (-math.inf, math.inf))
-        if lower <= upper and (lower > 1.0 + EXIT_BAND or upper < 1.0 - EXIT_BAND):
-            guessed[lam] = lower, upper
-            return lower if lower > 1.0 else upper
-        return checked(lam, lower, upper)
-
+    model = model_from(1.0)
     try:
         if model:
-            checked(1.0, -math.inf, math.inf)
-            lam_star = _model_root(model)
-            delta = 4.0 * (EXIT_BAND + NOISE + noise) / min(q for _, q in model)
-            window = lam_star * (1.0 - delta), lam_star * (1.0 + delta)
-        result, checks = _search(probe, lam0, e.p_minus, mod_tol)
-        for lam in checks:
-            if lam in guessed:
-                checked(lam, *guessed[lam])
-        return result
+            try:
+                return _guided(run, exact, model, lam0, e.p_minus, mod_tol)
+            except _BoundsMiss as miss:
+                rebuilt = model_from(miss.args[0])
+                if rebuilt:
+                    return _guided(run, exact, rebuilt, lam0, e.p_minus, mod_tol)
     except Exception:
-        # not swallowed: a pass missed its bounds, or failed at a lambda the
+        # not swallowed: a pass missed the model, or failed at a lambda the
         # exact search may never try; the exact search below raises again
         # if the failure is its own
         pass
@@ -462,6 +412,58 @@ def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float,
         if not model:
             raise
         return _search(run, _model_root(model), e.p_minus, mod_tol)[0]
+
+
+def _guided(run, exact: dict, model: list[tuple[float, float]], lam0: float,
+            p_minus: float, mod_tol: float) -> NormResult:
+    """_search from lam0, running only the passes whose outcome is open.
+
+    The result depends only on how each rho(lam) compares with 1 and with
+    the exit band [1 - EXIT_BAND, 1 + EXIT_BAND], so a probe off
+    lam* (1 +- delta), lam* the model's root and delta four times the
+    noise over its slope, runs no pass and reads a stand-in just past the
+    band on the model's side.  Every exact pass, those in ``exact`` too, must fit the
+    model within a relative NOISE and an absolute 2 mod_tol, or _BoundsMiss
+    names it.  Bisection points lie ~1e-8 apart in relative terms, far
+    above that noise, so rho computed at them decreases; then every
+    skipped comparison is vouched for by an exact pass on its side (see
+    _search).
+    """
+    noise = 2.0 * mod_tol
+    logs = [(math.log(w), q) for w, q in model]
+    lam_star = _model_root(model)
+    delta = 4.0 * (EXIT_BAND + NOISE + noise) / min(q for _, q in model)
+    window = lam_star * (1.0 - delta), lam_star * (1.0 + delta)
+    high = math.nextafter(1.0 + EXIT_BAND, math.inf)
+    low = math.nextafter(1.0 - EXIT_BAND, -math.inf)
+    guessed: dict[float, float] = {}
+
+    def checked(lam: float) -> float:
+        value = run(lam)
+        # in logs: lam ** -q overflows for a tiny lam where w lam^-q does not
+        ln_lam = math.log(lam)
+        m = sum(math.exp(lw - q * ln_lam) for lw, q in logs)
+        if not m * (1.0 - NOISE) - noise <= value <= m * (1.0 + NOISE) + noise:
+            raise _BoundsMiss(lam)
+        return value
+
+    def probe(lam: float) -> float:
+        if lam in exact:
+            return exact[lam]
+        if window[0] <= lam <= window[1]:
+            return checked(lam)
+        guessed[lam] = high if lam < window[0] else low
+        return guessed[lam]
+
+    for lam in list(exact):
+        checked(lam)
+    result, checks = _search(probe, lam0, p_minus, mod_tol)
+    for lam in checks:
+        if lam in guessed:
+            value = checked(lam)
+            if not (value >= high if guessed[lam] == high else value <= low):
+                raise _BoundsMiss(lam)
+    return result
 
 
 def _search(rho, lam0: float, p_minus: float,

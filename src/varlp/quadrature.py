@@ -25,7 +25,9 @@ is what the panel would compute, bit for bit, so the adaptive loop, its
 heap order and its sums are unchanged; only evaluations go away.  The
 same rule hands a shell's two runs the panels its one-panel test took.
 Everything here is pure and reentrant; a call's panels live in the call,
-and independent calls can run concurrently.
+and independent calls can run concurrently.  A caller that passes a
+``panels`` list gets the final panels appended, and gk15_nodes gives each
+one's nodes and weights.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .geometry import Ball, DyadicRing, unit_ball_volume
 
@@ -41,7 +43,7 @@ from .geometry import Ball, DyadicRing, unit_ball_volume
 # (abscissae are symmetric; only the positive half is tabulated, the
 # eighth node is the center 0).  Unpacked into names so that _gk15 reads
 # each constant without indexing.
-_X0, _X1, _X2, _X3, _X4, _X5, _X6 = (
+_X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XS = (
     0.9914553711208126392068547,
     0.9491079123427585245261897,
     0.8648644233597690727897128,
@@ -50,7 +52,7 @@ _X0, _X1, _X2, _X3, _X4, _X5, _X6 = (
     0.4058451513773971669066064,
     0.2077849550078984676006894,
 )
-_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = (
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _KS = (
     0.0229353220105292249637320,
     0.0630920926299785532907007,
     0.1047900103222501838398763,
@@ -131,6 +133,20 @@ def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, floa
     return kron, abs(kron - gauss)
 
 
+def gk15_nodes(lo: float, hi: float, dim: int = 1) -> list[tuple[float, float]]:
+    """The 15 (node, weight) pairs of _gk15's Kronrod sum over [lo, hi]:
+    each node is the float _gk15 evaluates, bit for bit, and its weight the
+    Kronrod weight times the half-width, times _radial_weight's factor in
+    dimension >= 2, so the sum of weight * g(node) is the panel's integral
+    of g."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # c + (-h) * xk is c - h * xk bit for bit
+    nodes = [(c, _K7 * h), *((c + s * h * xk, k * h) for xk, k in zip(_XS, _KS)
+                             for s in (-1.0, 1.0))]
+    surf = dim * unit_ball_volume(dim)
+    return nodes if dim == 1 else [(r, surf * w * r ** (dim - 1)) for r, w in nodes]
+
+
 def _parity(g) -> float:
     """The factor a GK15 panel's value takes from its mirror: 1.0 for an
     exactly even g, -1.0 for an exactly odd one, 0.0 (no rule) otherwise."""
@@ -196,11 +212,13 @@ def integrate_interval(g, a: float, b: float, tol: float = DEFAULT_TOL) -> QuadR
 
 
 def _adapt(fn: Callable[[float], float], panel: Callable[..., tuple[float, float]],
-           a: float, b: float, pts: Sequence[float], tol: float) -> QuadResult:
+           a: float, b: float, pts: Sequence[float], tol: float, *,
+           panels: Optional[list] = None) -> QuadResult:
     """The adaptive loop over [a, b], a < b, split first at the sorted,
     distinct pts that lie strictly inside, with the panel rule given, in at
     most DEFAULT_MAX_PANELS panels; the two sides of a shell call it with
-    one rule."""
+    one rule.  A ``panels`` list gets the (lo, hi) of every final panel,
+    frozen ones included, when the loop returns a result."""
     if a == -math.inf or b == math.inf:
         raise QuadratureNonConvergence(
             f"cannot integrate to the non-finite end {a if a == -math.inf else b}",
@@ -235,6 +253,8 @@ def _adapt(fn: Callable[[float], float], panel: Callable[..., tuple[float, float
             # cannot split further in floating point; keep its contribution
             frozen_err += -neg_err
             err_total += neg_err  # removed from the refinable pool
+            if panels is not None:
+                panels.append((lo, hi))
             if frozen_err > max(tol, DEFAULT_REL_TOL * abs(value)):
                 best = QuadResult(value, err_total + frozen_err, counter)
                 raise QuadratureNonConvergence(
@@ -261,6 +281,8 @@ def _adapt(fn: Callable[[float], float], panel: Callable[..., tuple[float, float
             "integrand produced a non-finite panel value",
             QuadResult(value, math.inf, counter),
         )
+    if panels is not None:
+        panels += [(lo, hi) for _, _, lo, hi, _ in heap]
     return QuadResult(value, err_total, counter)
 
 
@@ -280,14 +302,16 @@ def _require_radial(g, dim: int) -> None:
         )
 
 
-def integrate_ball(g, ball: Ball, tol: float = DEFAULT_TOL) -> QuadResult:
+def integrate_ball(g, ball: Ball, tol: float = DEFAULT_TOL, *,
+                   panels: Optional[list] = None) -> QuadResult:
     """Integral of g over B(0, r): two half-lines in dimension 1, the radial
-    formula dim * v_dim * int_0^r g(rho) rho^(dim-1) drho otherwise."""
+    formula dim * v_dim * int_0^r g(rho) rho^(dim-1) drho otherwise; a
+    ``panels`` list gets its final panels, as in integrate_shell."""
     r = ball.radius
     if ball.dim == 1:
         return _adapt(g.evaluate, _panel_rule(_parity(g)), -r, r,
-                      sorted({0.0, *g.singular_points}), tol)
-    return integrate_shell(g, 0.0, r, tol=tol, dim=ball.dim)
+                      sorted({0.0, *g.singular_points}), tol, panels=panels)
+    return integrate_shell(g, 0.0, r, tol=tol, dim=ball.dim, panels=panels)
 
 
 def integrate_annulus(g, k: int, tol: float = DEFAULT_TOL, dim: int = 1) -> QuadResult:
@@ -297,7 +321,7 @@ def integrate_annulus(g, k: int, tol: float = DEFAULT_TOL, dim: int = 1) -> Quad
 
 
 def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
-                    dim: int = 1) -> QuadResult:
+                    dim: int = 1, *, panels: Optional[list] = None) -> QuadResult:
     """Integral of g over the shell inner <= |x| <= outer.
 
     In dimension 1, two adaptive runs at tol / 2, one per side, that share
@@ -316,6 +340,9 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
     has |s| inside the closed shell: there g may not be integrable, and the
     two runs decide as for any g.  An infinite outer radius goes straight
     to the two runs, which refuse it.
+
+    A ``panels`` list gets the (lo, hi) (radii in dimension >= 2) of every
+    final panel of a result, the one-panel result's two included.
     """
     if not (0.0 <= inner <= outer):
         raise ValueError(f"invalid shell radii ({inner}, {outer})")
@@ -343,13 +370,15 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
                 else:
                     vr, er = taken = _gk15(fn, inner, outer)
                 if _converged(er, vr, half) and math.isfinite(vr):
+                    if panels is not None:
+                        panels += [(-outer, -inner), (inner, outer)]
                     return QuadResult((0.0 + vl) + (0.0 + vr), (0.0 + el) + (0.0 + er), 2)
             known = [(-outer, -inner, (vl, el))]
             if taken:
                 known.append((inner, outer, taken))
         panel = _panel_rule(_parity(g), known)
-        return (_adapt(fn, panel, -outer, -inner, pts, half)
-                + _adapt(fn, panel, inner, outer, pts, half))
+        return (_adapt(fn, panel, -outer, -inner, pts, half, panels=panels)
+                + _adapt(fn, panel, inner, outer, pts, half, panels=panels))
     _require_radial(g, dim)
     return _adapt(_radial_weight(fn, dim), _gk15, inner, outer,
-                  sorted({abs(s) for s in pts}), tol)
+                  sorted({abs(s) for s in pts}), tol, panels=panels)

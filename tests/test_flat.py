@@ -262,7 +262,7 @@ def test_a_flat_pass_evaluates_f_once_per_piece(base, exp_name):
             f = _counting(base if flat else _unflagged(base), calls)
             p_const = e.constant_value_on(norms._components(domain))
             table = {}
-            rho = norms._modular_passes(f, e, domain, 1e-11, p_const, table)
+            rho = norms._modular_passes(f, e, domain, 1e-11, p_const, table, {})
             cuts = sorted({*f.singular_points, *e.breakpoints})
             counts[flat] = 0
             for lam in (0.3, 1.0, 7.0):
@@ -281,11 +281,12 @@ def _pass_integrand(f, e, lam):
     the pass at lam: its piece memo still holds the pass's last piece."""
     seen = []
     real = norms.integrate_ball
-    norms.integrate_ball = lambda g, ball, tol: seen.append(g) or real(g, ball, tol=tol)
+    norms.integrate_ball = lambda g, ball, tol, panels: \
+        seen.append(g) or real(g, ball, tol=tol, panels=panels)
     try:
         domain = Ball(5.0)
         norms._modular_passes(f, e, domain, 1e-11,
-                              e.constant_value_on(norms._components(domain)), {})(lam)
+                              e.constant_value_on(norms._components(domain)), {}, {})(lam)
     finally:
         norms.integrate_ball = real
     return seen[0]

@@ -1,13 +1,19 @@
-"""The modular's known form decides which Luxemburg passes run.
+"""The modular's model decides which Luxemburg passes run.
 
-Where p is constant on the domain, or f is flat under a piecewise-constant
-p in dimension 1, the modular is a sum of w lam^-q.  A solve then runs
-only the passes near that model's root, about 3, and its result is the
-exact search's bit for bit.  A modular that breaks its model falls back
-to the exact search, and building a model never raises.
+The modular is modelled as a sum of w lam^-q: rho(1) lam^-p where p is
+constant on the domain; one term per piece where f is flat under a
+piecewise-constant p in dimension 1; and otherwise the lam = 1 pass's own
+GK15 sum, each final node's |f(x)|^p(x) lam^-p(x) read from the solve's
+node table and grouped by p(x).  A solve then runs only the passes near
+the model's root, about 3, and its result is the exact search's bit for
+bit.  Where an exact pass misses the model, the model is rebuilt once from
+that pass's own panels and the search runs again; a modular that breaks
+that one too falls back to the exact search, and building a model never
+raises.
 """
 
 import math
+from collections import defaultdict
 from contextlib import contextmanager
 from unittest import mock
 
@@ -15,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varlp import (FULL_LINE, Ball, DyadicRing, Func, chi_ball, chi_interval,
-                   chi_ring, constant_exponent, dyadic_step, lincomb,
-                   luxemburg_norm, piecewise_exponent, sign_func, with_sign)
+from varlp import (FULL_LINE, Ball, DyadicRing, Func, catalog_bank, chi_ball,
+                   chi_interval, chi_norm, chi_ring, constant_exponent, dyadic_step,
+                   lincomb, luxemburg_norm, piecewise_exponent, power, scaled_ball,
+                   sign_func, smooth_exponent, with_sign)
 from varlp import norms
 from varlp.funcs import shifted
 
@@ -43,10 +50,11 @@ REGIONS = (Ball(0.5), Ball(1.5), Ball(4.0), DyadicRing(1), DyadicRing(2),
 
 @contextmanager
 def _counted():
-    """Count the modular passes and the _search runs of the solves inside;
-    a second _search run in one solve is the exact fallback."""
-    counts = {"passes": 0, "searches": 0}
-    make, search = norms._modular_passes, norms._search
+    """Count the modular passes, the _search runs and the _guided runs of
+    the solves inside; a _search run beyond the _guided runs is the exact
+    fallback."""
+    counts = {"passes": 0, "searches": 0, "guided": 0}
+    make, search, guided = norms._modular_passes, norms._search, norms._guided
 
     def passes(*args):
         rho = make(*args)
@@ -61,18 +69,25 @@ def _counted():
         counts["searches"] += 1
         return search(*args)
 
+    def guided_run(*args):
+        counts["guided"] += 1
+        return guided(*args)
+
     with mock.patch.object(norms, "_modular_passes", passes), \
-            mock.patch.object(norms, "_search", searched):
+            mock.patch.object(norms, "_search", searched), \
+            mock.patch.object(norms, "_guided", guided_run):
         yield counts
 
 
 def _exact(f, e, domain, tol=1e-9, retried=None):
     """The exact search's result, every pass run.  Where its bracket from
     the seed gives out and the modular has a model, the search runs again
-    from the model's root, and ``retried`` records it."""
+    from the root of the model of the lam = 1 pass, and ``retried``
+    records it."""
     mod_tol = min(tol, norms.MODULAR_TOL)
     p_const = e.constant_value_on(norms._components(domain))
-    rho = norms._modular_passes(f, e, domain, mod_tol, p_const, {})
+    table, passes = {}, {}
+    rho = norms._modular_passes(f, e, domain, mod_tol, p_const, table, passes)
     rho1 = rho(1.0)
     if rho1 == 0.0:
         return norms.NormResult(0.0, 0.0, 0, (0.0, 0.0))
@@ -80,7 +95,7 @@ def _exact(f, e, domain, tol=1e-9, retried=None):
         return norms._search(rho, norms._seed_lambda(f, e, domain), e.p_minus,
                              mod_tol)[0]
     except norms.BracketExpansionError:
-        model = norms._model(f, e, domain, mod_tol, p_const, rho1)
+        model = norms._model(f, e, domain, mod_tol, p_const, rho1, table, passes[1.0])
         if not model:
             raise
     if retried is not None:
@@ -96,9 +111,10 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def _solve(f, e, domain):
-    """The solve's passes, after checking its outcome against the exact
-    search's bit for bit, and that a result came with no fallback."""
+def _solve(f, e, domain, searches=1):
+    """The solve's counts, after checking its outcome against the exact
+    search's bit for bit, and that a result came from at most ``searches``
+    searches, with no fallback after a model-guided one."""
     retried = []
     want = _outcome(lambda: _exact(f, e, domain, retried=retried))
     with _counted() as counts:
@@ -106,10 +122,12 @@ def _solve(f, e, domain):
     assert got == want, (f, e.kind, domain)
     # an error raised on the way reruns the exact search, which raises it;
     # where the exact search's bracket gives out, it runs a third time
-    searches = 3 if retried else 1
-    assert counts["searches"] <= searches or not isinstance(got, str), \
-        (f, e.kind, domain)
-    return counts["passes"]
+    if isinstance(got, str):
+        assert (counts["searches"] <= 3 if retried else
+                counts["searches"] <= searches and
+                not counts["searches"] > counts["guided"] > 0), \
+            (f, e.kind, domain, counts)
+    return counts
 
 
 def _whole_line_shift(f, c):
@@ -127,7 +145,7 @@ def test_flat_solves_take_the_model_and_keep_every_bit(name, exp):
         cases += [(_whole_line_shift(FLAT[name], c), FULL_LINE) for c in SHIFTS]
     for f, domain in cases:
         assert f.flat
-        assert _solve(f, e, domain) <= 5, (name, exp, domain)
+        assert _solve(f, e, domain)["passes"] <= 5, (name, exp, domain)
 
 
 @st.composite
@@ -170,7 +188,7 @@ TINY_FLAT = shifted(lincomb([chi_interval(-1.0, 0.0)], [1.9585316867964824e-62])
                                constant_exponent(5.0)], ids=["pw(5|2)", "const5"])
 def test_a_tiny_norm_is_checked_against_its_model_in_logs(e):
     # one search (checked by _solve), in at most 5 passes
-    assert _solve(TINY_FLAT, e, Ball(1.0)) <= 5
+    assert _solve(TINY_FLAT, e, Ball(1.0))["passes"] <= 5
     assert luxemburg_norm(TINY_FLAT, e, Ball(1.0)).value == \
         pytest.approx(1.9585316867964824e-62, rel=1e-8)
 
@@ -206,7 +224,10 @@ def test_two_term_modular_off_its_model_falls_back(name, monkeypatch):
         passes.append(lam)
         return modular_of(lam)
 
-    assert repr(norms._bisect(rho, f, e, FULL_LINE, mod_tol, None)) == repr(want)
+    # rho's passes have no panels: the patched model reads none, and the
+    # model rebuilt from the pass that missed is the same one
+    res = norms._bisect(rho, f, e, FULL_LINE, mod_tol, None, {}, defaultdict(list))
+    assert repr(res) == repr(want)
     # the exact search runs every pass (30 here); on its model, 3 or 4 run
     assert len(passes) >= 30 if breaks_model else len(passes) <= 4, passes
 
@@ -233,7 +254,8 @@ def _raising_flat():
 
 HUGE = lincomb([chi_interval(0.0, 1.0)], [1e200])
 TINY = lincomb([chi_interval(0.0, 1.0)], [1e-300])
-# (f, exponent, domain, rho(1)) for which there is no model
+# (f, exponent, domain, rho(1)) for which there is no model, read with an
+# empty node table: a model read from a pass's nodes needs all of them
 NO_MODEL = {
     "huge_overflows_a_weight": (HUGE, piecewise_exponent([0.5], [8.0, 12.0]),
                                 FULL_LINE, math.inf),
@@ -247,10 +269,11 @@ NO_MODEL = {
     "no_terms": (chi_interval(0.0, 1.0), PW23, DyadicRing(3), 0.0),
     "nan_piece": (_nan_flat(), PW23, Ball(1.0), math.inf),
     "raising_piece": (_raising_flat(), PW23, Ball(1.0), math.inf),
-    "not_flat": (Func(lambda x: x, (), 1.0), PW23, Ball(1.5), 1.0),
-    "smooth_exponent": (chi_interval(0.0, 1.0),
-                        norms.Exponent("custom-evaluable", {}, lambda x: 2.0 + x * x,
-                                       2.0, 6.0), Ball(2.0), 1.0),
+    "not_flat_without_its_nodes": (Func(lambda x: x, (), 1.0), PW23, Ball(1.5), 1.0),
+    "smooth_exponent_without_its_nodes": (
+        chi_interval(0.0, 1.0),
+        norms.Exponent("custom-evaluable", {}, lambda x: 2.0 + x * x, 2.0, 6.0),
+        Ball(2.0), 1.0),
 }
 
 
@@ -258,11 +281,12 @@ NO_MODEL = {
 def test_a_model_that_cannot_be_built_is_none(name):
     f, e, domain, rho1 = NO_MODEL[name]
     p_const = e.constant_value_on(norms._components(domain))
-    assert norms._model(f, e, domain, norms.MODULAR_TOL, p_const, rho1) is None
+    assert norms._model(f, e, domain, norms.MODULAR_TOL, p_const, rho1, {},
+                        [(0.0, 1.0)]) is None
 
 
 def test_extreme_scales_keep_their_norms():
-    # with no model, the exponent bounds decide the passes, as before
+    # with no model, every pass runs
     for e in (piecewise_exponent([0.5], [8.0, 12.0]), constant_exponent(12.0)):
         res = luxemburg_norm(HUGE, e)
         assert abs(res.value - 1e200) <= res.abs_error_bound
@@ -273,7 +297,7 @@ def test_extreme_scales_keep_their_norms():
 
 def test_flat_model_is_the_modular():
     f = shifted(with_sign(chi_ball(2.0)), 0.3)
-    model = norms._model(f, PW23, Ball(4.0), norms.MODULAR_TOL, None, 1.0)
+    model = norms._model(f, PW23, Ball(4.0), norms.MODULAR_TOL, None, 1.0, {}, [])
     # pw23 takes 2 and 3 on B(4): one term per exponent value
     assert sorted(q for _, q in model) == [2.0, 3.0]
     for lam in (0.5, 1.0, 3.0, 10.0):
@@ -294,3 +318,128 @@ def test_a_bracket_that_gives_out_restarts_from_the_model_root(exp):
     _solve(f, e, domain)
     res = luxemburg_norm(f, e, domain)
     assert res.value == pytest.approx(6e-8 * math.sqrt(2.4e-276), rel=1e-8)
+
+
+SMOOTH = {name: smooth_exponent(name)
+          for name in ("inv_one_plus_abs", "inv_one_plus_sq", "sin_loglog")}
+BANK = dict(catalog_bank())
+SMOOTH_DOMAINS = (FULL_LINE, Ball(0.5), Ball(4.0), DyadicRing(0), DyadicRing(2))
+
+
+def _model_solve(f, e, domain, searches=1):
+    """A solve that keeps the exact search's bits, in at most 4 passes, from
+    at most ``searches`` searches, each guided by the model."""
+    counts = _solve(f, e, domain, searches)
+    assert counts["passes"] <= 4, (f, e.kind, domain, counts)
+    assert counts["searches"] == counts["guided"], (f, e.kind, domain, counts)
+    return counts
+
+
+@pytest.mark.parametrize("member", sorted(BANK))
+@pytest.mark.parametrize("formula", sorted(SMOOTH))
+def test_smooth_solves_take_the_node_table_model_and_keep_every_bit(formula, member):
+    for domain in SMOOTH_DOMAINS:
+        _model_solve(BANK[member], SMOOTH[formula], domain)
+
+
+# not flat, under a step exponent: the node table models them too
+@pytest.mark.parametrize("f", [scaled_ball(1.0), scaled_ball(4.0), power(0.5)],
+                         ids=["scaled_ball(1)", "scaled_ball(4)", "power(0.5)"])
+def test_non_flat_step_solves_take_the_node_table_model(f):
+    for domain in (Ball(0.5), Ball(1.5), Ball(4.0), DyadicRing(1), DyadicRing(2)):
+        _model_solve(f, PW23, domain)
+
+
+PW23_2D = piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0], dim=2)
+
+
+@pytest.mark.parametrize("e", [PW23_2D, smooth_exponent("inv_one_plus_sq", dim=2)],
+                         ids=["pw23", "inv_one_plus_sq"])
+def test_radial_solves_take_the_node_table_model(e):
+    # weights carry the radial factor 2 pi r of dimension 2
+    for f, domain in ((chi_ball(1.0), Ball(1.5, 2)), (scaled_ball(1.0, 2), Ball(1.5, 2)),
+                      (chi_ball(4.0), DyadicRing(1, 2)), (scaled_ball(3.0, 2), Ball(4.0, 2))):
+        _model_solve(f, e, domain)
+
+
+@st.composite
+def _smooth_cases(draw):
+    """A random combination of intervals and scaled balls under a smooth
+    exponent, on a ball, a ring or the whole line."""
+    n = draw(st.integers(1, 3))
+    terms = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            a, b = sorted(draw(st.lists(st.floats(-3.5, 3.5), min_size=2, max_size=2,
+                                        unique=True)))
+            terms.append(chi_interval(a, b))
+        else:
+            terms.append(scaled_ball(draw(st.floats(0.25, 3.0))))
+    coefs = draw(st.lists(st.floats(-5.0, 5.0).filter(lambda c: abs(c) > 1e-3),
+                          min_size=n, max_size=n))
+    f = lincomb(terms, coefs)
+    e = SMOOTH[draw(st.sampled_from(sorted(SMOOTH)))]
+    kind = draw(st.sampled_from(["ball", "ring", "line"]))
+    if kind == "ball":
+        return f, e, Ball(draw(st.floats(0.1, 5.0)))
+    if kind == "ring":
+        return f, e, DyadicRing(draw(st.integers(-2, 3)))
+    return f, e, FULL_LINE
+
+
+@settings(max_examples=60, deadline=None)
+@given(_smooth_cases())
+def test_random_smooth_solves_match_the_exact_search(case):
+    # no fallback (checked by _solve), and at most 4 passes on a model; a
+    # modular that lives on pieces too narrow for normal GK15 weights makes
+    # none (below)
+    counts = _solve(*case)
+    assert counts["passes"] <= 4 or not counts["guided"], counts
+
+
+def test_subnormal_gk15_weights_drop_out_of_the_model():
+    # hypothesis drew this piece, 2.2e-313 wide: its GK15 weights are
+    # subnormal, too coarse to predict a pass, and drop out.  Alone, they
+    # leave no model, so the solve runs the exact search once, with no
+    # model to fall back from (a known defect: that search refuses this
+    # finite norm with QuadratureNonConvergence, and _solve checks the
+    # refusal against the exact search's)
+    e, piece = SMOOTH["inv_one_plus_abs"], chi_interval(-2.2250738585e-313, 0.0)
+    counts = _solve(lincomb([piece], [0.25]), e, Ball(0.1))
+    assert counts["guided"] == 0 and counts["searches"] == 1, counts
+    # beside a piece of normal width, they leave its model as it was
+    f = lincomb([piece, chi_interval(0.0, 0.05)], [0.25, 2.0])
+    assert _model_solve(f, e, Ball(0.1))["guided"] == 1
+
+
+def test_a_coarse_first_pass_takes_the_one_rebuild():
+    # the lam = 1 integrand of a chi norm is the constant 1, so that pass
+    # has one panel per piece; its model misses at the root (about 3.639),
+    # and the model rebuilt from the pass that missed finds it
+    e, region = smooth_exponent("inv_one_plus_sq"), Ball(8.0)
+    with _counted() as counts:
+        res = chi_norm(region, e)
+    assert counts["searches"] == counts["guided"] == 2, counts
+    one = Func(lambda x: 1.0, (), math.inf, even=True, flat=True,
+               power_tail=(1.0, 0.0, 1.0), kind="one")
+    assert repr(res) == repr(_exact(one, e, region))
+    assert res.value == pytest.approx(3.6389371, rel=1e-7)
+
+
+def test_a_smooth_whole_line_solve_needs_no_fallback():
+    # the exponent's bounds on the working box once sent this solve to the
+    # exact search; its node-table model takes one search
+    _model_solve(dyadic_step(), smooth_exponent("inv_one_plus_abs"), FULL_LINE)
+
+
+def test_node_table_model_is_the_modular():
+    f, e, domain = BANK["ramp_half"], SMOOTH["sin_loglog"], Ball(1.5)
+    table, passes = {}, {}
+    rho = norms._modular_passes(f, e, domain, norms.MODULAR_TOL, None, table, passes)
+    model = norms._model(f, e, domain, norms.MODULAR_TOL, None, rho(1.0), table,
+                         passes[1.0])
+    # one term per distinct exponent value at a node
+    assert len(model) > 100
+    for lam in (0.5, 1.0, 2.0):
+        got = sum(w * lam ** -q for w, q in model)
+        assert abs(got - rho(lam)) <= 1e-10 * got, lam

@@ -2,7 +2,7 @@
 
 import math
 import traceback
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -387,11 +387,10 @@ _BANK = dict(catalog_bank())
 _OUTSIDE_B1 = lincomb([constant(1.0), chi_ball(1.0)], [1.0, -1.0])
 
 # reprs recorded while every solve ran all of its passes (30 or 31 here);
-# skipping the passes the modular's known form or the exponent bounds
-# decide keeps every bit.  The last entry is the most passes a solve may
-# make: 4 where the modular has a known form (p constant on the domain, or
-# flat f under a piecewise-constant p), fewer than the exact search's
-# elsewhere
+# skipping the passes the modular's model decides keeps every bit.  The
+# last entry is the most passes a solve may make: 4, whether the model is
+# the closed form (p constant on the domain, or flat f under a
+# piecewise-constant p) or read from the lam = 1 pass's node table
 SKIPPING_SOLVES = {
     "hat_const2_line": (
         lambda: luxemburg_norm(_BANK["hat"], E2),
@@ -409,11 +408,11 @@ SKIPPING_SOLVES = {
         lambda: luxemburg_norm(_BANK["ramp_half"], smooth_exponent("inv_one_plus_abs"),
                                Ball(1.5)),
         "NormResult(value=0.6811830203369917, abs_error_bound=2.51508021600989e-09, "
-        "bisection_iters=27, bracket=(0.6811830178693766, 0.681183022804607))", 29),
+        "bisection_iters=27, bracket=(0.6811830178693766, 0.681183022804607))", 4),
     "power_tail_pw23_line": (
         lambda: luxemburg_norm(pointwise_product(power(-1.0), _OUTSIDE_B1), PW23),
         "NormResult(value=1.3345395419746637, abs_error_bound=5.6713351225014775e-09, "
-        "bisection_iters=28, bracket=(1.3345395363867283, 1.3345395475625992))", 29),
+        "bisection_iters=28, bracket=(1.3345395363867283, 1.3345395475625992))", 4),
 }
 
 
@@ -426,7 +425,8 @@ def test_skipped_passes_keep_every_bit(name, monkeypatch):
 
 
 # the exact search's results for the modulars below, 31 passes each, and
-# whether the modular breaks the bounds of the stated exponent 2
+# whether the solve runs them all: the modular breaks the model
+# rho(1) lam^-2 of the stated exponent 2, or has none
 SYNTHETIC_SOLVES = {
     # decays like lam^-2, as exponent 2 says
     "square": (lambda lam: (3.0 / lam) ** 2,
@@ -438,12 +438,12 @@ SYNTHETIC_SOLVES = {
                 "NormResult(value=2.9999999934382133, abs_error_bound=8.077533960185622e-09, "
                 "bisection_iters=28, bracket=(2.9999999855356796, 3.0000000013407475))",
                 True),
-    # infinite up to lam = 1, where the search starts: an infinite pass
-    # bounds no other, so the skipping search must not lean on it
+    # infinite up to lam = 1, where the search starts: an infinite rho(1)
+    # makes no model, so every pass runs
     "overflow": (lambda lam: math.inf if lam <= 1.0 else (3.0 / lam) ** 2,
                  "NormResult(value=2.9999999934382133, abs_error_bound=8.077533960185622e-09, "
                  "bisection_iters=28, bracket=(2.9999999855356796, 3.0000000013407475))",
-                 False),
+                 True),
     # decreasing, but drops by a fifth at lam = 2.5, below the root
     "drop": (lambda lam: (3.0 / lam) ** 2 * (1.0 if lam < 2.5 else 0.8),
              "NormResult(value=2.683281568134172, abs_error_bound=8.060114668838504e-09, "
@@ -454,17 +454,19 @@ SYNTHETIC_SOLVES = {
 
 @pytest.mark.parametrize("name", sorted(SYNTHETIC_SOLVES))
 def test_modular_off_its_exponent_bounds_falls_back_to_exact_passes(name):
-    modular_of, want, off_bounds = SYNTHETIC_SOLVES[name]
+    modular_of, want, every_pass = SYNTHETIC_SOLVES[name]
     passes = []
 
     def rho(lam):
         passes.append(lam)
         return modular_of(lam)
 
-    res = norms._bisect(rho, chi_interval(0.0, 1.0), E2, FULL_LINE, 1e-11, 2.0)
+    # a pass of rho has no panels: the model, rho(1) lam^-2, reads none
+    res = norms._bisect(rho, chi_interval(0.0, 1.0), E2, FULL_LINE, 1e-11, 2.0, {},
+                        defaultdict(list))
     assert repr(res) == want
-    # off its bounds, the skipping search misses and the exact one runs in full
-    assert len(passes) >= 31 if off_bounds else len(passes) <= 8
+    # off its model, the skipping search misses and the exact one runs in full
+    assert len(passes) >= 31 if every_pass else len(passes) <= 8
 
 
 @pytest.mark.parametrize("call, entry", [

@@ -15,6 +15,7 @@ from varlp import (Ball, DyadicRing, Func, OperatorImage, QuadratureNonConvergen
 from varlp.config import ExperimentConfig
 from varlp.funcs import pointwise_product
 from varlp.operators import _ShellTable
+from varlp import quadrature
 from varlp.quadrature import QuadResult, integrate_shell
 from varlp.verify import commutator_bank, symbol_bank
 
@@ -465,3 +466,100 @@ def test_one_panel_shell_meets_half_the_tolerance(name):
         _assert_shells_match(g, [(0.5, 1.0)], tol)
     assert integrate_shell(g, 0.5, 1.0, 1.5 * err).subdivisions > 2
     assert integrate_shell(g, 0.5, 1.0, 2.5 * err).subdivisions == 2
+
+
+def _tiles(panels, edges):
+    """The sorted panels cover [edges[0], edges[-1]] edge to edge, and every
+    edge is a panel end."""
+    panels = sorted(panels)
+    assert panels[0][0] == edges[0] and panels[-1][1] == edges[-1], panels
+    assert all(hi == lo for (_, hi), (lo, _) in zip(panels, panels[1:])), panels
+    ends = {t for panel in panels for t in panel}
+    assert set(edges) <= ends, (edges, panels)
+
+
+PANEL_CASES = {
+    "step_mix": (catalog_bank()[3][1], 4.0),
+    "ramp_half": (dict(catalog_bank())["ramp_half"], 3.0),
+    "sqrt_cusp": (power(0.5), 2.0),
+    "wiggle": (Func(lambda x: math.sin(40.0 * x) ** 2, (-0.3, 0.7)), 1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PANEL_CASES))
+def test_recorded_panels_tile_the_interval_and_hold_its_breakpoints(name):
+    g, r = PANEL_CASES[name]
+    pts = [s for s in g.singular_points if -r < s < r]
+    panels = []
+    res = integrate_ball(g, Ball(r), panels=panels)
+    # the ball splits at 0 and at g's own points, and refines from there
+    _tiles(panels, sorted({-r, 0.0, *pts, r}))
+    assert len(panels) <= res.subdivisions
+    panels = []
+    integrate_shell(g, 0.5, r, panels=panels)
+    _tiles([p for p in panels if p[0] < 0.0], [-r, *(s for s in pts if s < -0.5), -0.5])
+    _tiles([p for p in panels if p[0] > 0.0], [0.5, *(s for s in pts if s > 0.5), r])
+    if g.even:
+        panels = []
+        integrate_ball(g, Ball(r, 2), panels=panels)
+        _tiles(panels, sorted({0.0, *(abs(s) for s in pts), r}))
+
+
+def test_a_frozen_panel_is_recorded():
+    # a panel one ulp wide cannot split: it is frozen with its error, and a
+    # split that makes the value large lets the relative rung accept it
+    ulp_end = math.nextafter(1.0, 2.0)
+
+    def panel(fn, lo, hi):
+        if lo == 1.0 and hi == ulp_end:
+            return 0.0, 9e-10
+        if hi - lo >= 0.4:
+            return 1.0, 6e-10
+        return 1e5, 0.0
+
+    panels = []
+    res = quadrature._adapt(None, panel, 1.0, 3.0, [ulp_end, 2.0], 1e-9, panels=panels)
+    assert res.value > 1e5
+    assert (1.0, ulp_end) in panels
+    _tiles(panels, [1.0, ulp_end, 2.0, 3.0])
+
+
+def test_the_one_panel_shell_records_both_sides():
+    for g in (constant(1.0), scaled_ball(4.0), Func(lambda x: x * x + x, ())):
+        panels = []
+        assert integrate_shell(g, 0.25, 0.5, panels=panels).subdivisions == 2
+        assert panels == [(-0.5, -0.25), (0.25, 0.5)]
+    # an exact 0 takes no panel
+    panels = []
+    assert integrate_shell(sign_func(), 0.25, 0.5, panels=panels).value == 0.0
+    assert panels == []
+
+
+@pytest.mark.parametrize("name", sorted(PANEL_CASES))
+def test_a_panel_list_changes_no_result(name):
+    g, r = PANEL_CASES[name]
+    calls = [lambda **kw: integrate_ball(g, Ball(r), **kw),
+             lambda **kw: integrate_shell(g, 0.5, r, **kw),
+             lambda **kw: integrate_shell(g, 0.5, r, tol=1e-12, **kw)]
+    if g.even:
+        calls += [lambda **kw: integrate_ball(g, Ball(r, 3), **kw),
+                  lambda **kw: integrate_shell(g, 0.5, r, dim=2, **kw)]
+    for call in calls:
+        assert repr(call(panels=[])) == repr(call())
+
+
+def test_gk15_nodes_are_the_nodes_the_panel_evaluates():
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return math.exp(x)
+
+    value, _ = quadrature._gk15(g, 0.3, 1.7)
+    nodes = quadrature.gk15_nodes(0.3, 1.7)
+    assert sorted(x for x, _ in nodes) == sorted(seen)
+    assert sum(w * math.exp(x) for x, w in nodes) == pytest.approx(value, rel=1e-15)
+    # in dimension 3 the weight carries 4 pi r^2
+    value, _ = quadrature._gk15(quadrature._radial_weight(math.exp, 3), 0.3, 1.7)
+    nodes = quadrature.gk15_nodes(0.3, 1.7, dim=3)
+    assert sum(w * math.exp(x) for x, w in nodes) == pytest.approx(value, rel=1e-15)

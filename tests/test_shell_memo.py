@@ -111,12 +111,12 @@ def test_shell_falls_back_where_one_panel_misses_tol(even, monkeypatch):
     calls = []
     adapt = quadrature._adapt
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         # the reference runs the loop through integrate_interval, so only
         # the calls integrate_shell makes itself are counted
         if sys._getframe(1).f_code is integrate_shell.__code__:
             calls.append(args[2:4])
-        return adapt(*args)
+        return adapt(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "_adapt", counted)
     _assert_table_matches_reference(_ShellTable(g, 1, 1e-10))
