@@ -21,11 +21,13 @@ The bisection stops when hi - lo <= 1e-8 hi, a relative width, so small
 norms keep their relative accuracy.  Its result depends only on how each
 modular it tries compares with 1 and with the exit band, so a pass runs
 only where that comparison is open.  The modular's model, a sum of
-w lam^-q, decides which: rho(1) lam^-p where p is constant on the domain,
-sum of |I| |c|^q lam^-q over the pieces of flat data under a step p in
-dimension 1, and otherwise the lam = 1 pass's own GK15 sum of
+w lam^-q read from the lam = 1 pass, decides which: rho(1) lam^-p where p
+is constant on the domain; for flat data under a step p in dimension 1,
+the sum of |I| |c|^q lam^-q over the pass's final panels, on each of which
+both are constant; and otherwise the pass's own GK15 sum of
 |f(x)|^p(x) lam^-p(x), read from the node table and grouped by p(x).
-Only passes within a noise margin of its root run: about 3 per solve.
+Only passes under a non-constant p keep their panels.  Only passes
+within a noise margin of the model's root run: about 3 per solve.
 Where a pass misses the model (the lam = 1 panels of a chi norm are too
 coarse at its root), the model is rebuilt once from that pass's panels.
 Exact passes at the final lo and hi, and at the bracket edge the
@@ -180,9 +182,9 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
     same operations as without the table, so every value keeps its last
     bit.  For flat f in dimension 1 under a step p, a node strictly
     inside the open piece of the node before it in the same pass returns
-    that piece's value, which is the node's own bit for bit.  Each pass
-    puts the (lo, hi) of its final quadrature panels in the caller's
-    ``passes`` under its lam.
+    that piece's value, which is the node's own bit for bit.  Where p is
+    not constant on the domain, each pass puts the (lo, hi) of its final
+    quadrature panels in the caller's ``passes`` under its lam.
     """
     ffn = f.evaluate
     pfn = e.evaluate
@@ -229,7 +231,9 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
         lam = at
         lo = hi = 0.0
         total = 0.0
-        panels = passes[at] = []
+        panels = None
+        if p_const is None:  # the model under a constant p reads rho(1) alone
+            panels = passes[at] = []
         try:
             for inner, outer in _modular_pieces(f, e, domain, lam, tol):
                 if inner == 0.0 < outer:
@@ -305,24 +309,28 @@ def _components(domain: Domain) -> list[tuple[float, float]]:
     return [(-outer, -inner), (inner, outer)]
 
 
-def _model(f, e: Exponent, domain: Domain, mod_tol: float, p_const: Optional[float],
-           rho1: float, table: dict, panels: list) -> Optional[list[tuple[float, float]]]:
+def _model(f, e: Exponent, domain: Domain, p_const: Optional[float], rho1: float,
+           table: dict, panels: Optional[list]) -> Optional[list[tuple[float, float]]]:
     """The modular's form rho(lam) = sum of w lam^-q, as [(w, q), ...],
-    grouped by q: rho(1) lam^-p where p is the constant p_const on the
-    domain; |I| |c|^q per piece (_flat_pieces) for flat f in dimension 1
-    under a step p; otherwise the GK15 weight times |f(x)|^p(x) per node x
-    of one pass's final ``panels``, read from the node table.  A node whose
-    GK15 weight is subnormal (imprecise) drops out.  None where a weight
-    overflows or is not finite, a piece's weight underflows, no term is
-    left, or a node is not in the table.  Never raises: a model decides
-    which passes run, not a result.
+    grouped by q, read from one pass: its rho(1) lam^-p where p is the
+    constant p_const on the domain; otherwise from its final ``panels``.
+    For flat f in dimension 1 under a step p, each panel lies between two
+    cuts of f and p, so it gives |I| |c|^q with c and q the values at its
+    centre, evaluated there where the piece memo kept it out of the node
+    table; for any other f and p, each GK15 node x gives its weight times
+    |f(x)|^p(x), read from the node table, and a node whose weight is
+    subnormal (imprecise) drops out.  None where a weight overflows or is
+    not finite, a panel's weight underflows, no term is left, or a node is
+    not in the table.  Never raises: a model decides which passes run,
+    not a result.
     """
     try:
         if p_const is not None:
             terms = {p_const: rho1}
         else:
             flat = f.flat and domain.dim == 1 and e.kind == "piecewise-constant"
-            nodes = (_flat_pieces(f, e, domain, mod_tol) if flat else
+            nodes = (((hi - lo, *(table.get(c) or (abs(f.evaluate(c)), e.evaluate(c))))
+                      for lo, hi in panels for c in (0.5 * (lo + hi),)) if flat else
                      ((w, *table[x]) for lo, hi in panels
                       for x, w in gk15_nodes(lo, hi, domain.dim)
                       if w >= sys.float_info.min))
@@ -330,25 +338,12 @@ def _model(f, e: Exponent, domain: Domain, mod_tol: float, p_const: Optional[flo
             for width, c, q in nodes:
                 w = width * c ** q
                 if flat and c and not w > 0.0:
-                    return None  # a piece's weight underflows
+                    return None  # a panel's weight underflows
                 terms[q] = terms.get(q, 0.0) + w
         model = [(w, q) for q, w in terms.items() if w]
         return model if model and all(w < math.inf for w, _ in model) else None
     except Exception:
         return None
-
-
-def _flat_pieces(f, e: Exponent, domain: Domain, mod_tol: float):
-    """(|I|, |c|, q) per open piece I between the integrand's cuts, where
-    the flat f is c and the step p is q, in dimension 1."""
-    cuts = sorted({*f.singular_points, *e.breakpoints})
-    for inner, outer in _modular_pieces(f, e, domain, 1.0, mod_tol):
-        for a, b in ([(-outer, outer)] if inner == 0.0
-                     else [(-outer, -inner), (inner, outer)]):
-            edges = [a, *(s for s in cuts if a < s < b), b]
-            for x0, x1 in zip(edges, edges[1:]):
-                mid = 0.5 * (x0 + x1)
-                yield x1 - x0, abs(f.evaluate(mid)), e.evaluate(mid)
 
 
 def _model_root(model: list[tuple[float, float]]) -> float:
@@ -390,7 +385,7 @@ def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float,
         return exact[lam]
 
     def model_from(lam: float) -> Optional[list[tuple[float, float]]]:
-        return _model(f, e, domain, mod_tol, p_const, rho1, table, passes[lam])
+        return _model(f, e, domain, p_const, rho1, table, passes.get(lam))
 
     model = model_from(1.0)
     try:

@@ -1,10 +1,11 @@
 """The modular's model decides which Luxemburg passes run.
 
 The modular is modelled as a sum of w lam^-q: rho(1) lam^-p where p is
-constant on the domain; one term per piece where f is flat under a
-piecewise-constant p in dimension 1; and otherwise the lam = 1 pass's own
-GK15 sum, each final node's |f(x)|^p(x) lam^-p(x) read from the solve's
-node table and grouped by p(x).  A solve then runs only the passes near
+constant on the domain; one term per final panel of the lam = 1 pass
+where f is flat under a piecewise-constant p in dimension 1; and otherwise
+that pass's own GK15 sum, each final node's |f(x)|^p(x) lam^-p(x) read
+from the solve's node table and grouped by p(x).  Only passes under a
+non-constant p keep their panels.  A solve then runs only the passes near
 the model's root, about 3, and its result is the exact search's bit for
 bit.  Where an exact pass misses the model, the model is rebuilt once from
 that pass's own panels and the search runs again; a modular that breaks
@@ -13,7 +14,6 @@ raises.
 """
 
 import math
-from collections import defaultdict
 from contextlib import contextmanager
 from unittest import mock
 
@@ -95,7 +95,7 @@ def _exact(f, e, domain, tol=1e-9, retried=None):
         return norms._search(rho, norms._seed_lambda(f, e, domain), e.p_minus,
                              mod_tol)[0]
     except norms.BracketExpansionError:
-        model = norms._model(f, e, domain, mod_tol, p_const, rho1, table, passes[1.0])
+        model = norms._model(f, e, domain, p_const, rho1, table, passes.get(1.0))
         if not model:
             raise
     if retried is not None:
@@ -226,7 +226,7 @@ def test_two_term_modular_off_its_model_falls_back(name, monkeypatch):
 
     # rho's passes have no panels: the patched model reads none, and the
     # model rebuilt from the pass that missed is the same one
-    res = norms._bisect(rho, f, e, FULL_LINE, mod_tol, None, {}, defaultdict(list))
+    res = norms._bisect(rho, f, e, FULL_LINE, mod_tol, None, {}, {})
     assert repr(res) == repr(want)
     # the exact search runs every pass (30 here); on its model, 3 or 4 run
     assert len(passes) >= 30 if breaks_model else len(passes) <= 4, passes
@@ -254,35 +254,39 @@ def _raising_flat():
 
 HUGE = lincomb([chi_interval(0.0, 1.0)], [1e200])
 TINY = lincomb([chi_interval(0.0, 1.0)], [1e-300])
-# (f, exponent, domain, rho(1)) for which there is no model, read with an
-# empty node table: a model read from a pass's nodes needs all of them
+# (f, exponent, domain, rho(1), the lam = 1 pass's final panels, None under
+# a constant p) for which there is no model, read with an empty node table:
+# a flat f is evaluated at its panels' centres, and a model read from a
+# pass's nodes needs all of them
+UNIT = [(-1.0, 0.0), (0.0, 0.5), (0.5, 1.0)]
 NO_MODEL = {
     "huge_overflows_a_weight": (HUGE, piecewise_exponent([0.5], [8.0, 12.0]),
-                                FULL_LINE, math.inf),
-    "huge_overflows_rho1": (HUGE, constant_exponent(12.0), FULL_LINE, math.inf),
-    "tiny_underflows_rho1": (TINY, constant_exponent(10.0), FULL_LINE, 0.0),
+                                FULL_LINE, math.inf, UNIT),
+    "huge_overflows_rho1": (HUGE, constant_exponent(12.0), FULL_LINE, math.inf, None),
+    "tiny_underflows_rho1": (TINY, constant_exponent(10.0), FULL_LINE, 0.0, None),
     "tiny_underflows_a_weight": (TINY, piecewise_exponent([0.5], [10.0, 12.0]),
-                                 FULL_LINE, 0.0),
+                                 FULL_LINE, 0.0, UNIT),
     "sum_overflows": (lincomb([chi_interval(-2.0, -1.0), chi_interval(1.0, 2.0)],
                               [1e154, 1e154]), piecewise_exponent([3.0], [2.0, 3.0]),
-                      FULL_LINE, math.inf),
-    "no_terms": (chi_interval(0.0, 1.0), PW23, DyadicRing(3), 0.0),
-    "nan_piece": (_nan_flat(), PW23, Ball(1.0), math.inf),
-    "raising_piece": (_raising_flat(), PW23, Ball(1.0), math.inf),
-    "not_flat_without_its_nodes": (Func(lambda x: x, (), 1.0), PW23, Ball(1.5), 1.0),
+                      FULL_LINE, math.inf, [(-2.0, -1.0), (1.0, 2.0)]),
+    "no_terms": (chi_interval(0.0, 1.0), PW23, DyadicRing(3), 0.0, None),
+    "nan_piece": (_nan_flat(), PW23, Ball(1.0), math.inf, [(-1.0, 0.0), (0.0, 1.0)]),
+    "raising_piece": (_raising_flat(), PW23, Ball(1.0), math.inf,
+                      [(-1.0, 0.0), (0.0, 1.0)]),
+    "not_flat_without_its_nodes": (Func(lambda x: x, (), 1.0), PW23, Ball(1.5), 1.0,
+                                   [(0.0, 1.0)]),
     "smooth_exponent_without_its_nodes": (
         chi_interval(0.0, 1.0),
         norms.Exponent("custom-evaluable", {}, lambda x: 2.0 + x * x, 2.0, 6.0),
-        Ball(2.0), 1.0),
+        Ball(2.0), 1.0, [(0.0, 1.0)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NO_MODEL))
 def test_a_model_that_cannot_be_built_is_none(name):
-    f, e, domain, rho1 = NO_MODEL[name]
+    f, e, domain, rho1, panels = NO_MODEL[name]
     p_const = e.constant_value_on(norms._components(domain))
-    assert norms._model(f, e, domain, norms.MODULAR_TOL, p_const, rho1, {},
-                        [(0.0, 1.0)]) is None
+    assert norms._model(f, e, domain, p_const, rho1, {}, panels) is None
 
 
 def test_extreme_scales_keep_their_norms():
@@ -295,13 +299,36 @@ def test_extreme_scales_keep_their_norms():
     assert luxemburg_norm(TINY, constant_exponent(10.0)).value == 0.0
 
 
-def test_flat_model_is_the_modular():
+def _flat_pieces(f, e, domain):
+    """(|I|, |c|, q) per open piece I between the cuts of f and p, where the
+    flat f is c and the step p is q, in dimension 1: a walk of the domain
+    independent of any pass."""
+    cuts = sorted({*f.singular_points, *e.breakpoints})
+    for inner, outer in norms._modular_pieces(f, e, domain, 1.0, norms.MODULAR_TOL):
+        for a, b in ([(-outer, outer)] if inner == 0.0
+                     else [(-outer, -inner), (inner, outer)]):
+            edges = [a, *(s for s in cuts if a < s < b), b]
+            for x0, x1 in zip(edges, edges[1:]):
+                mid = 0.5 * (x0 + x1)
+                yield x1 - x0, abs(f.evaluate(mid)), e.evaluate(mid)
+
+
+@pytest.mark.parametrize("domain", [Ball(4.0), Ball(1.5)], ids=["B(4)", "B(1.5)"])
+def test_flat_model_is_the_modular(domain):
     f = shifted(with_sign(chi_ball(2.0)), 0.3)
-    model = norms._model(f, PW23, Ball(4.0), norms.MODULAR_TOL, None, 1.0, {}, [])
-    # pw23 takes 2 and 3 on B(4): one term per exponent value
-    assert sorted(q for _, q in model) == [2.0, 3.0]
+    table, passes = {}, {}
+    rho = norms._modular_passes(f, PW23, domain, norms.MODULAR_TOL, None, table, passes)
+    model = norms._model(f, PW23, domain, None, rho(1.0), table, passes[1.0])
+    # pw23 takes 2 and 3 on both balls: one term per exponent value, the sum
+    # of |I| |c|^q over the pieces of that value
+    pieces = {}
+    for width, c, q in _flat_pieces(f, PW23, domain):
+        pieces[q] = pieces.get(q, 0.0) + width * c ** q
+    assert sorted(q for _, q in model) == sorted(pieces) == [2.0, 3.0]
+    for w, q in model:
+        assert abs(w - pieces[q]) <= 1e-14 * pieces[q], q
     for lam in (0.5, 1.0, 3.0, 10.0):
-        want = norms.modular(lincomb([f], [1.0 / lam]), PW23, Ball(4.0), tol=1e-12)
+        want = norms.modular(lincomb([f], [1.0 / lam]), PW23, domain, tol=1e-12)
         got = sum(w * lam ** -q for w, q in model)
         assert abs(got - want) <= 1e-12 * want
 
@@ -436,10 +463,42 @@ def test_node_table_model_is_the_modular():
     f, e, domain = BANK["ramp_half"], SMOOTH["sin_loglog"], Ball(1.5)
     table, passes = {}, {}
     rho = norms._modular_passes(f, e, domain, norms.MODULAR_TOL, None, table, passes)
-    model = norms._model(f, e, domain, norms.MODULAR_TOL, None, rho(1.0), table,
-                         passes[1.0])
+    model = norms._model(f, e, domain, None, rho(1.0), table, passes[1.0])
     # one term per distinct exponent value at a node
     assert len(model) > 100
     for lam in (0.5, 1.0, 2.0):
         got = sum(w * lam ** -q for w, q in model)
         assert abs(got - rho(lam)) <= 1e-10 * got, lam
+
+
+@contextmanager
+def _panel_requests():
+    """The ``panels`` argument of every quadrature call the passes inside
+    make."""
+    got = []
+
+    def asked(integrate):
+        def call(*args, panels=None, **kwargs):
+            got.append(panels)
+            return integrate(*args, panels=panels, **kwargs)
+        return call
+
+    with mock.patch.object(norms, "integrate_ball", asked(norms.integrate_ball)), \
+            mock.patch.object(norms, "integrate_shell", asked(norms.integrate_shell)):
+        yield got
+
+
+def test_constant_p_passes_record_no_panels():
+    # the model under a constant p is rho(1) lam^-p: flat or not, no pass
+    # hands quadrature a panel list
+    for domain in (FULL_LINE, Ball(1.0), DyadicRing(1)):
+        for f in (FLAT["chi01"], scaled_ball(1.0)):
+            with _panel_requests() as got:
+                luxemburg_norm(f, E2, domain)
+            assert got and all(panels is None for panels in got), (f, domain)
+    # a non-flat f under a step p, and a smooth p, read their models from
+    # the panels
+    for f, e in ((scaled_ball(1.0), PW23), (FLAT["chi01"], SMOOTH["inv_one_plus_sq"])):
+        with _panel_requests() as got:
+            luxemburg_norm(f, e, Ball(1.5))
+        assert got and all(panels is not None for panels in got), (f, e.kind)
