@@ -520,8 +520,7 @@ def _search(rho, lam0: float, p_minus: float,
     # modular noise delta shifts the root by at most delta * lambda / p_minus
     # (the modular's slope at the root is at least p_minus / lambda in size)
     root_shift = (EXIT_BAND + mod_tol) * value / p_minus
-    return NormResult(value, 0.5 * (hi - lo) + root_shift + mod_tol, iters,
-                      (lo, hi)), checks
+    return NormResult(value, 0.5 * (hi - lo) + root_shift, iters, (lo, hi)), checks
 
 
 def chi_norm(region, e: Exponent, tol: float = 1e-9) -> NormResult:

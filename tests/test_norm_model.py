@@ -347,6 +347,14 @@ def test_a_bracket_that_gives_out_restarts_from_the_model_root(exp):
     assert res.value == pytest.approx(6e-8 * math.sqrt(2.4e-276), rel=1e-8)
 
 
+def test_a_tiny_norm_reports_an_error_bound_on_its_scale():
+    # the bound once added the modular tolerance, 1e-11, unscaled to every
+    # norm, far above this one (about 9.3e-146); the tolerance's shift of
+    # the root, scaled by the norm, is already in it
+    res = luxemburg_norm(lincomb([chi_interval(-2.4e-276, 0.0)], [6e-8]), E2, Ball(0.1))
+    assert 0.0 < res.abs_error_bound <= 1e-8 * res.value, res
+
+
 SMOOTH = {name: smooth_exponent(name)
           for name in ("inv_one_plus_abs", "inv_one_plus_sq", "sin_loglog")}
 BANK = dict(catalog_bank())
