@@ -355,7 +355,7 @@ def combine_tails(weighted: list[tuple[float, Optional[PowerTail]]]) -> Optional
 # ---------------------------------------------------------------------------
 
 def pointwise_product(f, g) -> Func:
-    """f * g with merged metadata; used by the commutator kernels.
+    """f * g with merged metadata, for the commutator kernels and the pairing.
 
     Even when both factors are even or both odd.  Odd when exactly one is
     odd and the other even, unless a factor is unbounded near a point: the

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exponents import Exponent, r_p_constant
-from .funcs import Func
+from .funcs import Func, pointwise_product
 from .geometry import FULL_LINE, Ball, Domain, unit_ball_volume
 from .quadrature import gk15_nodes, integrate_ball, integrate_shell
 
@@ -563,14 +563,10 @@ def dual_extremizer(f, e: Exponent, norm_value: float) -> Func:
 
 
 def _pairing_integral(f, g, tol: float) -> float:
-    f_fn = f.evaluate
-    g_fn = g.evaluate
-    support = min(f.support_radius, g.support_radius)
-    if not math.isfinite(support):
+    prod = pointwise_product(f, g)
+    if not math.isfinite(prod.support_radius):
         raise ValueError("pairing integral needs at least one compact support")
-    prod = Func(lambda x: f_fn(x) * g_fn(x), (*f.singular_points, *g.singular_points),
-                support)
-    return integrate_ball(prod, Ball(support), tol=tol).value
+    return integrate_ball(prod, Ball(prod.support_radius), tol=tol).value
 
 
 def dual_pairing_sup(f, e: Exponent, dual_bank: Sequence,

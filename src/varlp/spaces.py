@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .exponents import Exponent
-from .funcs import Func, lr_aggregate, mean_on_ball, range_on_ball, shifted
+from .funcs import abs_power, lr_aggregate, mean_on_ball, range_on_ball, shifted
 from .geometry import Ball, DyadicRing
 from .norms import chi_norm, luxemburg_norm
 from .quadrature import integrate_ball
@@ -100,9 +100,7 @@ def cbmo_classical_norm(f, p: float, radius_grid: Sequence[float],
     def ratio(r: float) -> float:
         ball = Ball(r)
         g = shifted(f, mean_on_ball(f, ball, tol=tol).value)
-        gfn = g.evaluate
-        h = Func(lambda x: abs(gfn(x)) ** p, g.singular_points, math.inf, even=f.even)
-        res = integrate_ball(h, ball, tol=tol)
+        res = integrate_ball(abs_power(g, p), ball, tol=tol)
         return (res.value / ball.measure) ** (1.0 / p)
 
     return _sweep(radius_grid, ratio)
