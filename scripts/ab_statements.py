@@ -18,7 +18,9 @@ wraps that side's ``quadrature._gk15``, ``OperatorImage._compute``,
 once more.  Prints each side's fastest time per statement over the
 rounds, its GK15 panels, computed image points, modular passes and
 bisection searches (more searches than solves means exact reruns), the
-sums and the change/parent ratio of the times, whether the two sides'
+passes that kept their final quadrature panels for the solve's model
+(read from the ``passes`` dict each pass fills) and the panels they kept,
+the sums and the change/parent ratio of the times, whether the two sides'
 reports were equal in every round, and whether each side's reports hashed
 in every round to the SHA-256 its checkout's
 ``perfbench/reference/harness_reference.json`` stores for the seed (read
@@ -67,10 +69,11 @@ def report_digest(reports) -> str:
 
 
 def count_work(verify, config, quadrature, operators, norms,
-               seed: int) -> list[tuple[int, int, int, int]]:
-    """(GK15 panels, computed image points, modular passes, searches) per
-    statement of one untimed round, with one sweep memo as run_all keeps."""
-    counts = [0, 0, 0, 0]
+               seed: int) -> list[tuple[int, ...]]:
+    """(GK15 panels, computed image points, modular passes, searches,
+    passes that kept panels, panels kept) per statement of one untimed
+    round, with one sweep memo as run_all keeps."""
+    counts = [0] * 6
     gk15, compute = quadrature._gk15, operators.OperatorImage._compute
     make, search = norms._modular_passes, norms._search
 
@@ -83,11 +86,17 @@ def count_work(verify, config, quadrature, operators, norms,
         return compute(image, x)
 
     def counted_passes(*args):
-        rho = make(*args)
+        rho, kept = make(*args), args[-1]  # the solve's panels per lam
 
         def counted(lam):
             counts[2] += 1
-            return rho(lam)
+            try:
+                return rho(lam)
+            finally:
+                panels = kept.get(lam)
+                if panels is not None:
+                    counts[4] += 1
+                    counts[5] += len(panels)
 
         return counted
 
@@ -102,7 +111,7 @@ def count_work(verify, config, quadrature, operators, norms,
     try:
         cfg, memo, out = config.ExperimentConfig(seed=seed), {}, []
         for sid in verify.STATEMENT_IDS:
-            counts[:] = 0, 0, 0, 0
+            counts[:] = [0] * 6
             verify.run_statement(sid, cfg, memo=memo)
             out.append(tuple(counts))
         return out
@@ -151,12 +160,12 @@ def main() -> int:
         print(f"round {rnd + 1}/{args.rounds} done", file=sys.stderr, flush=True)
     work = {side: count_work(*mods[side], args.seed) for side in SIDES}
 
-    counters = ("panels", "points", "passes", "searches")
+    counters = ("panels", "points", "passes", "searches", "kept_passes", "kept_panels")
     print(f"{'statement':<26} {'parent_s':>9} {'change_s':>9} {'ratio':>7} "
-          + " ".join(f"{side + '_' + name:>15}" for name in counters for side in SIDES))
+          + " ".join(f"{side + '_' + name:>18}" for name in counters for side in SIDES))
 
     def row(label, p, c, parent_work, change_work):
-        cells = " ".join(f"{n:15d}" for pair in zip(parent_work, change_work)
+        cells = " ".join(f"{n:18d}" for pair in zip(parent_work, change_work)
                          for n in pair)
         print(f"{label:<26} {p:9.4f} {c:9.4f} {c / p if p else float('nan'):7.3f} {cells}")
 

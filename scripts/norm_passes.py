@@ -10,12 +10,15 @@ roots compares their counters.  Every op of the seed's list is called
 counters wrapped around ``norms._modular_passes`` (every modular pass) and
 ``norms._search`` (every bracket-and-bisect run), and around
 ``norms._bisect`` to tell one Luxemburg solve from the next (a dual op
-runs several).  A solve falls back when it runs a search after a
+runs several); the passes that kept their final quadrature panels for the
+solve's model, and the panels kept, are read from the ``passes`` dict
+each pass fills.  A solve falls back when it runs a search after a
 model-guided one (``norms._guided``) gave out; on a checkout without
 ``_guided``, when it runs a second search.  For each class, and for each
 exponent over its classes, it prints the ops, passes, searches, solves
-that fell back and the sum of the ops' fastest times in ms; the last line
-of output is one JSON object with the same table.  Standard library only.
+that fell back, the passes that kept panels, the panels kept and the sum
+of the ops' fastest times in ms; the last line of output is one JSON
+object with the same table.  Standard library only.
 """
 
 import argparse
@@ -27,22 +30,30 @@ from collections import defaultdict
 from contextlib import contextmanager
 
 ROOT = pathlib.Path.cwd()
-FIELDS = ("ops", "passes", "searches", "fallbacks", "fastest_ms")
+FIELDS = ("ops", "passes", "searches", "fallbacks", "kept_passes", "kept_panels",
+          "fastest_ms")
 
 
 @contextmanager
 def counted(norms, counts):
-    """Count passes, searches and solves that fell back while inside."""
+    """Count passes, searches, solves that fell back, passes that kept
+    panels and the panels kept while inside."""
     make, search, bisect = norms._modular_passes, norms._search, norms._bisect
     guided = getattr(norms, "_guided", None)
     solve = {"searches": 0, "guided": 0}
 
     def passes(*args):
-        rho = make(*args)
+        rho, kept = make(*args), args[-1]  # the solve's panels per lam
 
         def one(lam):
             counts["passes"] += 1
-            return rho(lam)
+            try:
+                return rho(lam)
+            finally:
+                panels = kept.get(lam)
+                if panels is not None:
+                    counts["kept_passes"] += 1
+                    counts["kept_panels"] += len(panels)
 
         return one
 
@@ -102,7 +113,7 @@ def main() -> int:
             except Exception:  # a refusal is an outcome too
                 pass
             fastest = min(fastest, time.perf_counter() - t0)
-        counts = {"passes": 0, "searches": 0, "fallbacks": 0}
+        counts = dict.fromkeys(FIELDS[1:-1], 0)
         with counted(norms, counts):
             try:
                 op()
