@@ -22,12 +22,11 @@ norms keep their relative accuracy.  Its result depends only on how each
 modular it tries compares with 1 and with the exit band, so a pass runs
 only where that comparison is open.  The modular's model, a sum of
 w lam^-q read from the lam = 1 pass, decides which: rho(1) lam^-p where p
-is constant on the domain; for flat data under a step p in dimension 1,
-the sum of |I| |c|^q lam^-q over the pass's final panels, on each of which
-both are constant; and otherwise the pass's own GK15 sum of
-|f(x)|^p(x) lam^-p(x), read from the node table and grouped by p(x).
-Only passes under a non-constant p keep their panels.  Only passes
-within a noise margin of the model's root run: about 3 per solve.
+is constant on the domain, so no pass keeps its panels; sum of
+|I| |c|^q lam^-q over the pass's final panels for flat data under a step
+p in dimension 1; otherwise the pass's GK15 sum of |f(x)|^p(x) lam^-p(x),
+read from the node table and grouped by p(x).  Only passes within a
+noise margin of its root run: about 3 per solve.
 Where a pass misses the model (the lam = 1 panels of a chi norm are too
 coarse at its root), the model is rebuilt once from that pass's panels.
 Exact passes at the final lo and hi, and at the bracket edge the
@@ -312,25 +311,25 @@ def _components(domain: Domain) -> list[tuple[float, float]]:
 def _model(f, e: Exponent, domain: Domain, p_const: Optional[float], rho1: float,
            table: dict, panels: Optional[list]) -> Optional[list[tuple[float, float]]]:
     """The modular's form rho(lam) = sum of w lam^-q, as [(w, q), ...],
-    grouped by q, read from one pass: its rho(1) lam^-p where p is the
-    constant p_const on the domain; otherwise from its final ``panels``.
-    For flat f in dimension 1 under a step p, each panel lies between two
-    cuts of f and p, so it gives |I| |c|^q with c and q the values at its
-    centre, evaluated there where the piece memo kept it out of the node
-    table; for any other f and p, each GK15 node x gives its weight times
-    |f(x)|^p(x), read from the node table, and a node whose weight is
-    subnormal (imprecise) drops out.  None where a weight overflows or is
-    not finite, a panel's weight underflows, no term is left, or a node is
-    not in the table.  Never raises: a model decides which passes run,
-    not a result.
+    grouped by q, read from one pass: rho(1) lam^-p where p is the constant
+    p_const on the domain; for flat f in dimension 1 under a step p,
+    |I| |c|^q per final panel I, c and q read at its centre (the pass split
+    at every cut of f and p), evaluated where the piece memo kept it out
+    of the node table; otherwise the GK15 weight times |f(x)|^p(x) per node
+    x of the final ``panels``, read from the node table.  A node whose GK15
+    weight is subnormal (imprecise) drops out.  None where a weight
+    overflows or is not finite, a panel's weight underflows, no term is
+    left, or a node is not in the table.  Never raises: a model decides
+    which passes run, not a result.
     """
     try:
         if p_const is not None:
             terms = {p_const: rho1}
         else:
             flat = f.flat and domain.dim == 1 and e.kind == "piecewise-constant"
-            nodes = (((hi - lo, *(table.get(c) or (abs(f.evaluate(c)), e.evaluate(c))))
-                      for lo, hi in panels for c in (0.5 * (lo + hi),)) if flat else
+            centres = ((hi - lo, 0.5 * (lo + hi)) for lo, hi in panels)
+            nodes = (((width, *(table.get(c) or (abs(f.evaluate(c)), e.evaluate(c))))
+                      for width, c in centres) if flat else
                      ((w, *table[x]) for lo, hi in panels
                       for x, w in gk15_nodes(lo, hi, domain.dim)
                       if w >= sys.float_info.min))
