@@ -313,24 +313,25 @@ def _flat_pieces(f, e, domain):
                 yield x1 - x0, abs(f.evaluate(mid)), e.evaluate(mid)
 
 
-@pytest.mark.parametrize("domain", [Ball(4.0), Ball(1.5)], ids=["B(4)", "B(1.5)"])
-def test_flat_model_is_the_modular(domain):
+def test_flat_model_is_the_modular():
     f = shifted(with_sign(chi_ball(2.0)), 0.3)
-    table, passes = {}, {}
-    rho = norms._modular_passes(f, PW23, domain, norms.MODULAR_TOL, None, table, passes)
-    model = norms._model(f, PW23, domain, None, rho(1.0), table, passes[1.0])
-    # pw23 takes 2 and 3 on both balls: one term per exponent value, the sum
-    # of |I| |c|^q over the pieces of that value
-    pieces = {}
-    for width, c, q in _flat_pieces(f, PW23, domain):
-        pieces[q] = pieces.get(q, 0.0) + width * c ** q
-    assert sorted(q for _, q in model) == sorted(pieces) == [2.0, 3.0]
-    for w, q in model:
-        assert abs(w - pieces[q]) <= 1e-14 * pieces[q], q
-    for lam in (0.5, 1.0, 3.0, 10.0):
-        want = norms.modular(lincomb([f], [1.0 / lam]), PW23, domain, tol=1e-12)
-        got = sum(w * lam ** -q for w, q in model)
-        assert abs(got - want) <= 1e-12 * want
+    for domain in (Ball(4.0), Ball(1.5)):
+        table, passes = {}, {}
+        rho = norms._modular_passes(f, PW23, domain, norms.MODULAR_TOL, None, table,
+                                    passes)
+        model = norms._model(f, PW23, domain, None, rho(1.0), table, passes[1.0])
+        # pw23 takes 2 and 3 on both balls: one term per exponent value, the
+        # sum of |I| |c|^q over the pieces of that value
+        pieces = {}
+        for width, c, q in _flat_pieces(f, PW23, domain):
+            pieces[q] = pieces.get(q, 0.0) + width * c ** q
+        assert sorted(q for _, q in model) == sorted(pieces) == [2.0, 3.0]
+        for w, q in model:
+            assert abs(w - pieces[q]) <= 1e-14 * pieces[q], (domain, q)
+        for lam in (0.5, 1.0, 3.0, 10.0):
+            want = norms.modular(lincomb([f], [1.0 / lam]), PW23, domain, tol=1e-12)
+            got = sum(w * lam ** -q for w, q in model)
+            assert abs(got - want) <= 1e-12 * want, (domain, lam)
 
 
 @pytest.mark.parametrize("exp", ["const2", "pw23"])
