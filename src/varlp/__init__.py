@@ -7,7 +7,7 @@ from .funcs import (Func, abs_power, catalog_bank, chi_ball, chi_interval,
                     chi_ring, constant, dyadic_step, lincomb, lr_aggregate,
                     mean_on_ball, power, scaled_ball, sign_func, with_sign,
                     zero)
-from .geometry import FULL_LINE, Ball, DyadicRing, unit_ball_volume
+from .geometry import FULL_LINE, Ball, DyadicRing
 from .norms import (NormResult, NotInSpaceError, chi_norm, dual_pairing_sup,
                     luxemburg_norm, modular)
 from .operators import (OperatorImage, OperatorSample, commutator_dual_hardy,

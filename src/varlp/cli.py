@@ -109,10 +109,9 @@ def _cmd_op(args) -> int:
     payload = {"kind": args.kind, "f": args.f, "b": args.b, "tol": tol,
                "samples": [list(r) for r in rows]}
     if args.kind == "maximal":
-        from .geometry import unit_ball_volume
-        # values are ball averages; the r^(-n)-normalized convention is
-        # larger by exactly the unit-ball volume
-        payload["rpow_normalization_factor"] = unit_ball_volume(1)
+        # values are ball averages; the r^(-1)-normalized convention is
+        # larger by exactly 2, the measure of the unit ball
+        payload["rpow_normalization_factor"] = 2.0
     _write_json(args.json, payload)
     return 0
 

@@ -68,7 +68,7 @@ def make_func(spec: dict) -> Func:
         if kind == "dyadic_step":
             return funcs.dyadic_step(spec.get("k_max", 40))
         if kind == "scaled_ball":
-            return funcs.scaled_ball(spec["radius"], spec.get("dim", 1))
+            return funcs.scaled_ball(spec["radius"])
         if kind == "lincomb":
             terms = [make_func(t) for t in spec["terms"]]
             return funcs.lincomb(terms, spec["coeffs"])

@@ -37,17 +37,13 @@ class Exponent:
     threads.  Use the module-level constructors rather than __init__.
     """
 
-    __slots__ = ("kind", "params", "dim", "p_minus", "p_plus", "breakpoints",
-                 "_fn")
+    __slots__ = ("kind", "params", "p_minus", "p_plus", "breakpoints", "_fn")
 
     def __init__(self, kind: str, params: dict, fn: Callable[[float], float],
                  p_minus: float, p_plus: float,
-                 breakpoints: tuple[float, ...] = (), dim: int = 1):
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
+                 breakpoints: tuple[float, ...] = ()):
         self.kind = kind
         self.params = params
-        self.dim = dim
         self.p_minus = p_minus
         self.p_plus = p_plus
         self.breakpoints = tuple(sorted(breakpoints))
@@ -76,10 +72,10 @@ class Exponent:
         maps its values, any other exponent wraps its formula."""
         if self.kind == "piecewise-constant":
             return piecewise_exponent(self.params["breaks"],
-                                      [g(v) for v in self.params["values"]], dim=self.dim)
+                                      [g(v) for v in self.params["values"]])
         fn = self._fn
         return Exponent("custom-evaluable", params, lambda x: g(fn(x)), lo, hi,
-                        breakpoints=self.breakpoints, dim=self.dim)
+                        breakpoints=self.breakpoints)
 
     def sup_near(self, s: float) -> float:
         """The largest value p takes arbitrarily close to s.
@@ -124,13 +120,12 @@ def r_p_constant(e: Exponent) -> float:
 # constructors
 # ---------------------------------------------------------------------------
 
-def constant_exponent(p: float, dim: int = 1) -> Exponent:
+def constant_exponent(p: float) -> Exponent:
     """The constant exponent p: the step exponent with no steps."""
-    return piecewise_exponent([], [p], dim=dim)
+    return piecewise_exponent([], [p])
 
 
-def piecewise_exponent(breaks: Sequence[float], values: Sequence[float],
-                       dim: int = 1) -> Exponent:
+def piecewise_exponent(breaks: Sequence[float], values: Sequence[float]) -> Exponent:
     """Step exponent: values[i] on [breaks[i-1], breaks[i]).
 
     values must have exactly one more entry than breaks; the first value
@@ -152,11 +147,10 @@ def piecewise_exponent(breaks: Sequence[float], values: Sequence[float],
         return vals[bisect_right(br, x)]
 
     return Exponent("piecewise-constant", {"breaks": breaks, "values": values},
-                    fn, min(values), max(values), breakpoints=br, dim=dim)
+                    fn, min(values), max(values), breakpoints=br)
 
 
-def smooth_exponent(formula_id: str, params: Optional[dict] = None,
-                    dim: int = 1) -> Exponent:
+def smooth_exponent(formula_id: str, params: Optional[dict] = None) -> Exponent:
     """Named smooth exponent formulas with exact bounds over the working box.
 
     inv_one_plus_abs:  base + amp / (1 + |x|)
@@ -187,17 +181,16 @@ def smooth_exponent(formula_id: str, params: Optional[dict] = None,
     params.setdefault("base", base)
     params.setdefault("amp", amp)
     return Exponent("smooth-log-holder", {"formula_id": formula_id, **params},
-                    fn, lo, hi, dim=dim)
+                    fn, lo, hi)
 
 
-def custom_exponent(fn: Callable[[float], float], dim: int = 1,
+def custom_exponent(fn: Callable[[float], float],
                     breakpoints: Sequence[float] = ()) -> Exponent:
     """Wrap an arbitrary callable; bounds are estimated from CUSTOM_SAMPLES
     samples over the working box."""
     vals = [fn(x) for x in _sampling_grid()]
     return Exponent("custom-evaluable", {"sampled_bounds": True}, fn,
-                    min(vals), max(vals), breakpoints=tuple(breakpoints),
-                    dim=dim)
+                    min(vals), max(vals), breakpoints=tuple(breakpoints))
 
 
 def _sin_range(u0: float, u1: float) -> tuple[float, float]:

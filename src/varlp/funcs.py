@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .geometry import Ball, unit_ball_volume
+from .geometry import Ball
 from .quadrature import integrate_ball
 
 PowerTail = tuple[float, float, float]  # (coef, exponent, r_from)
@@ -55,15 +55,15 @@ class Func:
     instead of evaluating it.  ``odd`` promises exact oddness: f(-x) is
     -f(x) bit for bit (or raises alike), with a zero of either sign counted
     as equal, since quadrature reads such a panel negated, and
-    ``integrate_shell`` returns an exact 0 for it in dimension 1.  The
-    evenness ``with_sign``, ``pointwise_product`` and ``lr_aggregate``
-    derive from odd parities holds with the same note on zeros; the mirror
+    ``integrate_shell`` returns an exact 0 for it.  The evenness
+    ``with_sign``, ``pointwise_product`` and ``lr_aggregate`` derive from
+    odd parities holds with the same note on zeros; the mirror
     cannot see a zero's sign, since a read panel differs from a computed
     one at most in a zero's sign, and every sum that takes it starts at
     0.0, which absorbs that sign.  ``flat`` promises f constant, bit for bit
     up to a zero's sign, on each open interval between consecutive
     ``singular_points`` (the two unbounded ends included), since a Luxemburg
-    pass in dimension 1 then evaluates one node per piece.
+    pass then evaluates one node per piece.
     """
 
     __slots__ = ("evaluate", "singular_points", "support_radius", "even", "odd",
@@ -229,21 +229,20 @@ def dyadic_step(k_max: int = 40) -> Func:
                 params={"k_max": k_max})
 
 
-def scaled_ball(radius: float, dim: int = 1) -> Func:
-    """|x|^n / |B(0, radius)| on the ball, zero outside."""
+def scaled_ball(radius: float) -> Func:
+    """|x| / |B(0, radius)| on the ball, zero outside."""
     radius = float(radius)
-    measure = unit_ball_volume(dim) * radius ** dim
+    measure = 2.0 * radius
 
     def fn(x: float) -> float:
         t = abs(x)
-        return t ** dim / measure if t <= radius else 0.0
+        return t / measure if t <= radius else 0.0
 
     def bound(lo: float, hi: float) -> float:
-        return 0.0 if lo > radius else min(hi, radius) ** dim / measure
+        return 0.0 if lo > radius else min(hi, radius) / measure
 
     return Func(fn, (-radius, 0.0, radius), radius, even=True, bound=bound,
-                kind="scaled-ball",
-                params={"radius": radius, "dim": dim, "measure": measure})
+                kind="scaled-ball", params={"radius": radius, "measure": measure})
 
 
 def lincomb(terms: Sequence[Func], coeffs: Sequence[float]) -> Func:

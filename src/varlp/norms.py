@@ -24,9 +24,9 @@ only where that comparison is open.  The modular's model, a sum of
 w lam^-q read from the lam = 1 pass, decides which: rho(1) lam^-p where p
 is constant on the domain, so no pass keeps its panels; sum of
 |I| |c|^q lam^-q over the pass's final panels for flat data under a step
-p in dimension 1; otherwise the pass's GK15 sum of |f(x)|^p(x) lam^-p(x),
-read from the node table and grouped by p(x).  Only passes within a
-noise margin of its root run: about 3 per solve.
+p; otherwise the pass's GK15 sum of |f(x)|^p(x) lam^-p(x), read from the
+node table and grouped by p(x).  Only passes within a noise margin of its
+root run: about 3 per solve.
 Where a pass misses the model (the lam = 1 panels of a chi norm are too
 coarse at its root), the model is rebuilt once from that pass's panels.
 Exact passes at the final lo and hi, and at the bracket edge the
@@ -41,20 +41,19 @@ keeps a node table from x to (|f(x)|, p(x)) and evaluates f and p once
 per distinct node; each pass recomputes only the power
 (|f(x)| / lambda) ** p(x), so results are bit-identical to evaluating f
 and p in every pass.  Where p is constant on the domain the table holds
-|f(x)| alone and no node evaluates p.  For flat data in dimension 1 under
-a step p (constant on each open piece between the integrand's cuts), a
-pass computes one value per piece it enters: a node strictly inside the
+|f(x)| alone and no node evaluates p.  For flat data under a step p
+(constant on each open piece between the integrand's cuts), a pass
+computes one value per piece it enters: a node strictly inside the
 previous node's piece takes that piece's value, a node on a cut is
 computed as any other.  The table belongs to the solve and is dropped
 when it returns.
 
 A pass integrates a piece from the origin with integrate_ball and any other
 with integrate_shell, and the pairing integrates over a ball, so quadrature
-decides every split.  In dimension 1 the integrand (|f| / lambda)^p is
-exactly even where f is even or odd and p is constant on the domain, and
-says so, so quadrature reads its panels on the negative side from the
-positive ones and no node evaluates f at both x and -x; in dimension
->= 2 it is the radial profile of an even f.  All of it is pure, with no
+decides every split.  The integrand (|f| / lambda)^p is exactly even
+where f is even or odd and p is constant on the domain, and says so, so
+quadrature reads its panels on the negative side from the positive ones
+and no node evaluates f at both x and -x.  All of it is pure, with no
 module-level caches.
 """
 
@@ -68,7 +67,7 @@ from typing import Optional, Sequence
 
 from .exponents import Exponent, r_p_constant
 from .funcs import Func, pointwise_product
-from .geometry import FULL_LINE, Ball, Domain, unit_ball_volume
+from .geometry import FULL_LINE, Ball, Domain
 from .quadrature import gk15_nodes, integrate_ball, integrate_shell
 
 BRACKET_EXPANSIONS = 200
@@ -98,14 +97,14 @@ class NormResult:
     bracket: tuple[float, float]
 
 
-def _tail_bound(coef: float, a: float, p_minus: float, dim: int, R: float) -> float:
+def _tail_bound(coef: float, a: float, p_minus: float, R: float) -> float:
     """Bound for the modular of a power tail coef * |x|^a beyond radius R.
 
     Valid when coef * R^a <= 1 (the base is below 1, so the smallest
-    exponent maximizes it) and a * p_minus + dim < 0.
+    exponent maximizes it) and a * p_minus + 1 < 0.
     """
-    decay = a * p_minus + dim
-    return dim * unit_ball_volume(dim) * coef ** p_minus * R ** decay / (-decay)
+    decay = a * p_minus + 1.0
+    return 2.0 * coef ** p_minus * R ** decay / (-decay)
 
 
 def _refuse(f, e: Exponent, domain: Domain) -> None:
@@ -115,14 +114,13 @@ def _refuse(f, e: Exponent, domain: Domain) -> None:
     local = f.local_majorant
     if local is not None:
         coef, a, s = local
-        # near s, |f|^p <= (coef |x - s|^a)^p, integrable when a p + codim > 0
+        # near s, |f|^p <= (coef |x - s|^a)^p, integrable when a p + 1 > 0
         # for the largest p taken near s
-        codim = domain.dim if s == 0.0 else 1
         p_near = e.sup_near(s)
-        if domain.inner <= abs(s) <= domain.outer and a * p_near + codim <= 0.0:
+        if domain.inner <= abs(s) <= domain.outer and a * p_near + 1.0 <= 0.0:
             raise NotInSpaceError(
                 f"local majorant {coef:g}*|x-{s:g}|^{a:g} is not certifiably "
-                f"integrable to the power {p_near:g} in dimension {domain.dim}"
+                f"integrable to the power {p_near:g} in dimension 1"
             )
     if domain.outer < math.inf or math.isfinite(f.support_radius):
         return
@@ -132,10 +130,10 @@ def _refuse(f, e: Exponent, domain: Domain) -> None:
             "whole-line modular of a function with no certified tail majorant"
         )
     coef, a, _ = tail
-    if coef != 0.0 and (a >= 0.0 or a * e.p_minus + domain.dim >= 0.0):
+    if coef != 0.0 and (a >= 0.0 or a * e.p_minus + 1.0 >= 0.0):
         raise NotInSpaceError(
             f"tail majorant {coef:g}*|x|^{a:g} is not certifiably integrable "
-            f"to the power p_minus={e.p_minus:g} in dimension {domain.dim}"
+            f"to the power p_minus={e.p_minus:g} in dimension 1"
         )
 
 
@@ -150,7 +148,6 @@ def _modular_pieces(f, e: Exponent, domain: Domain, lam: float,
     if math.isfinite(R):
         return [(0.0, R)] if R > 0.0 else []
     coef, a, r_from = f.power_tail
-    dim = domain.dim
     if coef == 0.0:
         return [(0.0, max(r_from, 1.0))]
     c_eff = coef / lam
@@ -160,7 +157,7 @@ def _modular_pieces(f, e: Exponent, domain: Domain, lam: float,
     R_cut = max(r_from, 1.0)
     while math.isfinite(R_cut) and not (
             c_eff * R_cut ** a <= 1.0 and
-            _tail_bound(c_eff, a, e.p_minus, dim, R_cut) <= budget):
+            _tail_bound(c_eff, a, e.p_minus, R_cut) <= budget):
         R_cut *= 4.0
     if not math.isfinite(R_cut):
         # the march overflowed: integrating to +-inf would evaluate f there
@@ -179,9 +176,9 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
     and every later pass reads them back, so f and p run once per
     distinct node; only (|f(x)| / lam) ** p(x) is recomputed, with the
     same operations as without the table, so every value keeps its last
-    bit.  For flat f in dimension 1 under a step p, a node strictly
-    inside the open piece of the node before it in the same pass returns
-    that piece's value, which is the node's own bit for bit.  Where p is
+    bit.  For flat f under a step p, a node strictly inside the open
+    piece of the node before it in the same pass returns that piece's
+    value, which is the node's own bit for bit.  Where p is
     not constant on the domain, each pass puts the (lo, hi) of its final
     quadrature panels in the caller's ``passes`` under its lam.
     """
@@ -205,7 +202,7 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
     # the open piece (lo, hi) of the last node and its value in this pass
     lo = hi = piece_value = 0.0
     h = node
-    if f.flat and domain.dim == 1 and e.kind == "piecewise-constant":
+    if f.flat and e.kind == "piecewise-constant":
         def h(x: float) -> float:
             nonlocal lo, hi, piece_value
             if lo < x < hi:
@@ -218,11 +215,9 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
                 piece_value = value
             return value
 
-    # |f|^p is exactly even where f is even or odd and p is one number; in
-    # dimension >= 2 the radial profile of an even f is all that is read
+    # |f|^p is exactly even where f is even or odd and p is one number
     integrand = Func(h, (*f.singular_points, *e.breakpoints), f.support_radius,
-                     even=f.even if domain.dim >= 2
-                     else (f.even or f.odd) and p_const is not None)
+                     even=(f.even or f.odd) and p_const is not None)
     cuts = integrand.singular_points  # sorted and distinct, read by h
 
     def rho(at: float) -> float:
@@ -236,11 +231,9 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
         try:
             for inner, outer in _modular_pieces(f, e, domain, lam, tol):
                 if inner == 0.0 < outer:
-                    res = integrate_ball(integrand, Ball(outer, domain.dim), tol=tol,
-                                         panels=panels)
+                    res = integrate_ball(integrand, Ball(outer), tol=tol, panels=panels)
                 else:
-                    res = integrate_shell(integrand, inner, outer, tol=tol,
-                                          dim=domain.dim, panels=panels)
+                    res = integrate_shell(integrand, inner, outer, tol=tol, panels=panels)
                 total += res.value
         except OverflowError:
             return math.inf
@@ -263,7 +256,7 @@ def _seed_lambda(f, e: Exponent, domain: Domain) -> float:
         measure = domain.measure
     else:
         radius = f.support_radius if math.isfinite(f.support_radius) else 2.0 ** 20
-        measure = unit_ball_volume(domain.dim) * radius ** domain.dim
+        measure = 2.0 * radius
     try:
         bound = f.abs_bound_on(0.0, radius)
     except Exception:
@@ -299,10 +292,8 @@ def luxemburg_norm(f, e: Exponent, domain: Domain = FULL_LINE,
 
 
 def _components(domain: Domain) -> list[tuple[float, float]]:
-    """The open intervals the domain covers (radii in dimension >= 2)."""
+    """The open intervals the domain covers."""
     inner, outer = domain.inner, domain.outer
-    if domain.dim > 1:
-        return [(inner, outer)]
     if inner == 0.0:
         return [(-outer, outer)]
     return [(-outer, -inner), (inner, outer)]
@@ -312,10 +303,9 @@ def _model(f, e: Exponent, domain: Domain, p_const: Optional[float], rho1: float
            table: dict, panels: Optional[list]) -> Optional[list[tuple[float, float]]]:
     """The modular's form rho(lam) = sum of w lam^-q, as [(w, q), ...],
     grouped by q, read from one pass: rho(1) lam^-p where p is the constant
-    p_const on the domain; for flat f in dimension 1 under a step p,
-    |I| |c|^q per final panel I, c and q read at its centre (the pass split
-    at every cut of f and p), evaluated where the piece memo kept it out
-    of the node table; otherwise the GK15 weight times |f(x)|^p(x) per node
+    p_const on the domain; for flat f under a step p, |I| |c|^q per final
+    panel I, c and q read at its centre (the pass split at every cut of f
+    and p), evaluated where the piece memo kept it out of the node table; otherwise the GK15 weight times |f(x)|^p(x) per node
     x of the final ``panels``, read from the node table.  A node whose GK15
     weight is subnormal (imprecise) drops out.  None where a weight
     overflows or is not finite, a panel's weight underflows, no term is
@@ -326,12 +316,12 @@ def _model(f, e: Exponent, domain: Domain, p_const: Optional[float], rho1: float
         if p_const is not None:
             terms = {p_const: rho1}
         else:
-            flat = f.flat and domain.dim == 1 and e.kind == "piecewise-constant"
+            flat = f.flat and e.kind == "piecewise-constant"
             centres = ((hi - lo, 0.5 * (lo + hi)) for lo, hi in panels)
             nodes = (((width, *(table.get(c) or (abs(f.evaluate(c)), e.evaluate(c))))
                       for width, c in centres) if flat else
                      ((w, *table[x]) for lo, hi in panels
-                      for x, w in gk15_nodes(lo, hi, domain.dim)
+                      for x, w in gk15_nodes(lo, hi)
                       if w >= sys.float_info.min))
             terms = {}
             for width, c, q in nodes:

@@ -2,7 +2,7 @@
 symbol, and the centered maximal function.
 
 The averaging operator integrates f over the ball |y| <= |x| and divides
-by |x|^n; its dual integrates f(y)/|y|^n over the complement.  Commutators
+by |x|; its dual integrates f(y)/|y| over the complement.  Commutators
 with a symbol b are evaluated through the algebraic split
 
     [b, H]f(x)  = b(x) Hf(x)  - H(b f)(x)
@@ -15,16 +15,16 @@ are exposed as lazy evaluables with jump metadata and certified power-law
 tails, so the norm layer can integrate them like any catalog function.
 
 The four kinds are two facts, decoded once per image: ball tables
-(divided by |x|^n) or tail tables, and a symbol or none.  An image keeps a
+(divided by |x|) or tail tables, and a symbol or none.  An image keeps a
 radial memo of its table reads: everything of a point query but the
 symbol's value b(x) depends on t = |x| only.  An image with a parity flag
 never has -x evaluated where x was: quadrature reads the mirrored panels
 of it, and of the even modular it enters under a constant exponent.  The
 memo serves the images without one, whose nodes x and -x share an entry.
 Each table shell lies between consecutive jump radii, so
-``integrate_shell`` takes it with one GK15 panel per side.  In dimension 1
-an odd symbol on an even input (or an even one on an odd input) makes b f
-odd, and its table free: each shell of b f and of its dual kernel is the
+``integrate_shell`` takes it with one GK15 panel per side.  An odd symbol
+on an even input (or an even one on an odd input) makes b f odd, and its
+table free: each shell of b f and of its dual kernel is the
 exact 0, with no panel.  An odd symbol on an even input also makes the
 image odd, b(x) times a function of |x|, and it reads no table of b f.
 The memo and the shell tables are the only state, built lazily on the
@@ -40,8 +40,7 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .funcs import Func, combine_tails, pointwise_product
-from .geometry import Ball, unit_ball_volume
-from .quadrature import integrate_ball, integrate_interval, integrate_shell
+from .quadrature import integrate_interval, integrate_shell
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class _ShellTable:
     """Cumulative integrals of g over the shells between its jump radii.
 
     ball(t):  integral of g over |y| <= t
-    tail(t):  integral of g(y)/|y|^dim over t < |y| <= top radius
+    tail(t):  integral of g(y)/|y| over t < |y| <= top radius
 
     The top radius is the support radius for compactly supported g; for the
     tail of a power-decaying g the table is extended until the analytic
@@ -63,9 +62,8 @@ class _ShellTable:
     of the error.
     """
 
-    def __init__(self, g, dim: int = 1, tol: float = 1e-10):
+    def __init__(self, g, tol: float = 1e-10):
         self.g = g
-        self.dim = dim
         self.tol = tol
         radii = {0.0}
         for s in g.singular_points:
@@ -87,10 +85,9 @@ class _ShellTable:
                         top = math.inf
                     else:
                         # extend until the dual-kernel remainder is certified small
-                        surf = dim * unit_ball_volume(dim)
-                        while surf * coef * top ** a / (-a) > tol / 4.0 and top < 1e300:
+                        while 2.0 * coef * top ** a / (-a) > tol / 4.0 and top < 1e300:
                             top *= 4.0
-                        self._tail_remainder = surf * coef * top ** a / (-a)
+                        self._tail_remainder = 2.0 * coef * top ** a / (-a)
                         radii.add(top)
         self.top = top
         if math.isfinite(top) and top > 2.0 ** -58:
@@ -117,7 +114,7 @@ class _ShellTable:
             if lo == 0.0 and not from_origin:
                 values.append(0.0)
                 continue
-            res = integrate_shell(g, lo, hi, tol=self.tol, dim=self.dim)
+            res = integrate_shell(g, lo, hi, tol=self.tol)
             values.append(res.value)
             err += res.abs_error_bound
         return values, err
@@ -140,34 +137,30 @@ class _ShellTable:
         base, base_err = self._ball_pref[i], self._ball_err
         lo = self.radii[i]
         if t > lo:
-            res = integrate_shell(self.g, lo, t, tol=self.tol, dim=self.dim)
+            res = integrate_shell(self.g, lo, t, tol=self.tol)
             return base + res.value, base_err + res.abs_error_bound
         return base, base_err
 
     # -- dual-kernel shells ---------------------------------------------------
 
     def _dual_kernel(self):
-        """g(y) / |y|^n, with a local majorant centred at 0, where it is
+        """g(y) / |y|, with a local majorant centred at 0, where it is
         unbounded unless g vanishes there: g's sup on |y| <= 1 times
-        |y|^-n, or g's own majorant centred at 0 with n off its exponent.
+        |y|^-1, or g's own majorant centred at 0 with 1 off its exponent.
         Around a majorant of g centred elsewhere the kernel claims none,
         and so no oddness (``integrate_shell`` could not tell which shells
         hold a singularity)."""
         g = self.g
         gfn = g.evaluate
-        n = self.dim
-        if n == 1:  # abs(y) ** 1 == abs(y) exactly, without the pow call
-            def k(y: float) -> float:
-                return gfn(y) / abs(y)
-        else:
-            def k(y: float) -> float:
-                return gfn(y) / abs(y) ** n
+
+        def k(y: float) -> float:
+            return gfn(y) / abs(y)
 
         local = g.local_majorant
         if local is None:
-            local = (g.abs_bound_on(0.0, 1.0), -float(n), 0.0)
+            local = (g.abs_bound_on(0.0, 1.0), -1.0, 0.0)
         elif local[2] == 0.0:
-            local = (local[0], local[1] - n, 0.0)
+            local = (local[0], local[1] - 1.0, 0.0)
         else:
             local = None
         kern = Func(k, (), g.support_radius, even=g.even,
@@ -201,7 +194,7 @@ class _ShellTable:
         hi = self.radii[i] if i < len(self.radii) else self.top
         val, err = 0.0, self._tail_err
         if hi > t:
-            res = integrate_shell(self._tail_kernel, t, hi, tol=self.tol, dim=self.dim)
+            res = integrate_shell(self._tail_kernel, t, hi, tol=self.tol)
             val += res.value
             err += res.abs_error_bound
         if i < len(self.radii):
@@ -237,7 +230,7 @@ class OperatorImage:
 
     KINDS = ("hardy", "dual_hardy", "commutator_hardy", "commutator_dual_hardy")
 
-    def __init__(self, kind: str, f, b=None, dim: int = 1, tol: float = 1e-10):
+    def __init__(self, kind: str, f, b=None, tol: float = 1e-10):
         if kind not in self.KINDS:
             raise ValueError(f"unknown operator kind {kind!r}")
         if kind.startswith("commutator") != (b is not None):
@@ -246,21 +239,19 @@ class OperatorImage:
         self.kind = kind
         self.f = f
         self.b = b
-        self.dim = dim
         self.tol = tol
         self._dual = kind.endswith("dual_hardy")
 
-        self._table_f = _ShellTable(f, dim, tol)
+        self._table_f = _ShellTable(f, tol)
         self._bf = pointwise_product(b, f) if b is not None else None
-        self._table_bf = _ShellTable(self._bf, dim, tol) if b is not None else None
+        self._table_bf = _ShellTable(self._bf, tol) if b is not None else None
 
         self.singular_points = _jump_points(f) if b is None else _jump_points(f, b)
         self.even = (b.even if b is not None else True)
-        # in dimension 1 an odd b f (an odd b on an even f) reads the exact
-        # zero from its table, with the tail remainder as its only error
-        # where the tail is certified, so the image is b(x) times a
-        # function of |x|: odd
-        self.odd = (dim == 1 and b is not None and b.odd and self._bf.odd
+        # an odd b f (an odd b on an even f) reads the exact zero from its
+        # table, with the tail remainder as its only error where the tail
+        # is certified, so the image is b(x) times a function of |x|: odd
+        self.odd = (b is not None and b.odd and self._bf.odd
                     and not (self._dual and math.isinf(self._table_bf.top)))
         if self.odd:
             self._bf_read = (0.0, self._table_bf._tail_remainder if self._dual else 0.0)
@@ -274,7 +265,6 @@ class OperatorImage:
     # -- far field ------------------------------------------------------------
 
     def _derive_far_field(self) -> None:
-        n = self.dim
         f = self.f
         if not math.isfinite(f.support_radius):
             # no certified far field; bounded-domain use only
@@ -291,10 +281,10 @@ class OperatorImage:
             if coef == 0.0:
                 self.support_radius = R_f
             else:
-                self.power_tail = (coef, -float(n), r0)
+                self.power_tail = (coef, -1.0, r0)
             return
         tot_bf, err_bf = self._table_bf.ball(min(R_f, self._bf.support_radius))
-        terms = [(abs(tot_bf) + err_bf, -float(n))]
+        terms = [(abs(tot_bf) + err_bf, -1.0)]
         if math.isfinite(b.support_radius):
             r0 = max(R_f, b.support_radius, 1.0)
         else:
@@ -302,7 +292,7 @@ class OperatorImage:
                 return
             cb, ab, rb = b.power_tail
             r0 = max(R_f, rb, 1.0)
-            terms.append((cb * (abs(tot_f) + err_f), ab - float(n)))
+            terms.append((cb * (abs(tot_f) + err_f), ab - 1.0))
         # unit weights (1.0 * c == c), and r0 >= 1 is every term's r_from
         tail = combine_tails([(1.0, (c, a, r0)) for c, a in terms])
         if tail[0] == 0.0:
@@ -329,7 +319,7 @@ class OperatorImage:
 
     def _compute(self, x: float) -> tuple[float, float]:
         """b(x) Tf - T(bf) for a commutator, Tf otherwise, with its error;
-        T divides its ball integrals by |x|^n, and its dual does not."""
+        T divides its ball integrals by |x|, and its dual does not."""
         if x == 0.0:
             raise ValueError("operator images are defined away from the origin")
         t = abs(x)
@@ -345,8 +335,7 @@ class OperatorImage:
             v, e = bx * vf - vbf, abs(bx) * ef + ebf
         if self._dual:
             return v, e
-        tn = t ** self.dim
-        return v / tn, e / tn
+        return v / t, e / t
 
     def evaluate(self, x: float) -> float:
         return self._compute(x)[0]
@@ -359,16 +348,13 @@ class OperatorImage:
 
     def abs_bound_on(self, lo: float, hi: float) -> float:
         """Crude but certified sup bound for the image on lo <= |x| <= hi."""
-        n = self.dim
-        v = unit_ball_volume(n)
-
         def hardy_bound(g) -> float:
             if lo <= 0.0:
                 return math.inf
             reach = min(hi, g.support_radius)
             if reach <= 0.0:
                 return 0.0
-            return g.abs_bound_on(0.0, reach) * v * reach ** n / lo ** n
+            return g.abs_bound_on(0.0, reach) * 2.0 * reach / lo
 
         def dual_bound(g) -> float:
             if lo <= 0.0 or not math.isfinite(g.support_radius):
@@ -376,7 +362,7 @@ class OperatorImage:
             if g.support_radius <= lo:
                 return 0.0
             m = g.abs_bound_on(lo, g.support_radius)
-            return m * n * v * math.log(g.support_radius / lo)
+            return m * 2.0 * math.log(g.support_radius / lo)
 
         bound = dual_bound if self._dual else hardy_bound
         m = bound(self.f)
@@ -390,25 +376,24 @@ class OperatorImage:
 # single-point entry points
 # ---------------------------------------------------------------------------
 
-def hardy(f, x: float, tol: float = 1e-9, dim: int = 1) -> OperatorSample:
-    """|x|^(-n) times the integral of f over the ball |y| <= |x|."""
-    return OperatorImage("hardy", f, dim=dim, tol=tol).sample(x)
+def hardy(f, x: float, tol: float = 1e-9) -> OperatorSample:
+    """|x|^(-1) times the integral of f over the ball |y| <= |x|."""
+    return OperatorImage("hardy", f, tol=tol).sample(x)
 
 
-def dual_hardy(f, x: float, tol: float = 1e-9, dim: int = 1) -> OperatorSample:
-    """Integral of f(y) / |y|^n over |y| > |x|."""
-    return OperatorImage("dual_hardy", f, dim=dim, tol=tol).sample(x)
+def dual_hardy(f, x: float, tol: float = 1e-9) -> OperatorSample:
+    """Integral of f(y) / |y| over |y| > |x|."""
+    return OperatorImage("dual_hardy", f, tol=tol).sample(x)
 
 
-def commutator_hardy(b, f, x: float, tol: float = 1e-9, dim: int = 1) -> OperatorSample:
-    """|x|^(-n) int_{|y|<=|x|} (b(x) - b(y)) f(y) dy."""
-    return OperatorImage("commutator_hardy", f, b=b, dim=dim, tol=tol).sample(x)
+def commutator_hardy(b, f, x: float, tol: float = 1e-9) -> OperatorSample:
+    """|x|^(-1) int_{|y|<=|x|} (b(x) - b(y)) f(y) dy."""
+    return OperatorImage("commutator_hardy", f, b=b, tol=tol).sample(x)
 
 
-def commutator_dual_hardy(b, f, x: float, tol: float = 1e-9,
-                          dim: int = 1) -> OperatorSample:
-    """int_{|y|>|x|} (b(x) - b(y)) f(y) / |y|^n dy."""
-    return OperatorImage("commutator_dual_hardy", f, b=b, dim=dim, tol=tol).sample(x)
+def commutator_dual_hardy(b, f, x: float, tol: float = 1e-9) -> OperatorSample:
+    """int_{|y|>|x|} (b(x) - b(y)) f(y) / |y| dy."""
+    return OperatorImage("commutator_dual_hardy", f, b=b, tol=tol).sample(x)
 
 
 # ---------------------------------------------------------------------------
@@ -434,20 +419,17 @@ def _inner_edges(x: float, r: float) -> tuple[float, float]:
 
 
 def maximal(f, x: float, radius_grid: Optional[Sequence[float]] = None,
-            tol: float = 1e-9, dim: int = 1) -> OperatorSample:
+            tol: float = 1e-9) -> OperatorSample:
     """Grid supremum of the centered ball averages of |f| around x.
 
     The supremum is taken over a geometric radius grid enriched with the
     critical radii at which the ball boundary crosses a jump of f, so the
     grid error is one-sided (an underestimate) and the exact optimum is hit
-    whenever it occurs at such a crossing.  In dimension 1 each window's
-    float edges are rounded toward x, so the integral never covers more
-    than the window even where x +- r loses its last bits.  Averages are
-    normalized by the ball measure; multiply by the unit-ball volume for
-    the r^(-n) convention.
+    whenever it occurs at such a crossing.  Each window's float edges are
+    rounded toward x, so the integral never covers more than the window
+    even where x +- r loses its last bits.  Averages are normalized by the
+    ball measure 2r; multiply by 2 for the r^(-1) convention.
     """
-    if dim >= 2 and x != 0.0:
-        raise ValueError("off-center maximal averages are only available in dim 1")
     if radius_grid is None:
         radii = {2.0 ** (j / 4.0) for j in range(-40, 41)}
         for s in (*f.singular_points,
@@ -467,25 +449,17 @@ def maximal(f, x: float, radius_grid: Optional[Sequence[float]] = None,
                 even=f.even)
     best = 0.0
     best_err = 0.0
-    if dim == 1:
-        acc = 0.0
-        acc_err = 0.0
-        prev_lo = prev_hi = x
-        for r in grid:
-            lo, hi = _inner_edges(x, r)
-            left = integrate_interval(absf, lo, prev_lo, tol=tol)
-            right = integrate_interval(absf, prev_hi, hi, tol=tol)
-            acc += left.value + right.value
-            acc_err += left.abs_error_bound + right.abs_error_bound
-            avg = acc / (2.0 * r)
-            if avg > best:
-                best, best_err = avg, acc_err / (2.0 * r)
-            prev_lo, prev_hi = lo, hi
-    else:
-        for r in grid:
-            ball = Ball(r, dim)
-            res = integrate_ball(absf, ball, tol=tol)
-            avg = res.value / ball.measure
-            if avg > best:
-                best, best_err = avg, res.abs_error_bound / ball.measure
+    acc = 0.0
+    acc_err = 0.0
+    prev_lo = prev_hi = x
+    for r in grid:
+        lo, hi = _inner_edges(x, r)
+        left = integrate_interval(absf, lo, prev_lo, tol=tol)
+        right = integrate_interval(absf, prev_hi, hi, tol=tol)
+        acc += left.value + right.value
+        acc_err += left.abs_error_bound + right.abs_error_bound
+        avg = acc / (2.0 * r)
+        if avg > best:
+            best, best_err = avg, acc_err / (2.0 * r)
+        prev_lo, prev_hi = lo, hi
     return OperatorSample(x, best, best_err)

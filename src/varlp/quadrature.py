@@ -18,7 +18,7 @@ keeps its own interval, with no 0 breakpoint, for its bits).  Intervals,
 balls and shells run one adaptive loop, _adapt.
 
 One rule uses parity: within one call (an interval that holds the origin,
-a ball, or both sides of a shell in dimension 1), the panel of an exactly
+a ball, or both sides of a shell), the panel of an exactly
 even or odd integrand on [-b, -a] is read from the panel on [a, b] when
 that one was computed first, its value negated for an odd integrand.  It
 is what the panel would compute, bit for bit, so the adaptive loop, its
@@ -37,7 +37,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .geometry import Ball, DyadicRing, unit_ball_volume
+from .geometry import Ball, DyadicRing
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1]
 # (abscissae are symmetric; only the positive half is tabulated, the
@@ -133,18 +133,15 @@ def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, floa
     return kron, abs(kron - gauss)
 
 
-def gk15_nodes(lo: float, hi: float, dim: int = 1) -> list[tuple[float, float]]:
+def gk15_nodes(lo: float, hi: float) -> list[tuple[float, float]]:
     """The 15 (node, weight) pairs of _gk15's Kronrod sum over [lo, hi]:
     each node is the float _gk15 evaluates, bit for bit, and its weight the
-    Kronrod weight times the half-width, times _radial_weight's factor in
-    dimension >= 2, so the sum of weight * g(node) is the panel's integral
-    of g."""
+    Kronrod weight times the half-width, so the sum of weight * g(node) is
+    the panel's integral of g."""
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     # c + (-h) * xk is c - h * xk bit for bit
-    nodes = [(c, _K7 * h), *((c + s * h * xk, k * h) for xk, k in zip(_XS, _KS)
-                             for s in (-1.0, 1.0))]
-    surf = dim * unit_ball_volume(dim)
-    return nodes if dim == 1 else [(r, surf * w * r ** (dim - 1)) for r, w in nodes]
+    return [(c, _K7 * h), *((c + s * h * xk, k * h) for xk, k in zip(_XS, _KS)
+                            for s in (-1.0, 1.0))]
 
 
 def _parity(g) -> float:
@@ -286,54 +283,35 @@ def _adapt(fn: Callable[[float], float], panel: Callable[..., tuple[float, float
     return QuadResult(value, err_total, counter)
 
 
-def _radial_weight(fn: Callable[[float], float], dim: int) -> Callable[[float], float]:
-    surf = dim * unit_ball_volume(dim)
-
-    def weighted(rho: float) -> float:
-        return surf * fn(rho) * rho ** (dim - 1)
-
-    return weighted
-
-
-def _require_radial(g, dim: int) -> None:
-    if dim >= 2 and not g.even:
-        raise ValueError(
-            "non-radial integrand in dimension >= 2: only even profiles are accepted"
-        )
-
-
 def integrate_ball(g, ball: Ball, tol: float = DEFAULT_TOL, *,
                    panels: Optional[list] = None) -> QuadResult:
-    """Integral of g over B(0, r): two half-lines in dimension 1, the radial
-    formula dim * v_dim * int_0^r g(rho) rho^(dim-1) drho otherwise; a
-    ``panels`` list gets its final panels, as in integrate_shell."""
+    """Integral of g over B(0, r), one adaptive run over [-r, r] split at 0;
+    a ``panels`` list gets its final panels, as in integrate_shell."""
     r = ball.radius
-    if ball.dim == 1:
-        return _adapt(g.evaluate, _panel_rule(_parity(g)), -r, r,
-                      sorted({0.0, *g.singular_points}), tol, panels=panels)
-    return integrate_shell(g, 0.0, r, tol=tol, dim=ball.dim, panels=panels)
+    return _adapt(g.evaluate, _panel_rule(_parity(g)), -r, r,
+                  sorted({0.0, *g.singular_points}), tol, panels=panels)
 
 
-def integrate_annulus(g, k: int, tol: float = DEFAULT_TOL, dim: int = 1) -> QuadResult:
+def integrate_annulus(g, k: int, tol: float = DEFAULT_TOL) -> QuadResult:
     """Integral of g over the dyadic ring with 2^(k-1) <= |x| < 2^k."""
-    ring = DyadicRing(k, dim)
-    return integrate_shell(g, ring.inner, ring.outer, tol=tol, dim=dim)
+    ring = DyadicRing(k)
+    return integrate_shell(g, ring.inner, ring.outer, tol=tol)
 
 
-def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
-                    dim: int = 1, *, panels: Optional[list] = None) -> QuadResult:
+def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL, *,
+                    panels: Optional[list] = None) -> QuadResult:
     """Integral of g over the shell inner <= |x| <= outer.
 
-    In dimension 1, two adaptive runs at tol / 2, one per side, that share
-    one panel rule (``_panel_rule``): for an exactly even or odd g, every
-    panel of the right side that mirrors one of the left is read from it.
-    Where no jump of g (``singular_points``, sorted and distinct) lies inside
-    a side, its run would start from one GK15 panel; those panels are
-    taken here first, the right one read from the left one for an even or
-    odd g (the rule inline: building it would make a table shell about a
-    third slower), and where both pass the runs' test their sum is the
-    runs' result, bit for bit, -0.0 included.  Otherwise the runs' rule
-    knows the panels taken, so neither is computed again.
+    Two adaptive runs at tol / 2, one per side, that share one panel rule
+    (``_panel_rule``): for an exactly even or odd g, every panel of the
+    right side that mirrors one of the left is read from it.  Where no jump
+    of g (``singular_points``, sorted and distinct) lies inside a side, its
+    run would start from one GK15 panel; those panels are taken here first,
+    the right one read from the left one for an even or odd g (the rule
+    inline: building it would make a table shell about a third slower), and
+    where both pass the runs' test their sum is the runs' result, bit for
+    bit, -0.0 included.  Otherwise the runs' rule knows the panels taken,
+    so neither is computed again.
 
     An exactly odd g (``odd``) integrates to the exact 0 over a finite
     shell, with no panel, unless the centre s of its ``local_majorant``
@@ -341,8 +319,8 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
     two runs decide as for any g.  An infinite outer radius goes straight
     to the two runs, which refuse it.
 
-    A ``panels`` list gets the (lo, hi) (radii in dimension >= 2) of every
-    final panel of a result, the one-panel result's two included.
+    A ``panels`` list gets the (lo, hi) of every final panel of a result,
+    the one-panel result's two included.
     """
     if not (0.0 <= inner <= outer):
         raise ValueError(f"invalid shell radii ({inner}, {outer})")
@@ -350,35 +328,31 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL,
         return _ZERO
     pts = g.singular_points
     fn = g.evaluate
-    if dim == 1:
-        odd = g.odd
-        if odd and outer < math.inf:
-            local = g.local_majorant
-            if local is None or not inner <= abs(local[2]) <= outer:
-                return _ZERO
-        half = tol / 2.0
-        known = ()
-        if (outer < math.inf and bisect_right(pts, -outer) == bisect_left(pts, -inner)
-                and bisect_right(pts, inner) == bisect_left(pts, outer)):
-            vl, el = _gk15(fn, -outer, -inner)
-            taken = None
-            if _converged(el, vl, half) and math.isfinite(vl):
-                if odd:
-                    vr, er = -vl, el
-                elif g.even:
-                    vr, er = vl, el
-                else:
-                    vr, er = taken = _gk15(fn, inner, outer)
-                if _converged(er, vr, half) and math.isfinite(vr):
-                    if panels is not None:
-                        panels += [(-outer, -inner), (inner, outer)]
-                    return QuadResult((0.0 + vl) + (0.0 + vr), (0.0 + el) + (0.0 + er), 2)
-            known = [(-outer, -inner, (vl, el))]
-            if taken:
-                known.append((inner, outer, taken))
-        panel = _panel_rule(_parity(g), known)
-        return (_adapt(fn, panel, -outer, -inner, pts, half, panels=panels)
-                + _adapt(fn, panel, inner, outer, pts, half, panels=panels))
-    _require_radial(g, dim)
-    return _adapt(_radial_weight(fn, dim), _gk15, inner, outer,
-                  sorted({abs(s) for s in pts}), tol, panels=panels)
+    odd = g.odd
+    if odd and outer < math.inf:
+        local = g.local_majorant
+        if local is None or not inner <= abs(local[2]) <= outer:
+            return _ZERO
+    half = tol / 2.0
+    known = ()
+    if (outer < math.inf and bisect_right(pts, -outer) == bisect_left(pts, -inner)
+            and bisect_right(pts, inner) == bisect_left(pts, outer)):
+        vl, el = _gk15(fn, -outer, -inner)
+        taken = None
+        if _converged(el, vl, half) and math.isfinite(vl):
+            if odd:
+                vr, er = -vl, el
+            elif g.even:
+                vr, er = vl, el
+            else:
+                vr, er = taken = _gk15(fn, inner, outer)
+            if _converged(er, vr, half) and math.isfinite(vr):
+                if panels is not None:
+                    panels += [(-outer, -inner), (inner, outer)]
+                return QuadResult((0.0 + vl) + (0.0 + vr), (0.0 + el) + (0.0 + er), 2)
+        known = [(-outer, -inner, (vl, el))]
+        if taken:
+            known.append((inner, outer, taken))
+    panel = _panel_rule(_parity(g), known)
+    return (_adapt(fn, panel, -outer, -inner, pts, half, panels=panels)
+            + _adapt(fn, panel, inner, outer, pts, half, panels=panels))

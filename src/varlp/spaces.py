@@ -75,7 +75,7 @@ def _center_sweep(f, e: Exponent, grid: Sequence[float],
     pending = iter(centers) if centers is not None else None
 
     def ratio(r: float) -> float:
-        ball = Ball(r, e.dim)
+        ball = Ball(r)
         c = mean_on_ball(f, ball, tol=tol).value if pending is None else next(pending)
         num = luxemburg_norm(shifted(f, c), e, ball, tol=tol).value
         return num / chi_norm(ball, e, tol=tol).value
@@ -164,7 +164,7 @@ def cbmo_inf_norm(f, e: Exponent, radius_grid: Sequence[float],
     safe.  A degenerate bracket (f constant on the ball) contributes 0.
     """
     def ratio(r: float) -> float:
-        ball = Ball(r, e.dim)
+        ball = Ball(r)
         lo, hi = range_on_ball(f, ball)
         span = hi - lo
         if span <= 1e-13 * (1.0 + max(abs(lo), abs(hi))):
@@ -208,7 +208,7 @@ def lq_aggregate(contribs: Sequence[float], q: float) -> float:
 def _ring_norm_bound(f, e: Exponent, k: int) -> float:
     """Certified upper bound for ||f chi_k||: sup on the ring times the
     measure-based bound for the ring characteristic norm."""
-    ring = DyadicRing(k, e.dim)
+    ring = DyadicRing(k)
     sup = f.abs_bound_on(ring.inner, ring.outer)
     if sup == 0.0:
         return 0.0
@@ -226,7 +226,7 @@ def herz_breakdown(f, e: Exponent, alpha: float, k_range: Sequence[int],
     """
     breakdown = []
     for k in k_range:
-        ring = DyadicRing(k, e.dim)
+        ring = DyadicRing(k)
         if ring.inner >= f.support_radius:
             breakdown.append((2.0 ** k, 0.0))
             continue

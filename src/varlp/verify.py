@@ -266,7 +266,7 @@ def check_chi_product(e: Exponent, radius_grid: Sequence[float],
     ec = e.conjugate()
     scales, vals = [], []
     for r in radius_grid:
-        ball = Ball(r, e.dim)
+        ball = Ball(r)
         v = chi_norm(ball, e, tol=tol).value * chi_norm(ball, ec, tol=tol).value \
             / ball.measure
         scales.append(r)
@@ -564,10 +564,10 @@ def check_vv_herz(b: Func, e: Exponent, alpha: float,
     check at the q = 1 boundary.
     """
     p_conj_minus = e.p_plus / (e.p_plus - 1.0)
-    if not alpha < e.dim / p_conj_minus:
+    if not alpha < 1 / p_conj_minus:
         raise ValueError(
-            f"weight exponent alpha={alpha:g} violates alpha < n/p'_minus "
-            f"= {e.dim / p_conj_minus:g}")
+            f"weight exponent alpha={alpha:g} violates alpha < 1/p'_minus "
+            f"= {1 / p_conj_minus:g}")
     witnesses = []
     ok = True
     worst = 0.0

@@ -35,7 +35,6 @@ EVALUABLES = {
     "dyadic_step": dyadic_step,
     "dyadic_step_3": lambda: dyadic_step(3),
     "scaled_ball": lambda: scaled_ball(2.0),
-    "scaled_ball_dim2": lambda: scaled_ball(2.0, dim=2),
     "lincomb": lambda: lincomb([chi_interval(0.0, 1.0), zero(), power(-0.5),
                                 scaled_ball(4.0), chi_ring(1)],
                                [1.5, 3.0, -2.0, 0.0, 0.1]),
@@ -57,7 +56,6 @@ EVALUABLES = {
                                               b=sign_func()),
     "commutator_dual_hardy": lambda: OperatorImage(
         "commutator_dual_hardy", scaled_ball(2.0), b=power(0.5)),
-    "hardy_dim2": lambda: OperatorImage("hardy", scaled_ball(1.0, dim=2), dim=2),
 }
 
 # reprs recorded before catalog and derived functions became one class and
@@ -74,7 +72,6 @@ PINNED_BOUNDS = {
     "dyadic_step": "(0.0, 1.0, 2.0, 1099511627776.0, 0.0)",
     "dyadic_step_3": "(0.0, 1.0, 2.0, 8.0, 0.0)",
     "scaled_ball": "(0.25, 0.375, 0.5, 0.0, 0.0)",
-    "scaled_ball_dim2": "(0.07957747154594767, 0.17904931097838225, 0.3183098861837907, 0.0, 0.0)",
     "lincomb": "(inf, inf, 4.4284271247461895, 1.1547005383792515, 6.324555320336758e-07)",
     "with_sign": "(0.25, 0.375, 0.5, 0.0, 0.0)",
     "abs_power": "(1.9235384061671346, 1.9640064689236927, 2.0524218780012586, inf, 1769.3205386531026)",
@@ -90,7 +87,6 @@ PINNED_BOUNDS = {
     "commutator_hardy": "(inf, inf, 8.0, 1.3333333333333333, 4e-13)",
     # 0.0 beyond the input's support (nan, from inf * 0, before the bound was fixed)
     "commutator_dual_hardy": "(inf, inf, 4.361648554642982, 0.0, 0.0)",
-    "hardy_dim2": "(inf, inf, 4.0, 0.1111111111111111, 9.999999999999999e-27)",
 }
 
 

@@ -19,8 +19,8 @@ def test_constant_evaluation():
 
 
 def _same_exponent(a, b):
-    assert (a.kind, a.params, a.dim, a.p_minus, a.p_plus, a.breakpoints) == \
-        (b.kind, b.params, b.dim, b.p_minus, b.p_plus, b.breakpoints)
+    assert (a.kind, a.params, a.p_minus, a.p_plus, a.breakpoints) == \
+        (b.kind, b.params, b.p_minus, b.p_plus, b.breakpoints)
     for x in (-1e6, -0.3, 0.0, 0.3, 1e6):
         assert a.evaluate(x) == b.evaluate(x)
         assert a.sup_near(x) == b.sup_near(x) == a.p_plus
@@ -31,9 +31,8 @@ def _same_exponent(a, b):
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.7, 10.0])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_constant_is_the_step_exponent_with_no_steps(p, dim):
-    const, step = constant_exponent(p, dim=dim), piecewise_exponent([], [p], dim=dim)
+def test_constant_is_the_step_exponent_with_no_steps(p):
+    const, step = constant_exponent(p), piecewise_exponent([], [p])
     assert const.kind == "piecewise-constant" and const.p_plus == p
     _same_exponent(const, step)
     _same_exponent(const.conjugate(), step.conjugate())

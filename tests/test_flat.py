@@ -197,12 +197,11 @@ def _plain_modular(f, e, domain, tol=1e-9):
     table, no piece memo and no constant exponent."""
     fn, pfn = f.evaluate, e.evaluate
     plain = Func(lambda x: (abs(fn(x)) / 1.0) ** pfn(x),
-                 (*f.singular_points, *e.breakpoints), f.support_radius,
-                 even=f.even and domain.dim >= 2)
+                 (*f.singular_points, *e.breakpoints), f.support_radius)
     if domain.inner == 0.0:
-        res = integrate_ball(plain, Ball(domain.outer, domain.dim), tol=tol)
+        res = integrate_ball(plain, Ball(domain.outer), tol=tol)
     else:
-        res = integrate_shell(plain, domain.inner, domain.outer, tol=tol, dim=domain.dim)
+        res = integrate_shell(plain, domain.inner, domain.outer, tol=tol)
     return 0.0 + res.value
 
 
@@ -218,16 +217,6 @@ def test_modular_is_the_plain_integral(name, exp_name):
     f, e = PLAIN_MEMBERS[name], PLAIN_EXPONENTS[exp_name]
     for domain in (Ball(0.5), Ball(1.5), Ball(3.0), DyadicRing(1), DyadicRing(3)):
         assert repr(modular(f, e, domain)) == repr(_plain_modular(f, e, domain)), domain
-
-
-@pytest.mark.parametrize("p", [2.0, 3.0])
-def test_modular_in_dimension_two_is_the_plain_integral(p):
-    e = constant_exponent(p, dim=2)
-    for f in (chi_ball(1.0), chi_ring(1), scaled_ball(2.0, dim=2), sign_func()):
-        for domain in (Ball(1.5, 2), DyadicRing(2, 2)):
-            if not f.even:
-                continue
-            assert repr(modular(f, e, domain)) == repr(_plain_modular(f, e, domain))
 
 
 # -- the passes: what they evaluate ------------------------------------------

@@ -9,7 +9,6 @@ import weakref
 import pytest
 
 from varlp import FULL_LINE, Ball, DyadicRing
-from varlp.geometry import FullLine
 from varlp.norms import _components
 
 
@@ -39,15 +38,11 @@ def test_reimported_domain_classes_are_freed():
 
 
 # (inner, outer, the open intervals a norm's exponent is read on): the
-# whole space has radii 0 and inf like a ball of infinite radius, and in
-# dimension >= 2 every domain is read on its radii
+# whole line has radii 0 and inf like a ball of infinite radius
 DOMAINS = {
     "ball": (Ball(2.0), 0.0, 2.0, [(-2.0, 2.0)]),
-    "ball_dim2": (Ball(2.0, 2), 0.0, 2.0, [(0.0, 2.0)]),
     "ring": (DyadicRing(1), 1.0, 2.0, [(-2.0, -1.0), (1.0, 2.0)]),
-    "ring_dim2": (DyadicRing(-1, 2), 0.25, 0.5, [(0.25, 0.5)]),
     "line": (FULL_LINE, 0.0, math.inf, [(-math.inf, math.inf)]),
-    "line_dim2": (FullLine(2), 0.0, math.inf, [(0.0, math.inf)]),
 }
 
 

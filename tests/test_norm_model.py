@@ -2,7 +2,7 @@
 
 The modular is modelled as a sum of w lam^-q: rho(1) lam^-p where p is
 constant on the domain; one term per final panel of the lam = 1 pass
-where f is flat under a piecewise-constant p in dimension 1; and otherwise
+where f is flat under a piecewise-constant p; and otherwise
 that pass's own GK15 sum, each final node's |f(x)|^p(x) lam^-p(x) read
 from the solve's node table and grouped by p(x).  Only passes under a
 non-constant p keep their panels.  A solve then runs only the passes near
@@ -301,8 +301,8 @@ def test_extreme_scales_keep_their_norms():
 
 def _flat_pieces(f, e, domain):
     """(|I|, |c|, q) per open piece I between the cuts of f and p, where the
-    flat f is c and the step p is q, in dimension 1: a walk of the domain
-    independent of any pass."""
+    flat f is c and the step p is q: a walk of the domain independent of
+    any pass."""
     cuts = sorted({*f.singular_points, *e.breakpoints})
     for inner, outer in norms._modular_pieces(f, e, domain, 1.0, norms.MODULAR_TOL):
         for a, b in ([(-outer, outer)] if inner == 0.0
@@ -384,18 +384,6 @@ def test_smooth_solves_take_the_node_table_model_and_keep_every_bit(formula, mem
 def test_non_flat_step_solves_take_the_node_table_model(f):
     for domain in (Ball(0.5), Ball(1.5), Ball(4.0), DyadicRing(1), DyadicRing(2)):
         _model_solve(f, PW23, domain)
-
-
-PW23_2D = piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0], dim=2)
-
-
-@pytest.mark.parametrize("e", [PW23_2D, smooth_exponent("inv_one_plus_sq", dim=2)],
-                         ids=["pw23", "inv_one_plus_sq"])
-def test_radial_solves_take_the_node_table_model(e):
-    # weights carry the radial factor 2 pi r of dimension 2
-    for f, domain in ((chi_ball(1.0), Ball(1.5, 2)), (scaled_ball(1.0, 2), Ball(1.5, 2)),
-                      (chi_ball(4.0), DyadicRing(1, 2)), (scaled_ball(3.0, 2), Ball(4.0, 2))):
-        _model_solve(f, e, domain)
 
 
 @st.composite

@@ -171,26 +171,15 @@ def test_chi_norm_closed_forms():
     assert abs(got - root) <= 1e-7
 
 
-def test_radial_dimension_two():
-    # closed forms in the plane: ||chi_B||_p = (pi r^2)^(1/p)
-    e = constant_exponent(2.0, dim=2)
-    assert abs(chi_norm(Ball(1.0, 2), e).value - math.sqrt(math.pi)) <= 1e-12
-    disk = chi_ball(2.0)
-    res = luxemburg_norm(disk, e, Ball(3.0, 2))
-    assert abs(res.value - math.sqrt(4.0 * math.pi)) <= 1e-6
-    # radial profile |x| over the unit disk: modular = 2 pi / 4 at p = 2
-    got = modular(power(1.0), e, Ball(1.0, 2))
-    assert abs(got - math.pi / 2.0) <= 1e-9
-
-
 def test_one_dimensional_modular_ignores_the_exponents_dimension():
     # 2 on the ring 1 <= |x| < 2 under p = 3 on (1, 2) and 2 elsewhere:
-    # 2^3 + 2^2 = 12.  A dim-2 exponent once flagged the integrand even,
-    # and the ring pass mirrored the left side into 2 * 2^2 = 8.
+    # 2^3 + 2^2 = 12.  When exponents still carried a dimension, a dim-2
+    # one flagged the integrand even, and the ring pass mirrored the left
+    # side into 2 * 2^2 = 8.  The step p is not even, so neither side may
+    # be read from the other.
     f = lincomb([chi_ball(3.0)], [2.0])
-    for dim in (1, 2):
-        e = piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0], dim=dim)
-        assert abs(modular(f, e, DyadicRing(1)) - 12.0) <= 1e-9, dim
+    e = piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0])
+    assert abs(modular(f, e, DyadicRing(1)) - 12.0) <= 1e-9
 
 
 def test_dual_pairing_self_dual_attains():
@@ -237,11 +226,6 @@ PINNED_SOLVES = {
                                              b=sign_func()), E2),
         "NormResult(value=3.999999988824129, abs_error_bound=1.1395870894771069e-08, "
         "bisection_iters=27, bracket=(3.999999977648258, 4.0))"),
-    "scaled_ball_2d": (
-        lambda: luxemburg_norm(scaled_ball(1.0, dim=2), constant_exponent(3.0, dim=2),
-                               Ball(2.0, 2)),
-        "NormResult(value=0.29368386567583427, abs_error_bound=1.0445881326801921e-09, "
-        "bisection_iters=28, bracket=(0.2936838646420145, 0.29368386670965396))"),
 }
 
 
@@ -329,8 +313,6 @@ def test_small_functions_keep_their_norm_within_the_error_bound(p):
         assert abs(res.value - c) <= 1e-8 * c, (p, c, res)
 
 
-PW23_2D = piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0], dim=2)
-
 # chi_norm reprs recorded while chi_norm still branched on the region's
 # class; closed forms and bisections alike must keep every bit
 PINNED_CHI_NORMS = [
@@ -346,18 +328,6 @@ PINNED_CHI_NORMS = [
     (DyadicRing(2), PW23,
      "NormResult(value=2.0, abs_error_bound=1.7763568394002505e-15, "
      "bisection_iters=0, bracket=(2.0, 2.0))"),
-    (Ball(0.5, 2), PW23_2D,
-     "NormResult(value=0.8862269254527579, abs_error_bound=4.440892098500626e-16, "
-     "bisection_iters=0, bracket=(0.8862269254527579, 0.8862269254527579))"),
-    (Ball(1.5, 2), PW23_2D,
-     "NormResult(value=2.2165818754583597, abs_error_bound=5.709847450843081e-09, "
-     "bisection_iters=28, bracket=(2.2165818698704243, 2.216581881046295))"),
-    (DyadicRing(1, 2), PW23_2D,
-     "NormResult(value=2.112307020511323, abs_error_bound=1.7763568394002505e-15, "
-     "bisection_iters=0, bracket=(2.112307020511323, 2.112307020511323))"),
-    (DyadicRing(2, 2), PW23_2D,
-     "NormResult(value=6.139960247678931, abs_error_bound=3.552713678800501e-15, "
-     "bisection_iters=0, bracket=(6.139960247678931, 6.139960247678931))"),
 ]
 
 

@@ -128,16 +128,6 @@ def test_maximal_explicit_grid():
     assert abs(res.value - 0.25) <= 1e-10
 
 
-def test_maximal_rejects_off_center_radial():
-    with pytest.raises(ValueError):
-        maximal(chi_ball(1.0), 1.0, dim=2)
-
-
-def test_maximal_radial_at_center():
-    res = maximal(chi_ball(1.0), 0.0, dim=2)
-    assert abs(res.value - 1.0) <= 1e-9
-
-
 def test_hardy_on_decaying_unbounded_support():
     # oracle: (1/4) int_{-4}^{4} |y|^(-1/2) dy = (1/4) * 2 * 2 * sqrt(4) = 2
     res = hardy(power(-0.5), 4.0, tol=1e-10)

@@ -50,7 +50,6 @@ def test_breakpoint_splitting_handles_jumps():
 
 def test_ball_measures():
     assert abs(integrate_ball(constant(1.0), Ball(3.0)).value - 6.0) <= 1e-12
-    assert abs(integrate_ball(constant(1.0), Ball(1.0, 2)).value - math.pi) <= 1e-9
 
 
 def test_ball_abs_x_dimension_one():
@@ -68,12 +67,6 @@ def test_annulus_inverse_abs():
     # oracle: 2 * int_2^4 dx/x = 2 ln 2
     res = integrate_annulus(power(-1.0), 2)
     assert abs(res.value - 2.0 * math.log(2.0)) <= 1e-10
-
-
-def test_radial_rejects_odd_profile_in_higher_dim():
-    from varlp import sign_func
-    with pytest.raises(ValueError):
-        integrate_ball(sign_func(), Ball(1.0, 2))
 
 
 def test_additivity_ball_equals_annuli_sum():
@@ -122,7 +115,7 @@ def test_empty_interval():
 
 
 # reprs recorded before the GK15 panel became straight-line code, the
-# breakpoints were sorted once and the dim-1 dual kernel lost its ** 1:
+# breakpoints were sorted once and the dual kernel lost its ** 1:
 # node order, summation order and tie-breaks are part of every report
 def _jumpy(x):
     return math.exp(x) if x < 0.3 else 1.0 / (1.0 + x * x)
@@ -159,11 +152,10 @@ PINNED_QUADRATURE = {
     # odd, so the value is the exact 0 (-1.0658e-14 +- 3.99e-11 over 120
     # panels before odd integrands skipped their panels)
     "dyadic_step_dual_kernel": lambda: integrate_shell(
-        _ShellTable(dyadic_step(), 1)._dual_kernel(), 0.75, 2.0 ** 30),
+        _ShellTable(dyadic_step())._dual_kernel(), 0.75, 2.0 ** 30),
     # |y|^0.25 / |y| on [t, 2t], split into 6 panels
     "inv_abs_kernel": lambda: integrate_shell(
-        _ShellTable(power(0.25), 1)._dual_kernel(), 1e-3, 2e-3, tol=1e-15),
-    "dim2_shell": lambda: integrate_shell(power(-0.5), 0.3, 1.7, dim=2),
+        _ShellTable(power(0.25))._dual_kernel(), 1e-3, 2e-3, tol=1e-15),
     **{f"table_{t}": (lambda t=t: _table_pairs(t)) for t in (0.01, 0.3, 1.0, 1.5, 1.99)},
 }
 PINNED_QUADRATURE_REPRS = {
@@ -176,7 +168,6 @@ PINNED_QUADRATURE_REPRS = {
     "dyadic_step_shell": "QuadResult(value=2147483646.0, abs_error_bound=0.0, subdivisions=120)",
     "dyadic_step_dual_kernel": "QuadResult(value=0.0, abs_error_bound=0.0, subdivisions=0)",
     "inv_abs_kernel": "QuadResult(value=0.2691704934737643, abs_error_bound=1.1102230246251565e-15, subdivisions=6)",
-    "dim2_shell": "QuadResult(value=8.596285735351673, abs_error_bound=8.428928666148749e-10, subdivisions=3)",
     "table_0.01": "((2.5e-05, 0.0), (0.995, 0.0), (2.0000000000000003e-06, 1.9654529006339954e-14), (0.9424757082487302, 1.4448770491071978e-13))",
     "table_0.3": "((0.0225, 0.0), (0.85, 0.0), (0.00985900603509299, 1.9654528900460836e-14), (0.8880367858315469, 1.4462637436858067e-13))",
     "table_1.0": "((0.25, 0.0), (0.5, 0.0), (0.2, 1.9654528900460836e-14), (0.6094757082487301, 2.378573528614782e-13))",
@@ -262,7 +253,7 @@ FORWARD_TABLES = _forward_tables()
 def test_one_panel_shells_of_forward_tables(name):
     f, b = FORWARD_TABLES[name]
     for g in (f, pointwise_product(b, f)):
-        table = _ShellTable(g, 1, 1e-10)
+        table = _ShellTable(g, 1e-10)
         radii = table.radii
         shells = list(zip(radii, radii[1:]))
         shells += [(lo, 0.5 * (lo + hi)) for lo, hi in shells]  # partial shells
@@ -431,19 +422,17 @@ def test_an_infinite_end_is_refused_before_any_panel(lo, hi, end):
     assert calls == [] and info.value.best.subdivisions == 0
 
 
-@pytest.mark.parametrize("g, dim", [(power(-2.0), 1), (sign_func(), 1),
-                                    (chi_ball(2.0), 1), (power(-2.0), 2),
-                                    (chi_ball(2.0), 2)],
-                         ids=["power", "sign", "chi", "power-2d", "chi-2d"])
-def test_an_infinite_shell_is_refused_as_its_calls_refuse(g, dim):
+@pytest.mark.parametrize("g", [power(-2.0), sign_func(), chi_ball(2.0)],
+                         ids=["power", "sign", "chi"])
+def test_an_infinite_shell_is_refused_as_its_calls_refuse(g):
     calls = []
     counted = Func(lambda y: calls.append(y) or g.evaluate(y), g.singular_points,
                    g.support_radius, g.even, g.power_tail, odd=g.odd,
                    local_majorant=g.local_majorant)
-    got = _outcome(lambda: integrate_shell(counted, 1.0, math.inf, dim=dim))
-    end = "-inf" if dim == 1 else "inf"  # the left call comes first
-    assert got == (QuadratureNonConvergence, f"cannot integrate to the non-finite end {end}")
-    assert got == _outcome(lambda: two_calls(g, 1.0, math.inf, 1e-9, dim=dim))
+    got = _outcome(lambda: integrate_shell(counted, 1.0, math.inf))
+    # the left call comes first
+    assert got == (QuadratureNonConvergence, "cannot integrate to the non-finite end -inf")
+    assert got == _outcome(lambda: two_calls(g, 1.0, math.inf, 1e-9))
     assert calls == []  # not even the one-panel path runs
 
 
@@ -499,10 +488,6 @@ def test_recorded_panels_tile_the_interval_and_hold_its_breakpoints(name):
     integrate_shell(g, 0.5, r, panels=panels)
     _tiles([p for p in panels if p[0] < 0.0], [-r, *(s for s in pts if s < -0.5), -0.5])
     _tiles([p for p in panels if p[0] > 0.0], [0.5, *(s for s in pts if s > 0.5), r])
-    if g.even:
-        panels = []
-        integrate_ball(g, Ball(r, 2), panels=panels)
-        _tiles(panels, sorted({0.0, *(abs(s) for s in pts), r}))
 
 
 def test_a_frozen_panel_is_recorded():
@@ -541,9 +526,6 @@ def test_a_panel_list_changes_no_result(name):
     calls = [lambda **kw: integrate_ball(g, Ball(r), **kw),
              lambda **kw: integrate_shell(g, 0.5, r, **kw),
              lambda **kw: integrate_shell(g, 0.5, r, tol=1e-12, **kw)]
-    if g.even:
-        calls += [lambda **kw: integrate_ball(g, Ball(r, 3), **kw),
-                  lambda **kw: integrate_shell(g, 0.5, r, dim=2, **kw)]
     for call in calls:
         assert repr(call(panels=[])) == repr(call())
 
@@ -558,8 +540,4 @@ def test_gk15_nodes_are_the_nodes_the_panel_evaluates():
     value, _ = quadrature._gk15(g, 0.3, 1.7)
     nodes = quadrature.gk15_nodes(0.3, 1.7)
     assert sorted(x for x, _ in nodes) == sorted(seen)
-    assert sum(w * math.exp(x) for x, w in nodes) == pytest.approx(value, rel=1e-15)
-    # in dimension 3 the weight carries 4 pi r^2
-    value, _ = quadrature._gk15(quadrature._radial_weight(math.exp, 3), 0.3, 1.7)
-    nodes = quadrature.gk15_nodes(0.3, 1.7, dim=3)
     assert sum(w * math.exp(x) for x, w in nodes) == pytest.approx(value, rel=1e-15)

@@ -60,8 +60,8 @@ def _assert_table_matches_reference(table):
     plain = table
     if g.odd:
         plain = _ShellTable(Func(g.evaluate, g.singular_points, g.support_radius,
-                                 power_tail=g.power_tail), table.dim, table.tol)
-    ref = _ReferenceTable(plain.g, table.dim, table.tol)
+                                 power_tail=g.power_tail), table.tol)
+    ref = _ReferenceTable(plain.g, table.tol)
     reads = [("ball", _ShellTable.ball, 0.0)]
     if math.isfinite(table.top):
         reads.append(("tail", _ShellTable.tail, table._tail_remainder))
@@ -119,12 +119,8 @@ def test_shell_falls_back_where_one_panel_misses_tol(even, monkeypatch):
         return adapt(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "_adapt", counted)
-    _assert_table_matches_reference(_ShellTable(g, 1, 1e-10))
+    _assert_table_matches_reference(_ShellTable(g, 1e-10))
     assert calls
-
-
-def test_dim2_table_matches_integrate_shell():
-    _assert_table_matches_reference(_ShellTable(scaled_ball(1.0, dim=2), 2, 1e-10))
 
 
 def test_luxemburg_solve_integrates_each_radius_once(monkeypatch):
@@ -310,11 +306,6 @@ def test_parity_flags():
                      (power(-0.5), sign_func())):  # singular f: b f not flagged
             assert not OperatorImage(kind, f, b=b).odd, (kind, f, b)
     assert not OperatorImage("hardy", chi_ball(1.0)).odd
-    # in dimension 2 the odd b f table is refused as non-radial, as before
-    img = OperatorImage("commutator_dual_hardy", chi_ball(1.0), b=sign_func(), dim=2)
-    assert not img.odd
-    with pytest.raises(ValueError):
-        img.evaluate(0.5)
     # |f|^p of an even or odd f is even under a constant p, not under pw23
     pw23 = piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0])
     for f in (chi_ball(1.0), sign_func(), dyadic_step(3)):

@@ -141,16 +141,6 @@ def test_herz_refuses_uncertifiable_lower_tail():
         herz_norm(power(-1.0), E2, 0.0, 1.0, range(-6, 7))
 
 
-def test_cbmo_radial_dimension_two():
-    # oracle for the disk indicator at r = 2, p = 2: mean is 1/4, so the
-    # squared oscillation is pi (3/4)^2 + 3 pi (1/4)^2 = 3 pi / 4 against
-    # ||chi_B||^2 = 4 pi, giving the ratio sqrt(3)/4
-    from varlp import chi_ball, constant_exponent
-    e = constant_exponent(2.0, dim=2)
-    res = cbmo_var_norm(chi_ball(1.0), e, [2.0])
-    assert abs(res.value - math.sqrt(3.0) / 4.0) <= 1e-7
-
-
 contribs = st.lists(st.floats(0.0, 1e6), min_size=1, max_size=12)
 
 
