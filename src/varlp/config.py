@@ -2,10 +2,11 @@
 
 A config names exponents and functions by kind-dictionaries mirroring the
 catalogs, fixes every grid the harness sweeps, and centralizes the
-tolerance policy per statement; every statement, and so every exponent it
-builds, is one-dimensional.  Parsing is strict: an unknown kind, field,
-grid name or tolerance key, or a malformed field, raises ConfigError
-naming the offender, which the CLI maps to exit code 1.
+tolerance policy per statement; every statement lives on the real line.
+Parsing is strict: an unknown kind, field (of the config or of an
+exponent or function spec), grid name or tolerance key, or a malformed
+field, raises ConfigError naming the offender, which the CLI maps to exit
+code 1.
 """
 
 from __future__ import annotations
@@ -28,59 +29,59 @@ class ConfigError(ValueError):
 # spec dictionaries -> objects
 # ---------------------------------------------------------------------------
 
-def make_exponent(spec: dict) -> Exponent:
+# per spec kind: the fields it reads besides "kind" (any other is refused)
+# and its builder
+_EXPONENT_KINDS = {
+    "constant": ({"p"}, lambda s: constant_exponent(s["p"])),
+    "piecewise": ({"breaks", "values"},
+                  lambda s: piecewise_exponent(s["breaks"], s["values"])),
+    "smooth": ({"formula_id", "params"},
+               lambda s: smooth_exponent(s["formula_id"], s.get("params", {}))),
+}
+_FUNC_KINDS = {
+    "zero": (set(), lambda s: funcs.zero()),
+    "constant": ({"c"}, lambda s: funcs.constant(s["c"])),
+    "chi_interval": ({"a", "b"}, lambda s: funcs.chi_interval(s["a"], s["b"])),
+    "chi_ball": ({"radius"}, lambda s: funcs.chi_ball(s["radius"])),
+    "chi_ring": ({"k"}, lambda s: funcs.chi_ring(s["k"])),
+    "power": ({"a"}, lambda s: funcs.power(s["a"])),
+    "sign": (set(), lambda s: funcs.sign_func()),
+    "dyadic_step": ({"k_max"}, lambda s: funcs.dyadic_step(s.get("k_max", 40))),
+    "scaled_ball": ({"radius"}, lambda s: funcs.scaled_ball(s["radius"])),
+    "lincomb": ({"terms", "coeffs"},
+                lambda s: funcs.lincomb([make_func(t) for t in s["terms"]], s["coeffs"])),
+    "with_sign": ({"base"}, lambda s: funcs.with_sign(make_func(s["base"]))),
+    "abs_power": ({"base", "power"},
+                  lambda s: funcs.abs_power(make_func(s["base"]), s.get("power", 1.0))),
+}
+
+
+def _build(spec, what: str, kinds: dict):
+    """The object a spec dictionary names, built by its kind's builder; a
+    missing, unknown or malformed field raises ConfigError naming it."""
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"exponent spec must be a dict with a 'kind': {spec!r}")
+        raise ConfigError(f"{what} spec must be a dict with a 'kind': {spec!r}")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    reads, build = kinds[kind]
+    unread = set(spec) - reads - {"kind"}
+    if unread:
+        raise ConfigError(f"{what} spec {spec!r} has unknown fields {sorted(unread)}")
     try:
-        if kind == "constant":
-            return constant_exponent(spec["p"])
-        if kind == "piecewise":
-            return piecewise_exponent(spec["breaks"], spec["values"])
-        if kind == "smooth":
-            return smooth_exponent(spec["formula_id"], spec.get("params", {}))
+        return build(spec)
     except KeyError as exc:
-        raise ConfigError(f"exponent spec {spec!r} is missing field {exc}") from exc
+        raise ConfigError(f"{what} spec {spec!r} is missing field {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(f"bad exponent spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown exponent kind {kind!r}")
+        raise ConfigError(f"bad {what} spec {spec!r}: {exc}") from exc
+
+
+def make_exponent(spec: dict) -> Exponent:
+    return _build(spec, "exponent", _EXPONENT_KINDS)
 
 
 def make_func(spec: dict) -> Func:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"function spec must be a dict with a 'kind': {spec!r}")
-    kind = spec["kind"]
-    try:
-        if kind == "zero":
-            return funcs.zero()
-        if kind == "constant":
-            return funcs.constant(spec["c"])
-        if kind == "chi_interval":
-            return funcs.chi_interval(spec["a"], spec["b"])
-        if kind == "chi_ball":
-            return funcs.chi_ball(spec["radius"])
-        if kind == "chi_ring":
-            return funcs.chi_ring(spec["k"])
-        if kind == "power":
-            return funcs.power(spec["a"])
-        if kind == "sign":
-            return funcs.sign_func()
-        if kind == "dyadic_step":
-            return funcs.dyadic_step(spec.get("k_max", 40))
-        if kind == "scaled_ball":
-            return funcs.scaled_ball(spec["radius"])
-        if kind == "lincomb":
-            terms = [make_func(t) for t in spec["terms"]]
-            return funcs.lincomb(terms, spec["coeffs"])
-        if kind == "with_sign":
-            return funcs.with_sign(make_func(spec["base"]))
-        if kind == "abs_power":
-            return funcs.abs_power(make_func(spec["base"]), spec.get("power", 1.0))
-    except KeyError as exc:
-        raise ConfigError(f"function spec {spec!r} is missing field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad function spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown function kind {kind!r}")
+    return _build(spec, "function", _FUNC_KINDS)
 
 
 BUILTIN_EXPONENTS: dict[str, dict] = {

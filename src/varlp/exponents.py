@@ -178,6 +178,10 @@ def smooth_exponent(formula_id: str, params: Optional[dict] = None) -> Exponent:
         lo, hi = base + amp * smin, base + amp * smax
     else:
         raise ValueError(f"unknown smooth exponent formula: {formula_id!r}")
+    reads = {"base", "amp", "shift"} if formula_id == "sin_loglog" else {"base", "amp"}
+    unread = set(params) - reads
+    if unread:
+        raise ValueError(f"{formula_id} reads no parameter {sorted(unread)}")
     params.setdefault("base", base)
     params.setdefault("amp", amp)
     return Exponent("smooth-log-holder", {"formula_id": formula_id, **params},

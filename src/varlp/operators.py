@@ -84,7 +84,8 @@ class _ShellTable:
                     if a >= 0.0:
                         top = math.inf
                     else:
-                        # extend until the dual-kernel remainder is certified small
+                        # extend until the dual-kernel remainder (both half-lines)
+                        # is certified small
                         while 2.0 * coef * top ** a / (-a) > tol / 4.0 and top < 1e300:
                             top *= 4.0
                         self._tail_remainder = 2.0 * coef * top ** a / (-a)

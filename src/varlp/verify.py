@@ -432,9 +432,9 @@ def check_commutator_identity(b_bank: Sequence[tuple[str, Func]],
                               abs_tol: float = 1e-6) -> CheckReport:
     """Exact splitting of the ball mean oscillation of a symbol at a point:
 
-        b(x) - b_B = (|x|^n / |B|) [b,H](chi_B)(x) + [b,H*](f0)(x)
+        b(x) - b_B = (|x| / |B|) [b,H](chi_B)(x) + [b,H*](f0)(x)
 
-    with f0 = |x|^n |B|^(-1) chi_B, for every x in B away from the origin.
+    with f0 = |x| |B|^(-1) chi_B, for every x in B away from the origin.
     Splitting the ball average of b(x) - b(y) at |y| = |x| gives the two
     operator terms, so the residual is pure quadrature error."""
     witnesses = []

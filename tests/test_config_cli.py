@@ -71,6 +71,32 @@ def test_make_func_errors():
         make_func({"kind": "chi_interval", "a": 2.0, "b": 1.0})
 
 
+@pytest.mark.parametrize("make, spec, field", [
+    (make_func, {"kind": "chi_ball", "radius": 1.0, "radiu": 2}, "radiu"),
+    (make_func, {"kind": "scaled_ball", "radius": 1.0, "dim": 2}, "dim"),
+    (make_func, {"kind": "lincomb", "terms": [{"kind": "sign", "bogus": 1}],
+                 "coeffs": [1.0]}, "bogus"),
+    (make_exponent, {"kind": "constant", "p": 2.0, "bogus": 1}, "bogus"),
+    (make_exponent, {"kind": "smooth", "formula_id": "sin_loglog", "shift": 20.0},
+     "shift"),
+], ids=["misspelled", "scaled_ball_dim", "nested", "exponent", "smooth_outside_params"])
+def test_specs_refuse_a_field_their_kind_does_not_read(make, spec, field):
+    with pytest.raises(ConfigError, match=f"unknown fields \\['{field}'\\]"):
+        make(spec)
+
+
+@pytest.mark.parametrize("formula_id, params, unread", [
+    ("inv_one_plus_abs", {"base": 2.0, "ampl": 1.0}, "ampl"),
+    ("inv_one_plus_sq", {"shift": 20.0}, "shift"),
+])
+def test_smooth_params_refuse_a_parameter_their_formula_does_not_read(formula_id, params,
+                                                                      unread):
+    with pytest.raises(ConfigError, match=f"reads no parameter \\['{unread}'\\]"):
+        make_exponent({"kind": "smooth", "formula_id": formula_id, "params": params})
+    # sin_loglog reads its shift
+    make_exponent({"kind": "smooth", "formula_id": "sin_loglog", "params": {"shift": 20.0}})
+
+
 def test_builtins_all_parse():
     for name, spec in BUILTIN_EXPONENTS.items():
         assert make_exponent(spec).p_minus > 1.0, name
