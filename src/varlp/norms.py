@@ -305,12 +305,12 @@ def _model(f, e: Exponent, domain: Domain, p_const: Optional[float], rho1: float
     grouped by q, read from one pass: rho(1) lam^-p where p is the constant
     p_const on the domain; for flat f under a step p, |I| |c|^q per final
     panel I, c and q read at its centre (the pass split at every cut of f
-    and p), evaluated where the piece memo kept it out of the node table; otherwise the GK15 weight times |f(x)|^p(x) per node
-    x of the final ``panels``, read from the node table.  A node whose GK15
-    weight is subnormal (imprecise) drops out.  None where a weight
-    overflows or is not finite, a panel's weight underflows, no term is
-    left, or a node is not in the table.  Never raises: a model decides
-    which passes run, not a result.
+    and p), evaluated where the piece memo kept it out of the node table;
+    otherwise the GK15 weight times |f(x)|^p(x) per node x of the final
+    ``panels``, read from the node table.  A node whose GK15 weight is
+    subnormal (imprecise) drops out.  None where a weight overflows or is
+    not finite, a panel's weight underflows, no term is left, or a node is
+    not in the table.  Never raises: a model only decides which passes run.
     """
     try:
         if p_const is not None:
