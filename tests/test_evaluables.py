@@ -56,6 +56,8 @@ EVALUABLES = {
                                               b=sign_func()),
     "commutator_dual_hardy": lambda: OperatorImage(
         "commutator_dual_hardy", scaled_ball(2.0), b=power(0.5)),
+    "hardy_scaled_ball": lambda: OperatorImage("hardy", scaled_ball(1.0)),
+    "dual_hardy_chi_ring": lambda: OperatorImage("dual_hardy", chi_ring(1)),
 }
 
 # reprs recorded before catalog and derived functions became one class and
@@ -87,6 +89,9 @@ PINNED_BOUNDS = {
     "commutator_hardy": "(inf, inf, 8.0, 1.3333333333333333, 4e-13)",
     # 0.0 beyond the input's support (nan, from inf * 0, before the bound was fixed)
     "commutator_dual_hardy": "(inf, inf, 4.361648554642982, 0.0, 0.0)",
+    # recorded while operators still took a dimension, with the same bits
+    "hardy_scaled_ball": "(inf, inf, 2.0, 0.3333333333333333, 1e-13)",
+    "dual_hardy_chi_ring": "(inf, inf, 2.772588722239781, 0.0, 0.0)",
 }
 
 

@@ -42,6 +42,7 @@ def test_reimported_domain_classes_are_freed():
 DOMAINS = {
     "ball": (Ball(2.0), 0.0, 2.0, [(-2.0, 2.0)]),
     "ring": (DyadicRing(1), 1.0, 2.0, [(-2.0, -1.0), (1.0, 2.0)]),
+    "ring_negative_k": (DyadicRing(-1), 0.25, 0.5, [(-0.5, -0.25), (0.25, 0.5)]),
     "line": (FULL_LINE, 0.0, math.inf, [(-math.inf, math.inf)]),
 }
 

@@ -171,6 +171,15 @@ def test_chi_norm_closed_forms():
     assert abs(got - root) <= 1e-7
 
 
+def test_ball_closed_forms():
+    # ||chi_B||_2 = |B|^(1/2) = (2 r)^(1/2), read through the engine on a
+    # larger ball; |x| over B(1) has modular 2 / 3 at p = 2
+    assert abs(chi_norm(Ball(1.0), E2).value - math.sqrt(2.0)) <= 1e-12
+    res = luxemburg_norm(chi_ball(2.0), E2, Ball(3.0))
+    assert abs(res.value - 2.0) <= 1e-6
+    assert abs(modular(power(1.0), E2, Ball(1.0)) - 2.0 / 3.0) <= 1e-9
+
+
 def test_one_dimensional_modular_ignores_the_exponents_dimension():
     # 2 on the ring 1 <= |x| < 2 under p = 3 on (1, 2) and 2 elsewhere:
     # 2^3 + 2^2 = 12.  When exponents still carried a dimension, a dim-2
@@ -226,6 +235,12 @@ PINNED_SOLVES = {
                                              b=sign_func()), E2),
         "NormResult(value=3.999999988824129, abs_error_bound=1.1395870894771069e-08, "
         "bisection_iters=27, bracket=(3.999999977648258, 4.0))"),
+    # |x| / 2 on B(1): (2 int_0^1 (x / 2)^3 dx)^(1/3) = 2^(-4/3); recorded
+    # while domains and exponents still carried a dimension, with the same bits
+    "scaled_ball_const3": (
+        lambda: luxemburg_norm(scaled_ball(1.0), constant_exponent(3.0), Ball(2.0)),
+        "NormResult(value=0.3968502633616455, abs_error_bound=1.1233379886881862e-09, "
+        "bisection_iters=28, bracket=(0.3968502622528587, 0.3968502644704323))"),
 }
 
 
@@ -328,6 +343,19 @@ PINNED_CHI_NORMS = [
     (DyadicRing(2), PW23,
      "NormResult(value=2.0, abs_error_bound=1.7763568394002505e-15, "
      "bisection_iters=0, bracket=(2.0, 2.0))"),
+    # recorded while domains and exponents still carried a dimension
+    (Ball(3.0), PW23,
+     "NormResult(value=2.3300587348639965, abs_error_bound=1.1304024125803262e-08, "
+     "bisection_iters=27, bracket=(2.3300587236881256, 2.3300587460398674))"),
+    (DyadicRing(-1), PW23,
+     "NormResult(value=0.7071067811865476, abs_error_bound=4.440892098500626e-16, "
+     "bisection_iters=0, bracket=(0.7071067811865476, 0.7071067811865476))"),
+    (Ball(2.5), smooth_exponent("inv_one_plus_sq"),
+     "NormResult(value=1.9284681249409914, abs_error_bound=5.694001194564577e-09, "
+     "bisection_iters=28, bracket=(1.928468119353056, 1.9284681305289268))"),
+    (DyadicRing(0), smooth_exponent("inv_one_plus_sq"),
+     "NormResult(value=0.9999999972060323, abs_error_bound=2.8489677236927424e-09, "
+     "bisection_iters=27, bracket=(0.9999999944120646, 1.0))"),
 ]
 
 

@@ -29,6 +29,18 @@ def test_cbmo_sign_closed_form():
         assert abs(ratio - 1.0) <= 1e-7
 
 
+def test_cbmo_chi_ball_closed_form():
+    # chi_B(1) on B(r), r >= 1: the mean is 1 / r and the squared
+    # oscillation 2 (1 - 1/r)^2 + (2r - 2) / r^2 = 2 (r - 1) / r against
+    # ||chi_B(r)||_2^2 = 2r, so the ratio is sqrt(r - 1) / r, at most 1/2
+    # at r = 2; below r = 1 the function is constant on the ball
+    res = cbmo_var_norm(chi_ball(1.0), E2, GRID)
+    assert abs(res.value - 0.5) <= 1e-7
+    for r, ratio in res.breakdown:
+        want = math.sqrt(r - 1.0) / r if r > 1.0 else 0.0
+        assert abs(ratio - want) <= 1e-7, r
+
+
 def test_cbmo_classical_sign():
     res = cbmo_classical_norm(sign_func(), 2.0, GRID)
     assert abs(res.value - 1.0) <= 1e-9
