@@ -10,15 +10,16 @@ roots compares their counters.  Every op of the seed's list is called
 counters wrapped around ``norms._modular_passes`` (every modular pass) and
 ``norms._search`` (every bracket-and-bisect run), and around
 ``norms._bisect`` to tell one Luxemburg solve from the next (a dual op
-runs several); the passes that kept their final quadrature panels for the
-solve's model, and the panels kept, are read from the ``passes`` dict
-each pass fills.  A solve falls back when it runs a search after a
+runs several), and around ``quadrature._gk15`` (every GK15 panel
+evaluated, not those read from a mirror); the passes that kept their
+final quadrature panels for the solve's model, and the panels kept, are
+read from the ``passes`` dict each pass fills.  A solve falls back when it runs a search after a
 model-guided one (``norms._guided``) gave out; on a checkout without
 ``_guided``, when it runs a second search.  For each class, and for each
 exponent over its classes, it prints the ops, passes, searches, solves
-that fell back, the passes that kept panels, the panels kept and the sum
-of the ops' fastest times in ms; the last line of output is one JSON
-object with the same table.  Standard library only.
+that fell back, the passes that kept panels, the panels kept, the GK15
+panels evaluated and the sum of the ops' fastest times in ms; the last
+line of output is one JSON object with the same table.  Standard library only.
 """
 
 import argparse
@@ -31,14 +32,15 @@ from contextlib import contextmanager
 
 ROOT = pathlib.Path.cwd()
 FIELDS = ("ops", "passes", "searches", "fallbacks", "kept_passes", "kept_panels",
-          "fastest_ms")
+          "gk15_panels", "fastest_ms")
 
 
 @contextmanager
-def counted(norms, counts):
+def counted(norms, quadrature, counts):
     """Count passes, searches, solves that fell back, passes that kept
-    panels and the panels kept while inside."""
+    panels, the panels kept and the GK15 panels evaluated while inside."""
     make, search, bisect = norms._modular_passes, norms._search, norms._bisect
+    gk15 = quadrature._gk15
     guided = getattr(norms, "_guided", None)
     solve = {"searches": 0, "guided": 0}
 
@@ -56,6 +58,10 @@ def counted(norms, counts):
                     counts["kept_panels"] += len(panels)
 
         return one
+
+    def panel(*args):
+        counts["gk15_panels"] += 1
+        return gk15(*args)
 
     def searched(*args):
         counts["searches"] += 1
@@ -80,11 +86,13 @@ def counted(norms, counts):
         saved["_guided"], wrapped["_guided"] = guided, guided_run
     for name, fn in wrapped.items():
         setattr(norms, name, fn)
+    quadrature._gk15 = panel
     try:
         yield
     finally:
         for name, fn in saved.items():
             setattr(norms, name, fn)
+        quadrature._gk15 = gk15
 
 
 def main() -> int:
@@ -99,7 +107,7 @@ def main() -> int:
         return 2
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
-    from varlp import norms
+    from varlp import norms, quadrature
 
     ops = workloads.WORKLOADS["norm_solves"].build(args.seed)
     table = defaultdict(lambda: dict.fromkeys(FIELDS, 0))
@@ -114,7 +122,7 @@ def main() -> int:
                 pass
             fastest = min(fastest, time.perf_counter() - t0)
         counts = dict.fromkeys(FIELDS[1:-1], 0)
-        with counted(norms, counts):
+        with counted(norms, quadrature, counts):
             try:
                 op()
             except Exception:

@@ -33,20 +33,29 @@ LOG_HOLDER_CAP = 10.0
 class Exponent:
     """A variable exponent with an evaluator and cached essential bounds.
 
+    ``even`` promises evaluate(-x) == evaluate(x) bit for bit at every
+    finite x.  The constructors work it out and no caller passes it: it
+    holds for the named smooth formulas (each reads |x| or x * x), for a
+    step exponent with no breaks (a constant), and for a conjugate or a
+    quotient of an even exponent; not for a step exponent with breaks,
+    which is right-continuous and so not exactly even at a break, nor for
+    a custom callable.
+
     Immutable after construction; instances may be shared freely across
     threads.  Use the module-level constructors rather than __init__.
     """
 
-    __slots__ = ("kind", "params", "p_minus", "p_plus", "breakpoints", "_fn")
+    __slots__ = ("kind", "params", "p_minus", "p_plus", "breakpoints", "even", "_fn")
 
     def __init__(self, kind: str, params: dict, fn: Callable[[float], float],
                  p_minus: float, p_plus: float,
-                 breakpoints: tuple[float, ...] = ()):
+                 breakpoints: tuple[float, ...] = (), even: bool = False):
         self.kind = kind
         self.params = params
         self.p_minus = p_minus
         self.p_plus = p_plus
         self.breakpoints = tuple(sorted(breakpoints))
+        self.even = even
         self._fn = fn
 
     def evaluate(self, x: float) -> float:
@@ -69,13 +78,14 @@ class Exponent:
     def _mapped(self, g: Callable[[float], float], lo: float, hi: float,
                 params: dict) -> "Exponent":
         """The exponent x -> g(p(x)) with bounds lo and hi: a step exponent
-        maps its values, any other exponent wraps its formula."""
+        maps its values, any other exponent wraps its formula and keeps its
+        parity, since g reads p(x) alone."""
         if self.kind == "piecewise-constant":
             return piecewise_exponent(self.params["breaks"],
                                       [g(v) for v in self.params["values"]])
         fn = self._fn
         return Exponent("custom-evaluable", params, lambda x: g(fn(x)), lo, hi,
-                        breakpoints=self.breakpoints)
+                        breakpoints=self.breakpoints, even=self.even)
 
     def sup_near(self, s: float) -> float:
         """The largest value p takes arbitrarily close to s.
@@ -147,7 +157,7 @@ def piecewise_exponent(breaks: Sequence[float], values: Sequence[float]) -> Expo
         return vals[bisect_right(br, x)]
 
     return Exponent("piecewise-constant", {"breaks": breaks, "values": values},
-                    fn, min(values), max(values), breakpoints=br)
+                    fn, min(values), max(values), breakpoints=br, even=not br)
 
 
 def smooth_exponent(formula_id: str, params: Optional[dict] = None) -> Exponent:
@@ -185,7 +195,7 @@ def smooth_exponent(formula_id: str, params: Optional[dict] = None) -> Exponent:
     params.setdefault("base", base)
     params.setdefault("amp", amp)
     return Exponent("smooth-log-holder", {"formula_id": formula_id, **params},
-                    fn, lo, hi)
+                    fn, lo, hi, even=True)
 
 
 def custom_exponent(fn: Callable[[float], float],

@@ -39,9 +39,17 @@ class Ball:
 
 @dataclass(frozen=True)
 class DyadicRing:
-    """Dyadic annulus C_k: the set of points with 2^(k-1) <= |x| < 2^k."""
+    """Dyadic annulus C_k: the set of points with 2^(k-1) <= |x| < 2^k.
+
+    Both radii are positive finite floats exactly for k in [-1073, 1023].
+    """
 
     k: int
+
+    def __post_init__(self) -> None:
+        if not -1073 <= self.k <= 1023:
+            raise ValueError(f"dyadic ring radii 2^(k-1) and 2^k must be positive "
+                             f"and finite, so k must lie in [-1073, 1023], got k={self.k}")
 
     @property
     def inner(self) -> float:

@@ -25,8 +25,8 @@ w lam^-q read from the lam = 1 pass, decides which: rho(1) lam^-p where p
 is constant on the domain, so no pass keeps its panels; sum of
 |I| |c|^q lam^-q over the pass's final panels for flat data under a step
 p; otherwise the pass's GK15 sum of |f(x)|^p(x) lam^-p(x), read from the
-node table and grouped by p(x).  Only passes within a noise margin of its
-root run: about 3 per solve.
+node table and grouped by p(x), a mirrored pair of panels read once.
+Only passes within a noise margin of its root run: about 3 per solve.
 Where a pass misses the model (the lam = 1 panels of a chi norm are too
 coarse at its root), the model is rebuilt once from that pass's panels.
 Exact passes at the final lo and hi, and at the bracket edge the
@@ -51,15 +51,17 @@ when it returns.
 A pass integrates a piece from the origin with integrate_ball and any other
 with integrate_shell, and the pairing integrates over a ball, so quadrature
 decides every split.  The integrand (|f| / lambda)^p is exactly even
-where f is even or odd and p is constant on the domain, and says so, so
-quadrature reads its panels on the negative side from the positive ones
-and no node evaluates f at both x and -x.  All of it is pure, with no
-module-level caches.
+where f is even or odd and p is constant on the domain or exactly even
+(Exponent.even), and says so, so quadrature reads the panels of one side
+from their mirrors on the other, no node evaluates f or p at both x and
+-x, and the model reads each mirrored pair of final panels once.  All of
+it is pure, with no module-level caches.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -166,6 +168,12 @@ def _modular_pieces(f, e: Exponent, domain: Domain, lam: float,
     return [(0.0, R_cut)]
 
 
+def _mirrored(f, e: Exponent, p_const: Optional[float]) -> bool:
+    """Whether |f|^p is exactly even: f even or odd, and p one number on
+    the domain or exactly even."""
+    return (f.even or f.odd) and (p_const is not None or e.even)
+
+
 def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
                     p_const: Optional[float], table: dict, passes: dict):
     """rho(lam) -> modular of f / lam, for the passes of one solve.
@@ -215,9 +223,8 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
                 piece_value = value
             return value
 
-    # |f|^p is exactly even where f is even or odd and p is one number
     integrand = Func(h, (*f.singular_points, *e.breakpoints), f.support_radius,
-                     even=(f.even or f.odd) and p_const is not None)
+                     even=_mirrored(f, e, p_const))
     cuts = integrand.singular_points  # sorted and distinct, read by h
 
     def rho(at: float) -> float:
@@ -307,28 +314,43 @@ def _model(f, e: Exponent, domain: Domain, p_const: Optional[float], rho1: float
     panel I, c and q read at its centre (the pass split at every cut of f
     and p), evaluated where the piece memo kept it out of the node table;
     otherwise the GK15 weight times |f(x)|^p(x) per node x of the final
-    ``panels``, read from the node table.  A node whose GK15 weight is
-    subnormal (imprecise) drops out.  None where a weight overflows or is
-    not finite, a panel's weight underflows, no term is left, or a node is
-    not in the table.  Never raises: a model only decides which passes run.
+    ``panels``, read from the node table at x, or at -x for a node a
+    mirrored pass never evaluated; where the pass mirrored, a panel whose
+    mirror (centre -c, the same half-width) is also final counts twice and
+    the mirror not at all.  A node whose GK15 weight is subnormal
+    (imprecise) drops out.  None where a weight overflows or is not
+    finite, a panel's weight underflows, no term is left, or a node is not
+    in the table.  Never raises: a model only decides which passes run.
     """
     try:
+        terms = {}
         if p_const is not None:
-            terms = {p_const: rho1}
-        else:
-            flat = f.flat and e.kind == "piecewise-constant"
-            centres = ((hi - lo, 0.5 * (lo + hi)) for lo, hi in panels)
-            nodes = (((width, *(table.get(c) or (abs(f.evaluate(c)), e.evaluate(c))))
-                      for width, c in centres) if flat else
-                     ((w, *table[x]) for lo, hi in panels
-                      for x, w in gk15_nodes(lo, hi)
-                      if w >= sys.float_info.min))
-            terms = {}
-            for width, c, q in nodes:
-                w = width * c ** q
-                if flat and c and not w > 0.0:
+            terms[p_const] = rho1
+        elif f.flat and e.kind == "piecewise-constant":
+            for lo, hi in panels:
+                c = 0.5 * (lo + hi)
+                a, q = table.get(c) or (abs(f.evaluate(c)), e.evaluate(c))
+                w = (hi - lo) * a ** q
+                if a and not w > 0.0:
                     return None  # a panel's weight underflows
                 terms[q] = terms.get(q, 0.0) + w
+        else:
+            # a mirrored pass evaluated one panel of each mirrored pair and
+            # read the other, so the table holds the nodes of one of the two
+            final = ({(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in panels}
+                     if _mirrored(f, e, p_const) else ())
+            tiny = sys.float_info.min
+            for lo, hi in panels:
+                c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                k = 1.0
+                if c and (-c, h) in final:
+                    if c > 0.0:
+                        continue  # its mirror counts it
+                    k = 2.0
+                for x, w in gk15_nodes(lo, hi):
+                    if w >= tiny:
+                        a, q = table.get(x) or table[-x]
+                        terms[q] = terms.get(q, 0.0) + k * w * a ** q
         model = [(w, q) for q, w in terms.items() if w]
         return model if model and all(w < math.inf for w, _ in model) else None
     except Exception:
@@ -341,11 +363,12 @@ def _model_root(model: list[tuple[float, float]]) -> float:
     is convex and decreasing in t and at least 0 at t0, so the iterates
     rise to the root, every term at most 1 on the way."""
     logs = [(math.log(w), q) for w, q in model]
+    qs = [q for _, q in model]
     t = max(lw / q for lw, q in logs)
     for _ in range(100):
-        terms = [(q, math.exp(lw - q * t)) for lw, q in logs]
-        total = sum(term for _, term in terms)
-        step = math.log(total) * total / sum(q * term for q, term in terms)
+        terms = [math.exp(lw - q * t) for lw, q in logs]
+        total = sum(terms)
+        step = math.log(total) * total / sum(map(operator.mul, qs, terms))
         t += step
         if not step > 1e-13:
             break
@@ -426,7 +449,7 @@ def _guided(run, exact: dict, model: list[tuple[float, float]], lam0: float,
         value = run(lam)
         # in logs: lam ** -q overflows for a tiny lam where w lam^-q does not
         ln_lam = math.log(lam)
-        m = sum(math.exp(lw - q * ln_lam) for lw, q in logs)
+        m = sum([math.exp(lw - q * ln_lam) for lw, q in logs])
         if not m * (1.0 - NOISE) - noise <= value <= m * (1.0 + NOISE) + noise:
             raise _BoundsMiss(lam)
         return value
@@ -516,13 +539,22 @@ def chi_norm(region, e: Exponent, tol: float = 1e-9) -> NormResult:
     """Norm of the characteristic function of a ball or dyadic ring.
 
     Uses the closed form measure^(1/p) whenever the exponent is constant
-    across the region; falls back to the bisection engine otherwise.
+    across the region, finite for every ball; falls back to the bisection
+    engine otherwise.
     """
     if region.outer == math.inf:
         raise TypeError("chi_norm needs a Ball or DyadicRing, got the whole space")
     p_const = e.constant_value_on(_components(region))
     if p_const is not None:
-        value = region.measure ** (1.0 / p_const)
+        r = 1.0 / p_const
+        measure = region.measure
+        try:
+            # a measure 2 (outer - inner) that overflows takes 2 and
+            # outer - inner to the power 1/p apart
+            value = measure ** r if measure < math.inf else \
+                2.0 ** r * (region.outer - region.inner) ** r
+        except OverflowError:  # p < 1: the norm itself is not a float
+            value = math.inf
         return NormResult(value, 4.0 * math.ulp(value), 0, (value, value))
 
     one = Func(lambda x: 1.0, (), math.inf, even=True, flat=True,

@@ -19,8 +19,9 @@ The four kinds are two facts, decoded once per image: ball tables
 radial memo of its table reads: everything of a point query but the
 symbol's value b(x) depends on t = |x| only.  An image with a parity flag
 never has -x evaluated where x was: quadrature reads the mirrored panels
-of it, and of the even modular it enters under a constant exponent.  The
-memo serves the images without one, whose nodes x and -x share an entry.
+of it, and of the even modular it enters under an exponent constant on
+the domain or exactly even.  The memo serves the images without one,
+whose nodes x and -x share an entry.
 Each table shell lies between consecutive jump radii, so
 ``integrate_shell`` takes it with one GK15 panel per side.  An odd symbol
 on an even input (or an even one on an odd input) makes b f odd, and its

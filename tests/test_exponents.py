@@ -2,9 +2,10 @@
 log-Holder regularity check."""
 
 import math
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varlp import (constant_exponent, custom_exponent, is_in_P,
@@ -179,3 +180,56 @@ def test_sup_near_is_exact_for_piecewise_exponents():
     assert constant_exponent(4.0).sup_near(0.0) == 4.0
     smooth = smooth_exponent("sin_loglog")
     assert smooth.sup_near(0.0) == smooth.p_plus
+
+
+# -- even means exact evenness ------------------------------------------------
+
+def _derived(e):
+    """e, its conjugate, its quotients, and quotients of the conjugate."""
+    return [e, e.conjugate(), e.divided_by(1.5), e.conjugate().divided_by(0.75),
+            e.divided_by(0.75).conjugate()]
+
+
+# the flag is worked out, never passed: the named formulas and the
+# constants, and every conjugate and quotient of one
+EVEN = [d for e in (constant_exponent(2.0), constant_exponent(3.7),
+                    piecewise_exponent([], [1.5]),
+                    smooth_exponent("inv_one_plus_abs"),
+                    smooth_exponent("inv_one_plus_sq", {"base": 1.8, "amp": 0.7}),
+                    smooth_exponent("sin_loglog"),
+                    smooth_exponent("sin_loglog", {"shift": 3.0, "amp": 0.5}))
+        for d in _derived(e)]
+# a step exponent with breaks is unflagged, since it is right-continuous
+# and so in general not exactly even at a break, even where its breaks and
+# values are symmetric; a custom callable promises nothing, even where it
+# is even
+UNEVEN = [d for e in (piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0]),
+                      piecewise_exponent([-1.0, 1.0], [2.0, 3.0, 2.0]),
+                      piecewise_exponent([0.0], [2.5, 2.5]),
+                      custom_exponent(lambda x: 2.0 + 1.0 / (1.0 + abs(x))))
+          for d in _derived(e)]
+
+
+def _bits(e, x):
+    return struct.pack("<d", e.evaluate(x))
+
+
+def test_parity_flags_are_worked_out():
+    assert all(e.even for e in EVEN) and not any(e.even for e in UNEVEN)
+    pw = piecewise_exponent([-1.0, 1.0], [2.0, 3.0, 2.0])
+    assert pw.evaluate(-1.0) != pw.evaluate(1.0)  # why it is not flagged
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                  1e-310, 1e300, -1e300, 1.7976931348623157e308])))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(1e300)
+@example(-1e300)
+@example(1.0)
+def test_even_means_exact_evenness(x):
+    for e in EVEN:
+        assert _bits(e, -x) == _bits(e, x), (e.kind, e.params, x)

@@ -52,3 +52,18 @@ def test_every_domain_carries_its_radii(name):
     domain, inner, outer, components = DOMAINS[name]
     assert (domain.inner, domain.outer) == (inner, outer)
     assert _components(domain) == components
+
+
+@pytest.mark.parametrize("k", [1024, 1080, 10 ** 6, -1074, -1080, -10 ** 6])
+def test_a_ring_whose_radii_are_not_positive_finite_floats_is_refused(k):
+    # 2^k overflows for k >= 1024 and 2^(k-1) underflows to 0 for k <= -1074
+    with pytest.raises(ValueError, match=f"k={k}$"):
+        DyadicRing(k)
+
+
+@pytest.mark.parametrize("k", [-1073, 1023])
+def test_the_outermost_rings_have_positive_finite_radii(k):
+    ring = DyadicRing(k)
+    assert 0.0 < ring.inner < ring.outer < math.inf
+    assert ring.outer == 2.0 * ring.inner and 0.0 < ring.measure < math.inf
+

@@ -9,9 +9,9 @@ the oracle in the comment, which tightens it.
 
 import math
 
-from varlp import (Ball, OperatorImage, chi_ball, chi_interval, constant_exponent,
-                   integrate_ball, lincomb, luxemburg_norm, power, sign_func,
-                   smooth_exponent)
+from varlp import (Ball, OperatorImage, chi_ball, chi_interval, chi_norm,
+                   constant_exponent, integrate_ball, lincomb, luxemburg_norm, power,
+                   sign_func, smooth_exponent)
 from varlp.norms import NormResult
 
 CONST2 = constant_exponent(2.0)
@@ -106,6 +106,16 @@ def test_a_local_refusal_reads_the_upper_bound_under_a_smooth_p():
                                          Ball(0.5)))
     assert got == ("NotInSpaceError", "local majorant 1*|x-0|^-0.35 is not certifiably "
                    "integrable to the power 3 in dimension 1")
+
+
+def test_a_closed_form_chi_norm_of_a_huge_ball_under_reports_its_error():
+    # exact: (2e300)^(1/3) = 1.2599210498948731868...e100 (mpmath), off by
+    # 1.6e86 against a reported 7.8e84: the float 1/3 is off by 1.9e-17,
+    # and ln(2e300) = 691 scales that into the power
+    res = chi_norm(Ball(1e300), constant_exponent(3.0))
+    assert (res.value, res.abs_error_bound) == (1.2599210498948571e+100,
+                                                7.770675568902916e+84)
+    assert abs(res.value - 1.2599210498948733e100) > res.abs_error_bound
 
 
 # -- item 11: closed-form modulars --------------------------------------------

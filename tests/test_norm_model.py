@@ -376,6 +376,45 @@ def test_smooth_solves_take_the_node_table_model_and_keep_every_bit(formula, mem
         _model_solve(BANK[member], SMOOTH[formula], domain)
 
 
+def _exponent_copy(e, even, seen=None):
+    """e with the given parity flag, recording every point it is evaluated
+    at in ``seen`` when one is given."""
+    fn = e.evaluate
+    if seen is not None:
+        def fn(x, inner=e.evaluate):
+            seen.append(x)
+            return inner(x)
+    return norms.Exponent(e.kind, e.params, fn, e.p_minus, e.p_plus, e.breakpoints,
+                          even=even)
+
+
+PARITY_MEMBERS = sorted(name for name, f in BANK.items() if f.even or f.odd)
+
+
+@pytest.mark.parametrize("member", PARITY_MEMBERS)
+@pytest.mark.parametrize("formula", sorted(SMOOTH))
+def test_mirrored_smooth_solves_match_the_unflagged_copy(formula, member):
+    # |f|^p of an even or odd f under an even p is even: its passes read
+    # the mirrored panels, and the model each mirrored pair once, so no
+    # node is evaluated at both +-x, and every result is the unflagged one
+    f, e = BANK[member], SMOOTH[formula]
+    assert e.even
+    for domain in SMOOTH_DOMAINS:
+        seen = []
+        got = _outcome(lambda: luxemburg_norm(f, _exponent_copy(e, True, seen), domain))
+        assert got == _outcome(lambda: luxemburg_norm(f, _exponent_copy(e, False),
+                                                      domain)), domain
+        assert isinstance(got, str) and seen, domain
+        points = set(seen)
+        assert not [x for x in points if x != 0.0 and -x in points], domain
+        _model_solve(f, e, domain)
+
+
+def test_parity_members_cover_both_parities():
+    assert sum(BANK[name].even for name in PARITY_MEMBERS) >= 4
+    assert sum(BANK[name].odd for name in PARITY_MEMBERS) >= 1
+
+
 # not flat, under a step exponent: the node table models them too
 @pytest.mark.parametrize("f", [scaled_ball(1.0), scaled_ball(4.0), power(0.5)],
                          ids=["scaled_ball(1)", "scaled_ball(4)", "power(0.5)"])

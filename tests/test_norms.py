@@ -365,6 +365,38 @@ def test_chi_norms_are_bit_identical_to_pinned(region, e, want):
     assert repr(chi_norm(region, e)) == want
 
 
+@pytest.mark.parametrize("radius", [1e308, 2.0 ** 1023, 1.7976931348623157e308])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 8.0, 10.0])
+def test_chi_norm_of_a_ball_whose_measure_overflows(radius, p):
+    # 2 * radius overflows, but the norm (2 radius)^(1/p) is a float.  It is
+    # the closed form's (2 radius)^r, r the float 1/p, within the reported
+    # bound (checked against mpmath), and so the norm itself where r = 1/p
+    # exactly (p a power of 2); for the other p, r's rounding moves it by up
+    # to ln(2 radius) ulp(r) / 2, about 3e-14 relative (see test_known_defects)
+    import mpmath
+
+    assert Ball(radius).measure == math.inf
+    res = chi_norm(Ball(radius), constant_exponent(p))
+    assert res.abs_error_bound == 4.0 * math.ulp(res.value)
+    assert res.bracket == (res.value, res.value)
+    with mpmath.workdps(40):
+        two_r = 2 * mpmath.mpf(radius)
+        err = abs(mpmath.mpf(res.value) - two_r ** mpmath.mpf(1.0 / p))
+        assert err <= res.abs_error_bound, res
+        exact = two_r ** (1 / mpmath.mpf(p))
+        assert abs(mpmath.mpf(res.value) - exact) <= (
+            res.abs_error_bound if p in (2.0, 4.0, 8.0) else 5e-14 * exact), res
+
+
+@pytest.mark.parametrize("radius", [0.5, 3.0, 1e300, 2.0 ** 1023 - 2.0 ** 970])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_chi_norm_of_a_finite_measure_is_its_power(radius, p):
+    # the largest ball whose measure is a float keeps the closed form's bits
+    assert math.isfinite(Ball(radius).measure)
+    assert chi_norm(Ball(radius), constant_exponent(p)).value == \
+        (2.0 * radius) ** (1.0 / p)
+
+
 def _count_passes(monkeypatch) -> list[float]:
     """Record the lambda of every modular pass the solves below make."""
     passes = []

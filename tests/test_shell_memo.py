@@ -14,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varlp import (Func, OperatorImage, abs_power, catalog_bank, chi_ball,
-                   chi_interval, constant_exponent, dyadic_step, lincomb, luxemburg_norm,
-                   modular, piecewise_exponent, power, scaled_ball, sign_func, with_sign,
-                   zero)
+                   chi_interval, constant_exponent, custom_exponent, dyadic_step, lincomb,
+                   luxemburg_norm, modular, piecewise_exponent, power, scaled_ball,
+                   sign_func, smooth_exponent, with_sign, zero)
 from varlp import norms, operators, quadrature
 from varlp.geometry import Ball, DyadicRing
 from varlp.config import ExperimentConfig
@@ -306,16 +306,23 @@ def test_parity_flags():
                      (power(-0.5), sign_func())):  # singular f: b f not flagged
             assert not OperatorImage(kind, f, b=b).odd, (kind, f, b)
     assert not OperatorImage("hardy", chi_ball(1.0)).odd
-    # |f|^p of an even or odd f is even under a constant p, not under pw23
+    # |f|^p of an even or odd f is even under a constant p and under the
+    # smooth formulas, which are exactly even; not under pw23 or a custom p
     pw23 = piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0])
+    even_ps = [constant_exponent(2.0), *(smooth_exponent(name) for name in
+                                         ("inv_one_plus_abs", "inv_one_plus_sq",
+                                          "sin_loglog"))]
+    custom = custom_exponent(lambda x: 2.0 + 1.0 / (1.0 + abs(x)))
     for f in (chi_ball(1.0), sign_func(), dyadic_step(3)):
         for domain in (Ball(2.0), DyadicRing(1)):
-            assert all(g.even for g in _modular_integrands(f, constant_exponent(2.0),
-                                                           domain)), (f, domain)
-            assert not any(g.even for g in _modular_integrands(f, pw23, domain)), \
-                (f, domain)
-    assert not any(g.even for g in _modular_integrands(lopsided, constant_exponent(2.0),
-                                                       Ball(2.0)))
+            for e in even_ps:
+                assert all(g.even for g in _modular_integrands(f, e, domain)), \
+                    (f, e.params, domain)
+            for e in (pw23, custom):
+                assert not any(g.even for g in _modular_integrands(f, e, domain)), \
+                    (f, e.kind, domain)
+    for e in even_ps:
+        assert not any(g.even for g in _modular_integrands(lopsided, e, Ball(2.0)))
 
 
 def _decaying_bump():
