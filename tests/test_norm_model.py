@@ -407,7 +407,6 @@ def test_mirrored_smooth_solves_match_the_unflagged_copy(formula, member):
         assert isinstance(got, str) and seen, domain
         points = set(seen)
         assert not [x for x in points if x != 0.0 and -x in points], domain
-        _model_solve(f, e, domain)
 
 
 def test_parity_members_cover_both_parities():
