@@ -14,17 +14,18 @@ so the comparison holds on a busy machine where separate runs drift.
 
 After the timed rounds, one untimed round per side counts the work: it
 wraps that side's ``quadrature._gk15``, ``OperatorImage._compute``,
-``norms._modular_passes`` and ``norms._search`` and runs every statement
+``norms._modular_passes``, ``norms._search`` and the ``ball`` and
+``tail`` reads of ``operators._ShellTable``, and runs every statement
 once more.  Prints each side's fastest time per statement over the
 rounds, its GK15 panels, computed image points, modular passes and
 bisection searches (more searches than solves means exact reruns), the
 passes that kept their final quadrature panels for the solve's model
 (read from the ``passes`` dict each pass fills) and the panels they kept,
-the sums and the change/parent ratio of the times, whether the two sides'
-reports were equal in every round, and whether each side's reports hashed
-in every round to the SHA-256 its checkout's
-``perfbench/reference/harness_reference.json`` stores for the seed (read
-only).  The counters repeat exactly from run to run, so they show a
+and its shell-table reads; the sums and the change/parent ratio of the
+times, whether the two sides' reports were equal in every round, and
+whether each side's reports hashed in every round to the SHA-256 its
+checkout's ``perfbench/reference/harness_reference.json`` stores for the
+seed (read only).  The counters repeat exactly from run to run, so they show a
 change in work where the times are noisy.  Standard library only.
 """
 
@@ -71,11 +72,13 @@ def report_digest(reports) -> str:
 def count_work(verify, config, quadrature, operators, norms,
                seed: int) -> list[tuple[int, ...]]:
     """(GK15 panels, computed image points, modular passes, searches,
-    passes that kept panels, panels kept) per statement of one untimed
-    round, with one sweep memo as run_all keeps."""
-    counts = [0] * 6
+    passes that kept panels, panels kept, shell-table reads) per statement
+    of one untimed round, with one sweep memo as run_all keeps."""
+    counts = [0] * 7
     gk15, compute = quadrature._gk15, operators.OperatorImage._compute
     make, search = norms._modular_passes, norms._search
+    table = operators._ShellTable
+    reads = {name: getattr(table, name) for name in ("ball", "tail")}
 
     def counted_gk15(fn, a, b):
         counts[0] += 1
@@ -104,14 +107,23 @@ def count_work(verify, config, quadrature, operators, norms,
         counts[3] += 1
         return search(*args)
 
+    def counted_read(read):
+        def counted(tab, t):
+            counts[6] += 1
+            return read(tab, t)
+
+        return counted
+
     quadrature._gk15 = counted_gk15
     operators.OperatorImage._compute = counted_compute
     norms._modular_passes = counted_passes
     norms._search = counted_search
+    for name, read in reads.items():
+        setattr(table, name, counted_read(read))
     try:
         cfg, memo, out = config.ExperimentConfig(seed=seed), {}, []
         for sid in verify.STATEMENT_IDS:
-            counts[:] = [0] * 6
+            counts[:] = [0] * 7
             verify.run_statement(sid, cfg, memo=memo)
             out.append(tuple(counts))
         return out
@@ -120,6 +132,8 @@ def count_work(verify, config, quadrature, operators, norms,
         operators.OperatorImage._compute = compute
         norms._modular_passes = make
         norms._search = search
+        for name, read in reads.items():
+            setattr(table, name, read)
 
 
 def main() -> int:
@@ -160,7 +174,8 @@ def main() -> int:
         print(f"round {rnd + 1}/{args.rounds} done", file=sys.stderr, flush=True)
     work = {side: count_work(*mods[side], args.seed) for side in SIDES}
 
-    counters = ("panels", "points", "passes", "searches", "kept_passes", "kept_panels")
+    counters = ("panels", "points", "passes", "searches", "kept_passes", "kept_panels",
+                "table_reads")
     print(f"{'statement':<26} {'parent_s':>9} {'change_s':>9} {'ratio':>7} "
           + " ".join(f"{side + '_' + name:>18}" for name in counters for side in SIDES))
 

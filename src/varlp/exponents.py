@@ -7,7 +7,8 @@ exponents (kind "piecewise-constant"; a constant exponent is the step
 exponent with no steps) and, over the working box [-WORKING_RADIUS,
 WORKING_RADIUS], for the named smooth formulas; for custom callables they
 are sampled over that box, because an essential infimum of an arbitrary
-callable is not computable.
+callable is not computable.  The step and smooth constructors refuse a
+lower bound that is not positive, and ``conjugate`` one that is not above 1.
 
 Membership in the class of exponents whose maximal operator is bounded is
 not decidable numerically; log-Holder continuity (local plus decay at
@@ -64,7 +65,10 @@ class Exponent:
         return self._fn(x)
 
     def conjugate(self) -> "Exponent":
-        """Pointwise conjugate p'(x) = p(x)/(p(x) - 1); bounds swap exactly."""
+        """Pointwise conjugate p'(x) = p(x)/(p(x) - 1); bounds swap exactly.
+        Refused for p_minus <= 1, where p' is infinite or negative."""
+        if not self.p_minus > 1.0:
+            raise ValueError(f"the conjugate needs p_minus > 1, got p_minus={self.p_minus}")
         return self._mapped(_conj, _conj(self.p_plus), _conj(self.p_minus),
                             {"derived": "conjugate", "of": self.kind})
 
@@ -121,6 +125,13 @@ def _conj(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _require_positive(p_minus: float) -> None:
+    """Refuse an exponent whose lower bound is not positive: |f|^p is not
+    a modular there, and 1/p is infinite or negative."""
+    if not p_minus > 0.0:
+        raise ValueError(f"exponent values must be positive, got p_minus={p_minus}")
+
+
 def r_p_constant(e: Exponent) -> float:
     """The duality-bracket constant 1 + 1/p_minus + 1/p_plus."""
     return 1.0 + 1.0 / e.p_minus + 1.0 / e.p_plus
@@ -150,6 +161,7 @@ def piecewise_exponent(breaks: Sequence[float], values: Sequence[float]) -> Expo
                          f"breaks={breaks}, values={values}")
     if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
         raise ValueError("piecewise breaks must be strictly increasing")
+    _require_positive(min(values))
     br = tuple(breaks)
     vals = tuple(values)
 
@@ -188,6 +200,8 @@ def smooth_exponent(formula_id: str, params: Optional[dict] = None) -> Exponent:
         lo, hi = base + amp * smin, base + amp * smax
     else:
         raise ValueError(f"unknown smooth exponent formula: {formula_id!r}")
+    lo, hi = min(lo, hi), max(lo, hi)  # a negative amp swaps them
+    _require_positive(lo)
     reads = {"base", "amp", "shift"} if formula_id == "sin_loglog" else {"base", "amp"}
     unread = set(params) - reads
     if unread:

@@ -56,8 +56,9 @@ class Func:
     -f(x) bit for bit (or raises alike), with a zero of either sign counted
     as equal, since quadrature reads such a panel negated, and
     ``integrate_shell`` returns an exact 0 for it.  The evenness
-    ``with_sign``, ``pointwise_product`` and ``lr_aggregate`` derive from
-    odd parities holds with the same note on zeros; the mirror
+    ``with_sign``, ``pointwise_product``, ``lr_aggregate`` and operator
+    images (an odd symbol on an odd input) derive from odd parities holds
+    with the same note on zeros; the mirror
     cannot see a zero's sign, since a read panel differs from a computed
     one at most in a zero's sign, and every sum that takes it starts at
     0.0, which absorbs that sign.  ``flat`` promises f constant, bit for bit

@@ -15,21 +15,22 @@ are exposed as lazy evaluables with jump metadata and certified power-law
 tails, so the norm layer can integrate them like any catalog function.
 
 The four kinds are two facts, decoded once per image: ball tables
-(divided by |x|) or tail tables, and a symbol or none.  An image keeps a
-radial memo of its table reads: everything of a point query but the
-symbol's value b(x) depends on t = |x| only.  An image with a parity flag
-never has -x evaluated where x was: quadrature reads the mirrored panels
-of it, and of the even modular it enters under an exponent constant on
-the domain or exactly even.  The memo serves the images without one,
-whose nodes x and -x share an entry.
+(divided by |x|) or tail tables, and a symbol or none.  Everything of a
+point query but the symbol's value b(x) depends on t = |x| only.  An
+image with a parity flag never has -x evaluated where x was: quadrature reads the mirrored
+panels of it, and of the even modular it enters under an exponent
+constant on the domain or exactly even.  An image with no symbol or an
+even one is even.
 Each table shell lies between consecutive jump radii, so
 ``integrate_shell`` takes it with one GK15 panel per side.  An odd symbol
 on an even input (or an even one on an odd input) makes b f odd, and its
 table free: each shell of b f and of its dual kernel is the
 exact 0, with no panel.  An odd symbol on an even input also makes the
 image odd, b(x) times a function of |x|, and it reads no table of b f.
-The memo and the shell tables are the only state, built lazily on the
-image instance, never at module level; they die with the image.
+An odd input reads the exact zero from its own tables, so an odd symbol
+on an odd input makes the image even: -T(b f)(|x|), up to a zero's sign.
+The shell tables are the only state, built lazily on the image instance,
+never at module level; they die with the image.
 """
 
 from __future__ import annotations
@@ -249,7 +250,10 @@ class OperatorImage:
         self._table_bf = _ShellTable(self._bf, tol) if b is not None else None
 
         self.singular_points = _jump_points(f) if b is None else _jump_points(f, b)
-        self.even = (b.even if b is not None else True)
+        # an odd f reads the exact zero from its tables, as an odd b f does
+        # below, so under an odd b the image is -T(b f)(|x|) up to a zero's
+        # sign: even
+        self.even = b is None or b.even or (b.odd and f.odd)
         # an odd b f (an odd b on an even f) reads the exact zero from its
         # table, with the tail remainder as its only error where the tail
         # is certified, so the image is b(x) times a function of |x|: odd
@@ -261,7 +265,6 @@ class OperatorImage:
         self.support_radius = math.inf
         self.power_tail = None
         self.local_majorant = None
-        self._memo: dict[float, tuple[float, ...]] = {}
         self._derive_far_field()
 
     # -- far field ------------------------------------------------------------
@@ -304,36 +307,25 @@ class OperatorImage:
 
     # -- evaluation -------------------------------------------------------------
 
-    def _radial(self, t: float) -> tuple[float, ...]:
-        """What a point query at |x| = t reads of the tables, once per t:
-        the input's (value, error), then the product's for a commutator,
-        which an odd image knows without reading."""
-        got = self._memo.get(t)
-        if got is None:
-            read = _ShellTable.tail if self._dual else _ShellTable.ball
-            got = read(self._table_f, t)
-            if self.odd:
-                got = (*got, *self._bf_read)
-            elif self._table_bf is not None:
-                got = (*got, *read(self._table_bf, t))
-            self._memo[t] = got
-        return got
-
     def _compute(self, x: float) -> tuple[float, float]:
         """b(x) Tf - T(bf) for a commutator, Tf otherwise, with its error;
-        T divides its ball integrals by |x|, and its dual does not."""
+        T divides its ball integrals by |x|, and its dual does not.  Every
+        table read depends on t = |x| only; an odd image knows the
+        product's read without reading."""
         if x == 0.0:
             raise ValueError("operator images are defined away from the origin")
         t = abs(x)
+        read = _ShellTable.tail if self._dual else _ShellTable.ball
         b = self.b
         if b is None:
-            v, e = self._radial(t)
+            v, e = read(self._table_f, t)
         else:
             # a dual image vanishes from its support radius on, the other beyond
             if t >= self.support_radius if self._dual else t > self.support_radius:
                 return 0.0, 0.0
             bx = b.evaluate(x)
-            vf, ef, vbf, ebf = self._radial(t)
+            vf, ef = read(self._table_f, t)
+            vbf, ebf = self._bf_read if self.odd else read(self._table_bf, t)
             v, e = bx * vf - vbf, abs(bx) * ef + ebf
         if self._dual:
             return v, e

