@@ -14,18 +14,20 @@ so the comparison holds on a busy machine where separate runs drift.
 
 After the timed rounds, one untimed round per side counts the work: it
 wraps that side's ``quadrature._gk15``, ``OperatorImage._compute``,
-``norms._modular_passes``, ``norms._search`` and the ``ball`` and
-``tail`` reads of ``operators._ShellTable``, and runs every statement
-once more.  Prints each side's fastest time per statement over the
-rounds, its GK15 panels, computed image points, modular passes and
-bisection searches (more searches than solves means exact reruns), the
-passes that kept their final quadrature panels for the solve's model
-(read from the ``passes`` dict each pass fills) and the panels they kept,
-and its shell-table reads; the sums and the change/parent ratio of the
-times, whether the two sides' reports were equal in every round, and
-whether each side's reports hashed in every round to the SHA-256 its
-checkout's ``perfbench/reference/harness_reference.json`` stores for the
-seed (read only).  The counters repeat exactly from run to run, so they show a
+``norms._modular_passes``, ``norms._search``, the quadrature calls of
+the passes (``norms.integrate_ball`` and ``norms.integrate_shell``) and
+the ``ball`` and ``tail`` reads of ``operators._ShellTable``, and runs
+every statement once more.  Prints each side's fastest time per
+statement over the rounds, its GK15 panels, computed image points,
+modular passes and bisection searches (more searches than solves means
+exact reruns), the passes that kept their final quadrature panels for
+the solve's model (those that handed quadrature a ``panels`` list) and
+the panels they kept, and its shell-table reads; the sums and the
+change/parent ratio of the times, whether the two sides' reports were
+equal in every round, and whether each side's reports hashed in every
+round to the SHA-256 its checkout's
+``perfbench/reference/harness_reference.json`` stores for the seed (read
+only).  The counters repeat exactly from run to run, so they show a
 change in work where the times are noisy.  Standard library only.
 """
 
@@ -77,8 +79,11 @@ def count_work(verify, config, quadrature, operators, norms,
     counts = [0] * 7
     gk15, compute = quadrature._gk15, operators.OperatorImage._compute
     make, search = norms._modular_passes, norms._search
+    integrals = {name: getattr(norms, name) for name in ("integrate_ball",
+                                                         "integrate_shell")}
     table = operators._ShellTable
     reads = {name: getattr(table, name) for name in ("ball", "tail")}
+    kept = []  # whether the running pass handed quadrature a panels list
 
     def counted_gk15(fn, a, b):
         counts[0] += 1
@@ -89,17 +94,27 @@ def count_work(verify, config, quadrature, operators, norms,
         return compute(image, x)
 
     def counted_passes(*args):
-        rho, kept = make(*args), args[-1]  # the solve's panels per lam
+        rho = make(*args)
 
-        def counted(lam):
+        def counted(*pass_args):
             counts[2] += 1
+            kept.clear()
             try:
-                return rho(lam)
+                return rho(*pass_args)
             finally:
-                panels = kept.get(lam)
+                counts[4] += bool(kept)
+
+        return counted
+
+    def counted_integral(integrate):
+        def counted(*args, panels=None, **kwargs):
+            before = len(panels) if panels is not None else 0
+            try:
+                return integrate(*args, panels=panels, **kwargs)
+            finally:
                 if panels is not None:
-                    counts[4] += 1
-                    counts[5] += len(panels)
+                    kept.append(True)
+                    counts[5] += len(panels) - before
 
         return counted
 
@@ -118,6 +133,8 @@ def count_work(verify, config, quadrature, operators, norms,
     operators.OperatorImage._compute = counted_compute
     norms._modular_passes = counted_passes
     norms._search = counted_search
+    for name, integrate in integrals.items():
+        setattr(norms, name, counted_integral(integrate))
     for name, read in reads.items():
         setattr(table, name, counted_read(read))
     try:
@@ -132,6 +149,8 @@ def count_work(verify, config, quadrature, operators, norms,
         operators.OperatorImage._compute = compute
         norms._modular_passes = make
         norms._search = search
+        for name, integrate in integrals.items():
+            setattr(norms, name, integrate)
         for name, read in reads.items():
             setattr(table, name, read)
 

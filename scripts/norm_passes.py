@@ -10,12 +10,13 @@ roots compares their counters.  Every op of the seed's list is called
 counters wrapped around ``norms._modular_passes`` (every modular pass) and
 ``norms._search`` (every bracket-and-bisect run), and around
 ``norms._bisect`` to tell one Luxemburg solve from the next (a dual op
-runs several), and around ``quadrature._gk15`` (every GK15 panel
-evaluated, not those read from a mirror); the passes that kept their
-final quadrature panels for the solve's model, and the panels kept, are
-read from the ``passes`` dict each pass fills.  A solve falls back when it runs a search after a
-model-guided one (``norms._guided``) gave out; on a checkout without
-``_guided``, when it runs a second search.  For each class, and for each
+runs several), around ``quadrature._gk15`` (every GK15 panel evaluated,
+not those read from a mirror), and around the passes' quadrature calls
+(``norms.integrate_ball`` and ``norms.integrate_shell``): a pass that
+hands quadrature a ``panels`` list keeps its final panels for the solve's
+model.  A solve falls back when it runs a search after a model-guided
+one (``norms._guided``) gave out; on a checkout without ``_guided``, when
+it runs a second search.  For each class, and for each
 exponent over its classes, it prints the ops, passes, searches, solves
 that fell back, the passes that kept panels, the panels kept, the GK15
 panels evaluated and the sum of the ops' fastest times in ms; the last
@@ -43,19 +44,30 @@ def counted(norms, quadrature, counts):
     gk15 = quadrature._gk15
     guided = getattr(norms, "_guided", None)
     solve = {"searches": 0, "guided": 0}
+    kept = []  # whether the running pass handed quadrature a panels list
 
     def passes(*args):
-        rho, kept = make(*args), args[-1]  # the solve's panels per lam
+        rho = make(*args)
 
-        def one(lam):
+        def one(*pass_args):
             counts["passes"] += 1
+            kept.clear()
             try:
-                return rho(lam)
+                return rho(*pass_args)
             finally:
-                panels = kept.get(lam)
+                counts["kept_passes"] += bool(kept)
+
+        return one
+
+    def integral(integrate):
+        def one(*args, panels=None, **kwargs):
+            before = len(panels) if panels is not None else 0
+            try:
+                return integrate(*args, panels=panels, **kwargs)
+            finally:
                 if panels is not None:
-                    counts["kept_passes"] += 1
-                    counts["kept_panels"] += len(panels)
+                    kept.append(True)
+                    counts["kept_panels"] += len(panels) - before
 
         return one
 
@@ -80,8 +92,12 @@ def counted(norms, quadrature, counts):
             counts["fallbacks"] += (solve["searches"] > solve["guided"] > 0
                                     if guided is not None else solve["searches"] >= 2)
 
-    saved = {"_modular_passes": make, "_search": search, "_bisect": bisect}
-    wrapped = {"_modular_passes": passes, "_search": searched, "_bisect": bisected}
+    saved = {"_modular_passes": make, "_search": search, "_bisect": bisect,
+             "integrate_ball": norms.integrate_ball,
+             "integrate_shell": norms.integrate_shell}
+    wrapped = {"_modular_passes": passes, "_search": searched, "_bisect": bisected,
+               "integrate_ball": integral(norms.integrate_ball),
+               "integrate_shell": integral(norms.integrate_shell)}
     if guided is not None:
         saved["_guided"], wrapped["_guided"] = guided, guided_run
     for name, fn in wrapped.items():

@@ -12,6 +12,7 @@ code 1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
@@ -130,16 +131,33 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        bad = set(d) - {f.name for f in fields(cls)}
-        if bad:
-            raise ConfigError(f"unknown config fields: {sorted(bad)}")
-        bad = set(d.get("grids", {})) - set(DEFAULT_GRIDS)
-        if bad:
-            raise ConfigError(f"unknown grid names: {sorted(bad)}")
+        from .verify import STATEMENT_IDS  # verify imports this module
+
+        grids, tolerances = d.get("grids", {}), d.get("tolerances", {})
+        if not (isinstance(grids, dict) and isinstance(tolerances, dict)
+                and all(isinstance(tols, dict) for tols in tolerances.values())):
+            raise ConfigError("config grids, tolerances and each tolerances section "
+                              "must be JSON objects")
         known = {key for tols in DEFAULT_TOLERANCES.values() for key in tols}
-        bad = {key for tols in d.get("tolerances", {}).values() for key in tols} - known
-        if bad:
-            raise ConfigError(f"unknown tolerance keys: {sorted(bad)}")
+        for bad, what in ((set(d) - {f.name for f in fields(cls)}, "config fields"),
+                          (set(grids) - set(DEFAULT_GRIDS), "grid names"),
+                          (set(tolerances) - {"default", *STATEMENT_IDS},
+                           "tolerance sections"),
+                          ({key for tols in tolerances.values() for key in tols} - known,
+                           "tolerance keys")):
+            if bad:
+                raise ConfigError(f"unknown {what}: {sorted(bad)}")
+        seed, tol = d.get("seed", 0), d.get("tol", 1.0)
+        checks = [("seed", seed, type(seed) is int, "an int"),
+                  ("tol", tol, _finite(tol) and tol > 0.0, "a positive finite number")]
+        checks += [(f"grid {name!r}", value, _grid_fits(DEFAULT_GRIDS[name], value),
+                    f"of the kind of its default {DEFAULT_GRIDS[name]!r}")
+                   for name, value in grids.items()]
+        checks += [(f"tolerance {sec}.{key}", value, _finite(value), "a finite number")
+                   for sec, tols in tolerances.items() for key, value in tols.items()]
+        for name, value, ok, kind in checks:
+            if not ok:
+                raise ConfigError(f"config {name} must be {kind}, got {value!r}")
         return cls(**d)
 
     @classmethod
@@ -186,6 +204,23 @@ class ExperimentConfig:
         if key in merged_default:
             return merged_default[key]
         raise ConfigError(f"no tolerance {key!r} for statement {statement_id!r}")
+
+
+def _finite(value) -> bool:
+    """Whether a JSON value is a finite number (a bool is none)."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _grid_fits(default, value) -> bool:
+    """Whether a grid value is of its default's kind: an int for an int, a
+    number for a float, two ints lo <= hi for a [k_lo, k_hi] range (a
+    default of ints), and a non-empty list of numbers for any other list."""
+    if not isinstance(default, list):
+        return type(value) is int if type(default) is int else _finite(value)
+    if all(type(k) is int for k in default):
+        return isinstance(value, list) and [type(k) for k in value] == [int, int] \
+            and value[0] <= value[1]
+    return isinstance(value, list) and bool(value) and all(map(_finite, value))
 
 
 DEFAULT_GRIDS: dict[str, Any] = {

@@ -17,45 +17,35 @@ exponent value taken near s.  Anything else is refused rather than
 silently truncated.  These refusals do not depend on lambda, so they are
 made before a solve builds anything.
 
-The bisection stops when hi - lo <= 1e-8 hi, a relative width, so small
-norms keep their relative accuracy.  Its result depends only on how each
-modular it tries compares with 1 and with the exit band, so a pass runs
-only where that comparison is open.  The modular's model, a sum of
-w lam^-q read from the lam = 1 pass, decides which: rho(1) lam^-p where p
-is constant on the domain, so no pass keeps its panels; sum of
-|I| |c|^q lam^-q over the pass's final panels for flat data under a step
-p; otherwise the pass's GK15 sum of |f(x)|^p(x) lam^-p(x), read from the
-node table and grouped by p(x), a mirrored pair of panels read once.
-Only passes within a noise margin of its root run: about 3 per solve.
-Where a pass misses the model (the lam = 1 panels of a chi norm are too
-coarse at its root), the model is rebuilt once from that pass's panels.
-Exact passes at the final lo and hi, and at the bracket edge the
-bisection did not pass, vouch for every skipped comparison, because the
-modular decreases between points at least ~1e-8 apart in relative terms;
-if one lands on the wrong side, or a pass misses the rebuilt model, the
-search runs again with every pass exact, as does a solve with no model.
-Results are therefore bit-identical to running every pass.
+The bisection starts from a seed on f's own scale, expands its bracket by
+factors of 4 as far as the normal floats reach, and stops when
+hi - lo <= 1e-8 hi, so small norms keep their relative accuracy.  Its
+result depends only on the seed and on how each modular it tries compares
+with 1 and with the exit band, so a pass runs only where that comparison
+is open.  Each solve runs one exact reference pass, at the largest power
+of two not above the seed: the zero test reads it, and so does the
+modular's model, a sum of w lam^-q (_model).  Only passes within a noise
+margin of the model's root run, about 3 per solve; exact passes vouch for
+every comparison skipped, and a miss reruns the search with every pass
+exact.  Results are therefore bit-identical to running every pass, and
+scaling f by a power of two scales them bit for bit.
 
 The passes of a solve run over nearly the same quadrature nodes, so it
-keeps a node table from x to (|f(x)|, p(x)) and evaluates f and p once
-per distinct node; each pass recomputes only the power
-(|f(x)| / lambda) ** p(x), so results are bit-identical to evaluating f
-and p in every pass.  Where p is constant on the domain the table holds
-|f(x)| alone and no node evaluates p.  For flat data under a step p
-(constant on each open piece between the integrand's cuts), a pass
-computes one value per piece it enters: a node strictly inside the
-previous node's piece takes that piece's value, a node on a cut is
-computed as any other.  The table belongs to the solve and is dropped
-when it returns.
+keeps a node table from x to (|f(x)|, p(x)), or |f(x)| alone where p is
+constant on the domain, and evaluates f and p once per distinct node;
+each pass recomputes only the power (|f(x)| / lambda) ** p(x), with the
+same bits as evaluating f and p in every pass.  For flat data under a
+step p (constant on each open piece between the integrand's cuts), a
+pass computes one value per piece it enters.  The table belongs to the
+solve and is dropped when it returns.
 
 A pass integrates a piece from the origin with integrate_ball and any other
 with integrate_shell, and the pairing integrates over a ball, so quadrature
 decides every split.  The integrand (|f| / lambda)^p is exactly even
 where f is even or odd and p is constant on the domain or exactly even
 (Exponent.even), and says so, so quadrature reads the panels of one side
-from their mirrors on the other, no node evaluates f or p at both x and
--x, and the model reads each mirrored pair of final panels once.  All of
-it is pure, with no module-level caches.
+from their mirrors on the other.  All of it is pure, with no module-level
+caches.
 """
 
 from __future__ import annotations
@@ -72,7 +62,6 @@ from .funcs import Func, pointwise_product
 from .geometry import FULL_LINE, Ball, Domain
 from .quadrature import gk15_nodes, integrate_ball, integrate_shell
 
-BRACKET_EXPANSIONS = 200
 MODULAR_TOL = 1e-11
 EXIT_BAND = 1e-10  # a bisection point with |rho - 1| <= EXIT_BAND is the root
 NOISE = 1e-9       # relative noise allowed a computed modular when predicting
@@ -87,8 +76,7 @@ class BracketExpansionError(RuntimeError):
 
 
 class _BoundsMiss(Exception):
-    """An exact pass, its lam the one argument, missed the model, or fell
-    on the wrong side of a comparison the model skipped."""
+    """An exact pass missed the model or a comparison the model skipped."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,20 +163,17 @@ def _mirrored(f, e: Exponent, p_const: Optional[float]) -> bool:
 
 
 def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
-                    p_const: Optional[float], table: dict, passes: dict):
-    """rho(lam) -> modular of f / lam, for the passes of one solve.
+                    p_const: Optional[float], table: dict):
+    """rho(lam, panels=None) -> modular of f / lam, for the passes of one
+    solve; a ``panels`` list gets the (lo, hi) of the pass's final panels.
 
-    The integrand and its breakpoints are built once.  The first pass to
-    reach a quadrature node stores |f(x)| and p(x) in the caller's node
-    table, or |f(x)| alone where p is the constant p_const on the domain,
-    and every later pass reads them back, so f and p run once per
-    distinct node; only (|f(x)| / lam) ** p(x) is recomputed, with the
-    same operations as without the table, so every value keeps its last
-    bit.  For flat f under a step p, a node strictly inside the open
-    piece of the node before it in the same pass returns that piece's
-    value, which is the node's own bit for bit.  Where p is
-    not constant on the domain, each pass puts the (lo, hi) of its final
-    quadrature panels in the caller's ``passes`` under its lam.
+    The integrand is built once.  The first pass to reach a node stores
+    |f(x)| and p(x), or |f(x)| alone where p is the constant p_const, in
+    the caller's node table, and later passes read them back; only
+    (|f(x)| / lam) ** p(x) is recomputed, with the same operations, so
+    every value keeps its last bit.  For flat f under a step p, a node
+    strictly inside the open piece of the node before it in the same pass
+    returns that piece's value, which is the node's own bit for bit.
     """
     ffn = f.evaluate
     pfn = e.evaluate
@@ -227,14 +212,11 @@ def _modular_passes(f, e: Exponent, domain: Domain, tol: float,
                      even=_mirrored(f, e, p_const))
     cuts = integrand.singular_points  # sorted and distinct, read by h
 
-    def rho(at: float) -> float:
+    def rho(at: float, panels: Optional[list] = None) -> float:
         nonlocal lam, lo, hi
         lam = at
         lo = hi = 0.0
         total = 0.0
-        panels = None
-        if p_const is None:  # the model under a constant p reads rho(1) alone
-            panels = passes[at] = []
         try:
             for inner, outer in _modular_pieces(f, e, domain, lam, tol):
                 if inner == 0.0 < outer:
@@ -254,7 +236,7 @@ def modular(f, e: Exponent, domain: Domain = FULL_LINE,
     """The modular: integral of |f(x)|^p(x) over the domain."""
     _refuse(f, e, domain)
     p_const = e.constant_value_on(_components(domain))
-    return _modular_passes(f, e, domain, tol, p_const, {}, {})(1.0)
+    return _modular_passes(f, e, domain, tol, p_const, {})(1.0)
 
 
 def _seed_lambda(f, e: Exponent, domain: Domain) -> float:
@@ -270,7 +252,8 @@ def _seed_lambda(f, e: Exponent, domain: Domain) -> float:
         bound = math.inf
     if not (math.isfinite(bound) and bound > 0.0 and measure > 0.0):
         return 1.0
-    return max(bound * measure ** (1.0 / e.p_plus), 1e-12)
+    lam0 = bound * measure ** (1.0 / e.p_plus)
+    return lam0 if sys.float_info.min <= lam0 < math.inf else 1.0
 
 
 def luxemburg_norm(f, e: Exponent, domain: Domain = FULL_LINE,
@@ -278,24 +261,21 @@ def luxemburg_norm(f, e: Exponent, domain: Domain = FULL_LINE,
     """inf{lambda > 0 : modular(f / lambda) <= 1}, by bracketed bisection.
 
     Returns 0 exactly when the modular of f is 0 (f vanishes almost
-    everywhere, or |f|^p underflows).  Raises NotInSpaceError when no
-    scaling can make the modular finite, and BracketExpansionError if the
-    geometric bracket search gives out, from the seed and, where the
-    modular has a model, from its root.
+    everywhere, or |f / lam|^p underflows at the reference lam).  Raises
+    NotInSpaceError when no scaling can make the modular finite, and
+    BracketExpansionError if the modular stays at or below 1 while lambda
+    shrinks from the seed to the smallest normal float.
     """
     _refuse(f, e, domain)
     mod_tol = min(tol, MODULAR_TOL)
     p_const = e.constant_value_on(_components(domain))
     table: dict = {}
-    passes: dict = {}
     try:
-        rho = _modular_passes(f, e, domain, mod_tol, p_const, table, passes)
-        return _bisect(rho, f, e, domain, mod_tol, p_const, table, passes)
+        rho = _modular_passes(f, e, domain, mod_tol, p_const, table)
+        return _bisect(rho, f, e, domain, mod_tol, p_const, table)
     finally:
-        # the table and the panels are the solve's: an error's stored
-        # traceback holds the solve's frames, and through them both
+        # an error's stored traceback holds the solve's frames, and the table
         table.clear()
-        passes.clear()
 
 
 def _components(domain: Domain) -> list[tuple[float, float]]:
@@ -306,31 +286,31 @@ def _components(domain: Domain) -> list[tuple[float, float]]:
     return [(-outer, -inner), (inner, outer)]
 
 
-def _model(f, e: Exponent, domain: Domain, p_const: Optional[float], rho1: float,
+def _model(f, e: Exponent, p_const: Optional[float], lam_ref: float, rho_ref: float,
            table: dict, panels: Optional[list]) -> Optional[list[tuple[float, float]]]:
-    """The modular's form rho(lam) = sum of w lam^-q, as [(w, q), ...],
-    grouped by q, read from one pass: rho(1) lam^-p where p is the constant
-    p_const on the domain; for flat f under a step p, |I| |c|^q per final
-    panel I, c and q read at its centre (the pass split at every cut of f
-    and p), evaluated where the piece memo kept it out of the node table;
-    otherwise the GK15 weight times |f(x)|^p(x) per node x of the final
-    ``panels``, read from the node table at x, or at -x for a node a
-    mirrored pass never evaluated; where the pass mirrored, a panel whose
-    mirror (centre -c, the same half-width) is also final counts twice and
-    the mirror not at all.  A node whose GK15 weight is subnormal
-    (imprecise) drops out.  None where a weight overflows or is not
-    finite, a panel's weight underflows, no term is left, or a node is not
-    in the table.  Never raises: a model only decides which passes run.
+    """The modular's form rho(lam) = sum of w lam^-q as log-weights
+    [(ln w, q), ...], grouped by q, read from the reference pass at lam_ref:
+    rho_ref (lam_ref / lam)^p where p is the constant p_const; for flat f
+    under a step p, |I| |c|^q per final panel I, c and q read at its
+    centre (the pass split at every cut of f and p); otherwise the GK15
+    weight times |f(x)|^p(x) per node x of the final ``panels``, read from
+    the node table at x, or at -x for a node a mirrored pass never
+    evaluated, a mirrored pair of final panels read once.  Each sum is
+    taken as |f / lam_ref|^q, at the pass's own scale, and its log shifted
+    by q ln lam_ref.  A node with a subnormal GK15 weight drops out.  None
+    where a sum is not finite, a panel's weight underflows, no term is
+    left, or a node is not in the table.  Never raises: a model only
+    decides which passes run.
     """
     try:
         terms = {}
         if p_const is not None:
-            terms[p_const] = rho1
+            terms[p_const] = rho_ref
         elif f.flat and e.kind == "piecewise-constant":
             for lo, hi in panels:
                 c = 0.5 * (lo + hi)
                 a, q = table.get(c) or (abs(f.evaluate(c)), e.evaluate(c))
-                w = (hi - lo) * a ** q
+                w = (hi - lo) * (a / lam_ref) ** q
                 if a and not w > 0.0:
                     return None  # a panel's weight underflows
                 terms[q] = terms.get(q, 0.0) + w
@@ -350,23 +330,24 @@ def _model(f, e: Exponent, domain: Domain, p_const: Optional[float], rho1: float
                 for x, w in gk15_nodes(lo, hi):
                     if w >= tiny:
                         a, q = table.get(x) or table[-x]
-                        terms[q] = terms.get(q, 0.0) + k * w * a ** q
-        model = [(w, q) for q, w in terms.items() if w]
-        return model if model and all(w < math.inf for w, _ in model) else None
+                        terms[q] = terms.get(q, 0.0) + k * w * (a / lam_ref) ** q
+        ln_ref = math.log(lam_ref)
+        model = [(math.log(w) + q * ln_ref, q) for q, w in terms.items() if w]
+        return model if model and all(lw < math.inf for lw, _ in model) else None
     except Exception:
         return None
 
 
 def _model_root(model: list[tuple[float, float]]) -> float:
-    """The lam where sum of w lam^-q is 1: Newton in t = ln lam from
-    t0 = max ln(w) / q, the closed form for one term.  The log of the sum
-    is convex and decreasing in t and at least 0 at t0, so the iterates
-    rise to the root, every term at most 1 on the way."""
-    logs = [(math.log(w), q) for w, q in model]
+    """The lam where sum of w lam^-q is 1, for the log-weights
+    [(ln w, q), ...]: Newton in t = ln lam from t0 = max ln(w) / q, the
+    closed form for one term.  The log of the sum is convex and decreasing
+    in t and at least 0 at t0, so the iterates rise to the root, every
+    term at most 1 on the way."""
     qs = [q for _, q in model]
-    t = max(lw / q for lw, q in logs)
+    t = max(lw / q for lw, q in model)
     for _ in range(100):
-        terms = [math.exp(lw - q * t) for lw, q in logs]
+        terms = [math.exp(lw - q * t) for lw, q in model]
         total = sum(terms)
         step = math.log(total) * total / sum(map(operator.mul, qs, terms))
         t += step
@@ -376,49 +357,37 @@ def _model_root(model: list[tuple[float, float]]) -> float:
 
 
 def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float,
-            p_const: Optional[float], table: dict, passes: dict) -> NormResult:
-    """Bracket and bisect for rho = 1: _guided on the model (_model) of the
-    lam = 1 pass, and where a pass misses it, once more on the model of
-    that pass's panels, keeping every exact pass.  Any other miss or
-    failure, or no model, runs the search with every pass exact, so the
-    result is always the exact search's; where its bracket gives out, the
-    lam = 1 model's root starts it again.  rho(1) is always exact: the
-    zero test reads it.
+            p_const: Optional[float], table: dict) -> NormResult:
+    """Bracket and bisect for rho = 1 from the seed lam0: _guided on the
+    model of the reference pass at lam_ref, the largest power of two not
+    above lam0 (a seed tends to lie above the root).  A miss or failure, or
+    no model, runs the search with every pass exact, so the result is the
+    exact search's.  The zero test reads the reference pass, the one pass
+    that keeps its panels (for the model, where p is not constant).
     """
-    rho1 = rho(1.0)
-    if rho1 == 0.0:
-        return NormResult(0.0, 0.0, 0, (0.0, 0.0))
     lam0 = _seed_lambda(f, e, domain)
-    exact = {1.0: rho1}
+    lam_ref = math.ldexp(1.0, math.frexp(lam0)[1] - 1)
+    panels = [] if p_const is None else None
+    rho_ref = rho(lam_ref, panels)
+    if rho_ref == 0.0:
+        return NormResult(0.0, 0.0, 0, (0.0, 0.0))
+    exact = {lam_ref: rho_ref}
 
     def run(lam: float) -> float:
         if lam not in exact:
             exact[lam] = rho(lam)
         return exact[lam]
 
-    def model_from(lam: float) -> Optional[list[tuple[float, float]]]:
-        return _model(f, e, domain, p_const, rho1, table, passes.get(lam))
-
-    model = model_from(1.0)
-    try:
-        if model:
-            try:
-                return _guided(run, exact, model, lam0, e.p_minus, mod_tol)
-            except _BoundsMiss as miss:
-                rebuilt = model_from(miss.args[0])
-                if rebuilt:
-                    return _guided(run, exact, rebuilt, lam0, e.p_minus, mod_tol)
-    except Exception:
-        # not swallowed: a pass missed the model, or failed at a lambda the
-        # exact search may never try; the exact search below raises again
-        # if the failure is its own
-        pass
-    try:
-        return _search(run, lam0, e.p_minus, mod_tol)[0]
-    except BracketExpansionError:
-        if not model:
-            raise
-        return _search(run, _model_root(model), e.p_minus, mod_tol)[0]
+    model = _model(f, e, p_const, lam_ref, rho_ref, table, panels)
+    if model:
+        try:
+            return _guided(run, exact, model, lam0, e.p_minus, mod_tol)
+        except Exception:
+            # not swallowed: a pass missed the model, or failed at a lambda
+            # the exact search may never try; the exact search below raises
+            # again if the failure is its own
+            pass
+    return _search(run, lam0, e.p_minus, mod_tol)[0]
 
 
 def _guided(run, exact: dict, model: list[tuple[float, float]], lam0: float,
@@ -428,16 +397,14 @@ def _guided(run, exact: dict, model: list[tuple[float, float]], lam0: float,
     The result depends only on how each rho(lam) compares with 1 and with
     the exit band [1 - EXIT_BAND, 1 + EXIT_BAND], so a probe off
     lam* (1 +- delta), lam* the model's root and delta four times the
-    noise over its slope, runs no pass and reads a stand-in just past the
-    band on the model's side.  Every exact pass, those in ``exact`` too, must fit the
+    noise over its slope, reads a stand-in just past the band on the
+    model's side.  Every exact pass, those in ``exact`` too, must fit the
     model within a relative NOISE and an absolute 2 mod_tol, or _BoundsMiss
-    names it.  Bisection points lie ~1e-8 apart in relative terms, far
-    above that noise, so rho computed at them decreases; then every
-    skipped comparison is vouched for by an exact pass on its side (see
-    _search).
+    is raised.  Bisection points lie ~1e-8 apart in relative terms, far
+    above that noise, so every skipped comparison is vouched for by an
+    exact pass on its side (see _search).
     """
     noise = 2.0 * mod_tol
-    logs = [(math.log(w), q) for w, q in model]
     lam_star = _model_root(model)
     delta = 4.0 * (EXIT_BAND + NOISE + noise) / min(q for _, q in model)
     window = lam_star * (1.0 - delta), lam_star * (1.0 + delta)
@@ -449,9 +416,9 @@ def _guided(run, exact: dict, model: list[tuple[float, float]], lam0: float,
         value = run(lam)
         # in logs: lam ** -q overflows for a tiny lam where w lam^-q does not
         ln_lam = math.log(lam)
-        m = sum([math.exp(lw - q * ln_lam) for lw, q in logs])
+        m = sum([math.exp(lw - q * ln_lam) for lw, q in model])
         if not m * (1.0 - NOISE) - noise <= value <= m * (1.0 + NOISE) + noise:
-            raise _BoundsMiss(lam)
+            raise _BoundsMiss
         return value
 
     def probe(lam: float) -> float:
@@ -469,43 +436,40 @@ def _guided(run, exact: dict, model: list[tuple[float, float]], lam0: float,
         if lam in guessed:
             value = checked(lam)
             if not (value >= high if guessed[lam] == high else value <= low):
-                raise _BoundsMiss(lam)
+                raise _BoundsMiss
     return result
 
 
 def _search(rho, lam0: float, p_minus: float,
             mod_tol: float) -> tuple[NormResult, list[float]]:
-    """The bracket-and-bisect loop from lam0.
-
-    Returns the result and the points whose comparisons vouch for all the
-    others when rho decreases.  Every point taken above 1 lies at or left
-    of the final lo (before an early exit) or of the expansion's largest
-    point above 1; every point taken at or below 1 lies at or right of the
-    final hi or of the expansion's smallest such point.  The final lo and
-    hi also stand for every bisection point off the exit band.
+    """The bracket-and-bisect loop from lam0, its bracket expanded by
+    factors of 4 within the normal floats.  Returns the result and the
+    points whose comparisons vouch for all the others when rho decreases:
+    every point taken above 1 lies at or left of the final lo (before an
+    early exit) or of the expansion's largest point above 1; every point
+    taken at or below 1 lies at or right of the final hi or of the
+    expansion's smallest such point.  The final lo and hi also stand for
+    every bisection point off the exit band.
     """
+    lo = hi = lam0
     if rho(lam0) > 1.0:
-        lo, hi = lam0, lam0
-        for _ in range(BRACKET_EXPANSIONS):
+        while hi * 4.0 < math.inf:
             hi *= 4.0
             if rho(hi) <= 1.0:
                 break
         else:
-            raise NotInSpaceError(
-                "modular stayed above 1 for every scaling in the expansion range"
-            )
+            raise NotInSpaceError("modular stayed above 1 for every scaling in "
+                                  "the expansion range")
         # the expansion's largest point above 1, and smallest at or below 1
         edges = hi / 4.0, hi
     else:
-        lo, hi = lam0, lam0
-        for _ in range(BRACKET_EXPANSIONS):
+        while lo / 4.0 >= sys.float_info.min:
             lo /= 4.0
             if rho(lo) > 1.0:
                 break
         else:
-            raise BracketExpansionError(
-                "modular never rose above 1 while shrinking lambda"
-            )
+            raise BracketExpansionError("modular never rose above 1 while "
+                                        "shrinking lambda")
         edges = lo, lo * 4.0
 
     iters = 0

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from varlp.cli import main
-from varlp.config import (BUILTIN_EXPONENTS, BUILTIN_FUNCS, ConfigError,
+from varlp.config import (BUILTIN_EXPONENTS, BUILTIN_FUNCS, DEFAULT_GRIDS, ConfigError,
                           ExperimentConfig, make_exponent, make_func)
 from varlp.verify import run_statement
 
@@ -259,6 +259,42 @@ def test_cli_malformed_config(tmp_path, capsys):
     bad.write_text("{not json")
     rc = main(["norm", "--f", "chi01", "--p", "const2", "--config", str(bad)])
     assert rc == 1
+
+
+# a config with a malformed value, and the text its refusal names
+MALFORMED_VALUES = {
+    "seed_str": ({"seed": "x"}, "seed"),
+    "seed_bool": ({"seed": True}, "seed"),
+    "tol_str": ({"tol": "big"}, "tol"),
+    "tol_zero": ({"tol": 0.0}, "tol"),
+    "float_grid": ({"grids": {"alpha": "a"}}, "'alpha'"),
+    "int_grid": ({"grids": {"identity_points_per_ball": 2.5}},
+                 "'identity_points_per_ball'"),
+    "list_grid": ({"grids": {"p0_grid": []}}, "'p0_grid'"),
+    "list_grid_item": ({"grids": {"delta_grid": [0.25, "x"]}}, "'delta_grid'"),
+    "range_grid_reversed": ({"grids": {"cbmo_radius_k": [3, 1]}}, "'cbmo_radius_k'"),
+    "range_grid_floats": ({"grids": {"vv_herz_k": [-6.0, 6.0]}}, "'vv_herz_k'"),
+    "tolerance_str": ({"tolerances": {"thm5.1": {"boundary_tol": "q"}}},
+                      "thm5.1.boundary_tol"),
+    "tolerance_section": ({"tolerances": {"nosuch": {"cap": 1}}}, "'nosuch'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_VALUES))
+def test_cli_malformed_config_value_is_named(name, tmp_path, capsys):
+    spec, named = MALFORMED_VALUES[name]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    rc = main(["norm", "--f", "chi01", "--p", "const2", "--config", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: ") and named in err, err
+
+
+def test_config_takes_every_default_and_a_tolerance_of_any_statement():
+    cfg = ExperimentConfig.from_dict({"seed": 3, "tol": 1e-8,
+                                      "grids": dict(DEFAULT_GRIDS),
+                                      "tolerances": {"lemma2.3": {"slope_tol": 1}}})
+    assert cfg.stmt_tol("lemma2.3", "slope_tol") == 1
 
 
 def test_cli_logholder(capsys):

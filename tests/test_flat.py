@@ -251,7 +251,7 @@ def test_a_flat_pass_evaluates_f_once_per_piece(base, exp_name):
             f = _counting(base if flat else _unflagged(base), calls)
             p_const = e.constant_value_on(norms._components(domain))
             table = {}
-            rho = norms._modular_passes(f, e, domain, 1e-11, p_const, table, {})
+            rho = norms._modular_passes(f, e, domain, 1e-11, p_const, table)
             cuts = sorted({*f.singular_points, *e.breakpoints})
             counts[flat] = 0
             for lam in (0.3, 1.0, 7.0):
@@ -275,7 +275,7 @@ def _pass_integrand(f, e, lam):
     try:
         domain = Ball(5.0)
         norms._modular_passes(f, e, domain, 1e-11,
-                              e.constant_value_on(norms._components(domain)), {}, {})(lam)
+                              e.constant_value_on(norms._components(domain)), {})(lam)
     finally:
         norms.integrate_ball = real
     return seen[0]

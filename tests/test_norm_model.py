@@ -1,16 +1,17 @@
 """The modular's model decides which Luxemburg passes run.
 
-The modular is modelled as a sum of w lam^-q: rho(1) lam^-p where p is
-constant on the domain; one term per final panel of the lam = 1 pass
-where f is flat under a piecewise-constant p; and otherwise
-that pass's own GK15 sum, each final node's |f(x)|^p(x) lam^-p(x) read
-from the solve's node table and grouped by p(x).  Only passes under a
-non-constant p keep their panels.  A solve then runs only the passes near
-the model's root, about 3, and its result is the exact search's bit for
-bit.  Where an exact pass misses the model, the model is rebuilt once from
-that pass's own panels and the search runs again; a modular that breaks
-that one too falls back to the exact search, and building a model never
-raises.
+Each solve runs one reference pass, at lam_ref, the largest power of two
+not above its seed, so at f's own scale.  The modular is modelled from
+that pass as a sum of w lam^-q, kept as log-weights (ln w, q):
+rho(lam_ref) (lam_ref / lam)^p where p is constant on the domain; one
+term per final panel of the reference pass where f is flat under a
+piecewise-constant p; and otherwise that pass's own GK15 sum, each final
+node's |f(x)|^p(x) lam^-p(x) read from the solve's node table and grouped
+by p(x).  Only the reference pass under a non-constant p keeps its panels.
+A solve then runs only the passes near the model's root, about 3, and its
+result is the exact search's bit for bit.  Where an exact pass misses the
+model, the search runs again with every pass exact, and building a model
+never raises.
 """
 
 import math
@@ -18,6 +19,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import pytest
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,9 +61,9 @@ def _counted():
     def passes(*args):
         rho = make(*args)
 
-        def counted(lam):
+        def counted(*pass_args):
             counts["passes"] += 1
-            return rho(lam)
+            return rho(*pass_args)
 
         return counted
 
@@ -79,28 +81,22 @@ def _counted():
         yield counts
 
 
-def _exact(f, e, domain, tol=1e-9, retried=None):
-    """The exact search's result, every pass run.  Where its bracket from
-    the seed gives out and the modular has a model, the search runs again
-    from the root of the model of the lam = 1 pass, and ``retried``
-    records it."""
+def _reference(lam0):
+    """The largest power of two not above the seed lam0, where a solve's
+    reference pass runs."""
+    return math.ldexp(1.0, math.frexp(lam0)[1] - 1)
+
+
+def _exact(f, e, domain, tol=1e-9):
+    """The exact search's result, every pass run, after the zero test at
+    the reference pass."""
     mod_tol = min(tol, norms.MODULAR_TOL)
     p_const = e.constant_value_on(norms._components(domain))
-    table, passes = {}, {}
-    rho = norms._modular_passes(f, e, domain, mod_tol, p_const, table, passes)
-    rho1 = rho(1.0)
-    if rho1 == 0.0:
+    rho = norms._modular_passes(f, e, domain, mod_tol, p_const, {})
+    lam0 = norms._seed_lambda(f, e, domain)
+    if rho(_reference(lam0)) == 0.0:
         return norms.NormResult(0.0, 0.0, 0, (0.0, 0.0))
-    try:
-        return norms._search(rho, norms._seed_lambda(f, e, domain), e.p_minus,
-                             mod_tol)[0]
-    except norms.BracketExpansionError:
-        model = norms._model(f, e, domain, p_const, rho1, table, passes.get(1.0))
-        if not model:
-            raise
-    if retried is not None:
-        retried.append(True)
-    return norms._search(rho, norms._model_root(model), e.p_minus, mod_tol)[0]
+    return norms._search(rho, lam0, e.p_minus, mod_tol)[0]
 
 
 def _outcome(call):
@@ -115,18 +111,14 @@ def _solve(f, e, domain, searches=1):
     """The solve's counts, after checking its outcome against the exact
     search's bit for bit, and that a result came from at most ``searches``
     searches, with no fallback after a model-guided one."""
-    retried = []
-    want = _outcome(lambda: _exact(f, e, domain, retried=retried))
+    want = _outcome(lambda: _exact(f, e, domain))
     with _counted() as counts:
         got = _outcome(lambda: luxemburg_norm(f, e, domain))
     assert got == want, (f, e.kind, domain)
-    # an error raised on the way reruns the exact search, which raises it;
-    # where the exact search's bracket gives out, it runs a third time
+    # an error raised on the way reruns the exact search, which raises it
     if isinstance(got, str):
-        assert (counts["searches"] <= 3 if retried else
-                counts["searches"] <= searches and
-                not counts["searches"] > counts["guided"] > 0), \
-            (f, e.kind, domain, counts)
+        assert counts["searches"] <= searches and \
+            not counts["searches"] > counts["guided"] > 0, (f, e.kind, domain, counts)
     return counts
 
 
@@ -194,6 +186,10 @@ def test_a_tiny_norm_is_checked_against_its_model_in_logs(e):
 
 
 TWO_TERMS = [(2.0, 2.0), (3.0, 3.0)]
+TWO_TERM_MODEL = [(math.log(w), q) for w, q in TWO_TERMS]
+# the reference pass of chi_[0, 1] under pw23 on the line: its seed is
+# 2^(1/3), so the pass runs at lam = 1
+TWO_TERM_REF = _reference(norms._seed_lambda(chi_interval(0.0, 1.0), PW23, FULL_LINE))
 
 
 def _two_terms(lam):
@@ -202,12 +198,14 @@ def _two_terms(lam):
 
 # a modular of the model's form, and three that break it: off by a factor
 # everywhere, dropping by a tenth below the model's root (1.895...), and
-# off only at lam = 1, where no side is read but the pass must fit too
+# off only at the reference pass, where no side is read but the pass must
+# fit too
 SYNTHETIC = {
     "fits": (_two_terms, False),
     "scaled": (lambda lam: 1.01 * _two_terms(lam), True),
     "drop": (lambda lam: _two_terms(lam) * (1.0 if lam < 1.8 else 0.9), True),
-    "off_at_one": (lambda lam: _two_terms(lam) * (2.0 if lam == 1.0 else 1.0), True),
+    "off_at_ref": (lambda lam: _two_terms(lam) * (2.0 if lam == TWO_TERM_REF else 1.0),
+                   True),
 }
 
 
@@ -217,29 +215,31 @@ def test_two_term_modular_off_its_model_falls_back(name, monkeypatch):
     f, e, mod_tol = chi_interval(0.0, 1.0), PW23, 1e-11
     want = norms._search(modular_of, norms._seed_lambda(f, e, FULL_LINE),
                          e.p_minus, mod_tol)[0]
-    monkeypatch.setattr(norms, "_model", lambda *args: list(TWO_TERMS))
+    monkeypatch.setattr(norms, "_model", lambda *args: list(TWO_TERM_MODEL))
     passes = []
 
-    def rho(lam):
+    def rho(lam, panels=None):
         passes.append(lam)
         return modular_of(lam)
 
-    # rho's passes have no panels: the patched model reads none, and the
-    # model rebuilt from the pass that missed is the same one
-    res = norms._bisect(rho, f, e, FULL_LINE, mod_tol, None, {}, {})
+    res = norms._bisect(rho, f, e, FULL_LINE, mod_tol, None, {})
+    assert TWO_TERM_REF == 1.0 and passes[0] == TWO_TERM_REF
     assert repr(res) == repr(want)
     # the exact search runs every pass (30 here); on its model, 3 or 4 run
     assert len(passes) >= 30 if breaks_model else len(passes) <= 4, passes
 
 
 def test_model_root_solves_the_sum():
-    assert norms._model_root([(9.0, 2.0)]) == pytest.approx(3.0, rel=1e-15)
-    lam = norms._model_root(TWO_TERMS)
+    assert norms._model_root([(math.log(9.0), 2.0)]) == pytest.approx(3.0, rel=1e-15)
+    lam = norms._model_root(TWO_TERM_MODEL)
     assert abs(_two_terms(lam) - 1.0) <= 1e-14
     # terms far apart in size: no overflow, still the root (exp of t near
     # 345 carries about 345 ulp of relative error)
-    lam = norms._model_root([(1e300, 2.0), (1e-300, 10.0)])
+    lam = norms._model_root([(math.log(1e300), 2.0), (math.log(1e-300), 10.0)])
     assert lam == pytest.approx(1e150, rel=1e-12)
+    # weights no float holds: the root of 1e600 lam^-2 is 1e300
+    lam = norms._model_root([(600.0 * math.log(10.0), 2.0)])
+    assert lam == pytest.approx(1e300, rel=1e-12)
 
 
 def _nan_flat():
@@ -255,7 +255,8 @@ def _raising_flat():
 HUGE = lincomb([chi_interval(0.0, 1.0)], [1e200])
 TINY = lincomb([chi_interval(0.0, 1.0)], [1e-300])
 # (f, exponent, domain, rho(1), the lam = 1 pass's final panels, None under
-# a constant p) for which there is no model, read with an empty node table:
+# a constant p) for which there is no model, read at lam_ref = 1 with an
+# empty node table:
 # a flat f is evaluated at its panels' centres, and a model read from a
 # pass's nodes needs all of them
 UNIT = [(-1.0, 0.0), (0.0, 0.5), (0.5, 1.0)]
@@ -286,15 +287,51 @@ NO_MODEL = {
 def test_a_model_that_cannot_be_built_is_none(name):
     f, e, domain, rho1, panels = NO_MODEL[name]
     p_const = e.constant_value_on(norms._components(domain))
-    assert norms._model(f, e, domain, p_const, rho1, {}, panels) is None
+    assert norms._model(f, e, p_const, 1.0, rho1, {}, panels) is None
 
 
 def test_extreme_scales_keep_their_norms():
-    # with no model, every pass runs
+    # the reference pass runs at f's own scale, so every one of these is
+    # solved on its model
     for e in (piecewise_exponent([0.5], [8.0, 12.0]), constant_exponent(12.0)):
         res = luxemburg_norm(HUGE, e)
         assert abs(res.value - 1e200) <= res.abs_error_bound
-    # the 1e-300 scale is a known defect, in test_known_defects.py
+        assert _model_solve(HUGE, e, FULL_LINE)["searches"] == 1
+
+
+def test_a_tiny_function_keeps_its_norm():
+    # |f|^10 underflows at lam = 1, but not at the reference pass's lam
+    res = luxemburg_norm(TINY, constant_exponent(10.0))
+    assert 0.0 < res.abs_error_bound <= 1e-8 * res.value, res
+    assert abs(res.value - 1e-300) <= res.abs_error_bound, res
+
+
+# 1e154 on two unit intervals: |f|^2 overflows at lam = 1, so its Kronrod
+# sum did; its norm is 1e154 sqrt(2) under any p that is 2 on [-2, -1] and
+# [1, 2] or rises to 3 beyond 3
+HUGE_PAIR = lincomb([chi_interval(-2.0, -1.0), chi_interval(1.0, 2.0)], [1e154, 1e154])
+
+
+@pytest.mark.parametrize("e", [E2, piecewise_exponent([3.0], [2.0, 3.0])],
+                         ids=["const2", "pw(2|3)"])
+def test_a_huge_function_keeps_its_norm(e):
+    res = luxemburg_norm(HUGE_PAIR, e)
+    assert 0.0 < res.abs_error_bound <= 1e-8 * res.value, res
+    assert abs(res.value - 1e154 * math.sqrt(2.0)) <= res.abs_error_bound, res
+
+
+def test_a_chi_norm_of_a_huge_ball_under_a_step_p_is_its_root():
+    # p = 2 on (-1, 1) and 3 beyond: the modular of chi_B(R) / lam is
+    # (R + 1) / lam^2 + (R - 1) / lam^3, whose root mpmath finds at 50
+    # digits
+    radius = 1e250
+    res = chi_norm(Ball(radius), piecewise_exponent([1.0], [2.0, 3.0]))
+    with mpmath.workdps(50):
+        r = mpmath.mpf(radius)
+        root = mpmath.findroot(lambda lam: (r + 1) / lam ** 2 + (r - 1) / lam ** 3 - 1,
+                               (mpmath.sqrt(r), 2 * mpmath.sqrt(r)), solver="anderson")
+        assert abs(mpmath.mpf(res.value) - root) <= res.abs_error_bound, (res, root)
+    assert 0.0 < res.abs_error_bound <= 1e-8 * res.value, res
 
 
 def _flat_pieces(f, e, domain):
@@ -314,33 +351,31 @@ def _flat_pieces(f, e, domain):
 def test_flat_model_is_the_modular():
     f = shifted(with_sign(chi_ball(2.0)), 0.3)
     for domain in (Ball(4.0), Ball(1.5)):
-        table, passes = {}, {}
-        rho = norms._modular_passes(f, PW23, domain, norms.MODULAR_TOL, None, table,
-                                    passes)
-        model = norms._model(f, PW23, domain, None, rho(1.0), table, passes[1.0])
+        table, panels, lam_ref = {}, [], 0.5
+        rho = norms._modular_passes(f, PW23, domain, norms.MODULAR_TOL, None, table)
+        rho_ref = rho(lam_ref, panels)
+        model = norms._model(f, PW23, None, lam_ref, rho_ref, table, panels)
         # pw23 takes 2 and 3 on both balls: one term per exponent value, the
         # sum of |I| |c|^q over the pieces of that value
         pieces = {}
         for width, c, q in _flat_pieces(f, PW23, domain):
             pieces[q] = pieces.get(q, 0.0) + width * c ** q
         assert sorted(q for _, q in model) == sorted(pieces) == [2.0, 3.0]
-        for w, q in model:
-            assert abs(w - pieces[q]) <= 1e-14 * pieces[q], (domain, q)
+        for lw, q in model:
+            assert abs(math.exp(lw) - pieces[q]) <= 1e-14 * pieces[q], (domain, q)
         for lam in (0.5, 1.0, 3.0, 10.0):
             want = norms.modular(lincomb([f], [1.0 / lam]), PW23, domain, tol=1e-12)
-            got = sum(w * lam ** -q for w, q in model)
+            got = sum(math.exp(lw) * lam ** -q for lw, q in model)
             assert abs(got - want) <= 1e-12 * want, (domain, lam)
 
 
 @pytest.mark.parametrize("exp", ["const2", "pw23"])
-def test_a_bracket_that_gives_out_restarts_from_the_model_root(exp):
+def test_a_norm_far_below_the_old_seed_floor_is_bracketed(exp):
     # p = 2 on B(0.1), so the norm of c chi_[-a, 0] is c sqrt(a), about
-    # 9.3e-146: 200 quarterings of lambda from the seed stop short of it
+    # 9.3e-146: 200 quarterings of lambda from a seed floored at 1e-12
+    # stopped short of it; the seed is now on f's own scale
     f = lincomb([chi_interval(-2.4e-276, 0.0)], [6e-8])
     e, domain = EXPONENTS[exp], Ball(0.1)
-    retried = []
-    _exact(f, e, domain, retried=retried)
-    assert retried
     _solve(f, e, domain)
     res = luxemburg_norm(f, e, domain)
     assert res.value == pytest.approx(6e-8 * math.sqrt(2.4e-276), rel=1e-8)
@@ -472,20 +507,6 @@ def test_subnormal_gk15_weights_drop_out_of_the_model():
     assert _model_solve(f, e, Ball(0.1))["guided"] == 1
 
 
-def test_a_coarse_first_pass_takes_the_one_rebuild():
-    # the lam = 1 integrand of a chi norm is the constant 1, so that pass
-    # has one panel per piece; its model misses at the root (about 3.639),
-    # and the model rebuilt from the pass that missed finds it
-    e, region = smooth_exponent("inv_one_plus_sq"), Ball(8.0)
-    with _counted() as counts:
-        res = chi_norm(region, e)
-    assert counts["searches"] == counts["guided"] == 2, counts
-    one = Func(lambda x: 1.0, (), math.inf, even=True, flat=True,
-               power_tail=(1.0, 0.0, 1.0), kind="one")
-    assert repr(res) == repr(_exact(one, e, region))
-    assert res.value == pytest.approx(3.6389371, rel=1e-7)
-
-
 def test_a_smooth_whole_line_solve_needs_no_fallback():
     # the exponent's bounds on the working box once sent this solve to the
     # exact search; its node-table model takes one search
@@ -494,13 +515,13 @@ def test_a_smooth_whole_line_solve_needs_no_fallback():
 
 def test_node_table_model_is_the_modular():
     f, e, domain = BANK["ramp_half"], SMOOTH["sin_loglog"], Ball(1.5)
-    table, passes = {}, {}
-    rho = norms._modular_passes(f, e, domain, norms.MODULAR_TOL, None, table, passes)
-    model = norms._model(f, e, domain, None, rho(1.0), table, passes[1.0])
+    table, panels, lam_ref = {}, [], 0.5
+    rho = norms._modular_passes(f, e, domain, norms.MODULAR_TOL, None, table)
+    model = norms._model(f, e, None, lam_ref, rho(lam_ref, panels), table, panels)
     # one term per distinct exponent value at a node
     assert len(model) > 100
     for lam in (0.5, 1.0, 2.0):
-        got = sum(w * lam ** -q for w, q in model)
+        got = sum(math.exp(lw - q * math.log(lam)) for lw, q in model)
         assert abs(got - rho(lam)) <= 1e-10 * got, lam
 
 
@@ -522,16 +543,19 @@ def _panel_requests():
 
 
 def test_constant_p_passes_record_no_panels():
-    # the model under a constant p is rho(1) lam^-p: flat or not, no pass
-    # hands quadrature a panel list
+    # the model under a constant p is rho_ref (lam_ref / lam)^p: flat or
+    # not, no pass hands quadrature a panel list
     for domain in (FULL_LINE, Ball(1.0), DyadicRing(1)):
         for f in (FLAT["chi01"], scaled_ball(1.0)):
             with _panel_requests() as got:
                 luxemburg_norm(f, E2, domain)
             assert got and all(panels is None for panels in got), (f, domain)
     # a non-flat f under a step p, and a smooth p, read their models from
-    # the panels
+    # the panels of the reference pass, the first, and of no other pass
     for f, e in ((scaled_ball(1.0), PW23), (FLAT["chi01"], SMOOTH["inv_one_plus_sq"])):
-        with _panel_requests() as got:
+        with _counted() as counts, _panel_requests() as got:
             luxemburg_norm(f, e, Ball(1.5))
-        assert got and all(panels is not None for panels in got), (f, e.kind)
+        kept = [panels for panels in got if panels is not None]
+        assert kept and kept[0] is got[0] and all(p is kept[0] for p in kept), \
+            (f, e.kind)
+        assert len(got) - len(kept) >= counts["passes"] - 1 >= 1, (f, e.kind, counts)

@@ -2,7 +2,7 @@
 
 import math
 import traceback
-from collections import Counter, defaultdict
+from collections import Counter
 
 import pytest
 
@@ -309,7 +309,7 @@ def test_non_integrable_local_singularity_is_refused():
 
 
 def test_huge_function_overflowing_at_unit_scale_keeps_its_norm():
-    # (1e200)^2 overflows in the pass at lambda = 1; that pass reads as an
+    # (1e200)^2 overflows at lambda = 1; a pass that overflows reads as an
     # infinite modular and the bracket moves up, it is no refusal
     res = luxemburg_norm(lincomb([chi_interval(0.0, 1.0)], [1e200]), E2)
     assert abs(res.value - 1e200) <= 1e-7 * 1e200
@@ -318,7 +318,8 @@ def test_huge_function_overflowing_at_unit_scale_keeps_its_norm():
 @pytest.mark.parametrize("p", [2.0, 4.0, 10.0])
 def test_small_functions_keep_their_norm_within_the_error_bound(p):
     # ||c chi[0,1]|| = c in every L^p; a modular below any fixed floor is
-    # still a modular, so only rho(1) == 0 may read as norm 0
+    # still a modular, so only a zero modular at the reference pass may
+    # read as norm 0
     e = constant_exponent(p)
     for k in range(13):
         c = 10.0 ** -k
@@ -405,9 +406,9 @@ def _count_passes(monkeypatch) -> list[float]:
     def counting(*args):
         rho = make(*args)
 
-        def counted(lam):
+        def counted(lam, *rest):
             passes.append(lam)
-            return rho(lam)
+            return rho(lam, *rest)
 
         return counted
 
@@ -422,7 +423,7 @@ _OUTSIDE_B1 = lincomb([constant(1.0), chi_ball(1.0)], [1.0, -1.0])
 # skipping the passes the modular's model decides keeps every bit.  The
 # last entry is the most passes a solve may make: 4, whether the model is
 # the closed form (p constant on the domain, or flat f under a
-# piecewise-constant p) or read from the lam = 1 pass's node table
+# piecewise-constant p) or read from the reference pass's node table
 SKIPPING_SOLVES = {
     "hat_const2_line": (
         lambda: luxemburg_norm(_BANK["hat"], E2),
@@ -458,7 +459,9 @@ def test_skipped_passes_keep_every_bit(name, monkeypatch):
 
 # the exact search's results for the modulars below, 31 passes each, and
 # whether the solve runs them all: the modular breaks the model
-# rho(1) lam^-2 of the stated exponent 2, or has none
+# rho(1) lam^-2 of the stated exponent 2, read from the reference pass
+# at lam = 1, the largest power of two not above the seed sqrt(2), or has
+# none
 SYNTHETIC_SOLVES = {
     # decays like lam^-2, as exponent 2 says
     "square": (lambda lam: (3.0 / lam) ** 2,
@@ -470,7 +473,7 @@ SYNTHETIC_SOLVES = {
                 "NormResult(value=2.9999999934382133, abs_error_bound=8.067533960185622e-09, "
                 "bisection_iters=28, bracket=(2.9999999855356796, 3.0000000013407475))",
                 True),
-    # infinite up to lam = 1, where the search starts: an infinite rho(1)
+    # infinite up to the reference pass's lam = 1: an infinite rho(1)
     # makes no model, so every pass runs
     "overflow": (lambda lam: math.inf if lam <= 1.0 else (3.0 / lam) ** 2,
                  "NormResult(value=2.9999999934382133, abs_error_bound=8.067533960185622e-09, "
@@ -489,16 +492,44 @@ def test_modular_off_its_exponent_bounds_falls_back_to_exact_passes(name):
     modular_of, want, every_pass = SYNTHETIC_SOLVES[name]
     passes = []
 
-    def rho(lam):
+    def rho(lam, panels=None):
         passes.append(lam)
         return modular_of(lam)
 
-    # a pass of rho has no panels: the model, rho(1) lam^-2, reads none
-    res = norms._bisect(rho, chi_interval(0.0, 1.0), E2, FULL_LINE, 1e-11, 2.0, {},
-                        defaultdict(list))
+    # the model under the constant 2 reads no panels
+    res = norms._bisect(rho, chi_interval(0.0, 1.0), E2, FULL_LINE, 1e-11, 2.0, {})
+    assert passes[0] == 1.0
     assert repr(res) == want
     # off its model, the skipping search misses and the exact one runs in full
     assert len(passes) >= 31 if every_pass else len(passes) <= 8
+
+
+# compact data, flat and not, under constant, step and smooth exponents
+HOMOGENEOUS_F = {
+    **{name: _BANK[name] for name in ("chi01", "ring1", "sgn_window", "f0_r1", "hat")},
+    "steps": lincomb([chi_interval(-1.5, 0.5), chi_interval(0.25, 3.0)], [2.0, -0.75]),
+}
+HOMOGENEOUS_E = {"const2": E2, "const3": constant_exponent(3.0), "pw23": PW23,
+                 **{name: smooth_exponent(name)
+                    for name in ("inv_one_plus_abs", "inv_one_plus_sq")}}
+
+
+@pytest.mark.parametrize("exp", sorted(HOMOGENEOUS_E))
+@pytest.mark.parametrize("name", sorted(HOMOGENEOUS_F))
+def test_a_norm_is_homogeneous_bit_for_bit(name, exp):
+    # scaling f by c = 2^k scales the seed, the reference pass's lam and
+    # every point the search tries by c exactly, and leaves every modular
+    # as it was, so the result scales bit for bit (the error bound too,
+    # but where a product in it turns subnormal at k = -990)
+    f, e = HOMOGENEOUS_F[name], HOMOGENEOUS_E[exp]
+    for domain in (FULL_LINE, Ball(1.5), DyadicRing(2)):
+        base = luxemburg_norm(f, e, domain)
+        for k in (40, -40, 300, -300, 600, -600, 990, -990):
+            c = math.ldexp(1.0, k)
+            got = luxemburg_norm(lincomb([f], [c]), e, domain)
+            assert (got.value, got.bracket, got.bisection_iters) == \
+                (c * base.value, (c * base.bracket[0], c * base.bracket[1]),
+                 base.bisection_iters), (domain, k, got)
 
 
 @pytest.mark.parametrize("call, entry", [

@@ -255,9 +255,9 @@ def test_oscillation_statement_passes_stay_within_their_budget(monkeypatch):
     def counting(*args):
         rho = make(*args)
 
-        def counted(lam):
+        def counted(lam, *rest):
             passes.append(lam)
-            return rho(lam)
+            return rho(lam, *rest)
 
         return counted
 
