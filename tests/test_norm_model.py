@@ -306,9 +306,9 @@ def test_a_tiny_function_keeps_its_norm():
     assert abs(res.value - 1e-300) <= res.abs_error_bound, res
 
 
-# 1e154 on two unit intervals: |f|^2 overflows at lam = 1, so its Kronrod
-# sum did; its norm is 1e154 sqrt(2) under any p that is 2 on [-2, -1] and
-# [1, 2] or rises to 3 beyond 3
+# 1e154 on two unit intervals: |f|^2 overflows in a Kronrod sum at lam = 1,
+# not at f's own scale; its norm is 1e154 sqrt(2) under any p that is 2 on
+# [-2, -1] and [1, 2]
 HUGE_PAIR = lincomb([chi_interval(-2.0, -1.0), chi_interval(1.0, 2.0)], [1e154, 1e154])
 
 
@@ -370,10 +370,10 @@ def test_flat_model_is_the_modular():
 
 
 @pytest.mark.parametrize("exp", ["const2", "pw23"])
-def test_a_norm_far_below_the_old_seed_floor_is_bracketed(exp):
+def test_a_norm_far_below_any_fixed_floor_is_bracketed(exp):
     # p = 2 on B(0.1), so the norm of c chi_[-a, 0] is c sqrt(a), about
-    # 9.3e-146: 200 quarterings of lambda from a seed floored at 1e-12
-    # stopped short of it; the seed is now on f's own scale
+    # 9.3e-146: more than 200 quarterings below 1e-12, and reached from a
+    # seed on f's own scale
     f = lincomb([chi_interval(-2.4e-276, 0.0)], [6e-8])
     e, domain = EXPONENTS[exp], Ball(0.1)
     _solve(f, e, domain)

@@ -309,8 +309,8 @@ def test_non_integrable_local_singularity_is_refused():
 
 
 def test_huge_function_overflowing_at_unit_scale_keeps_its_norm():
-    # (1e200)^2 overflows at lambda = 1; a pass that overflows reads as an
-    # infinite modular and the bracket moves up, it is no refusal
+    # (1e200)^2 overflows at lambda = 1, but no pass runs there: the
+    # reference pass and the search start at f's own scale
     res = luxemburg_norm(lincomb([chi_interval(0.0, 1.0)], [1e200]), E2)
     assert abs(res.value - 1e200) <= 1e-7 * 1e200
 
