@@ -1,8 +1,8 @@
 """Numerical toolkit for variable-exponent Lebesgue, central BMO, and Herz
 space norms, Hardy-type commutators, and the statement verification harness."""
 
-from .exponents import (Exponent, constant_exponent, custom_exponent, is_in_P,
-                        log_holder_check, piecewise_exponent, smooth_exponent)
+from .exponents import (Exponent, constant_exponent, is_in_P, log_holder_check,
+                        piecewise_exponent, smooth_exponent)
 from .funcs import (Func, abs_power, catalog_bank, chi_ball, chi_interval,
                     chi_ring, constant, dyadic_step, lincomb, lr_aggregate,
                     mean_on_ball, power, scaled_ball, sign_func, with_sign,

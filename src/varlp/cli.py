@@ -21,8 +21,8 @@ from .exponents import log_holder_check
 from .geometry import FULL_LINE, Ball, DyadicRing
 from .norms import NormResult, luxemburg_norm, modular
 from .operators import OperatorImage, maximal
-from .spaces import (cbmo_classical_norm, cbmo_inf_norm, cbmo_star_norm,
-                     cbmo_var_norm, default_radius_grid, herz_norm)
+from .spaces import (cbmo_classical_norm, cbmo_inf_norm, cbmo_var_norm,
+                     default_radius_grid, herz_norm)
 from .verify import STATEMENT_IDS, run_all, run_statement, summary_table
 
 
@@ -73,7 +73,7 @@ def _cmd_norm(args) -> int:
     e = cfg.exponent(args.p)
     domain = _parse_domain(args.domain)
     tol = args.tol if args.tol is not None else cfg.tol
-    res = luxemburg_norm(f, e, domain, tol=tol)
+    res = luxemburg_norm(f, e, domain)
     print(f"luxemburg norm of {args.f} under {args.p}: {res.value:.12g}")
     print(f"  modular at unit scale: {modular(f, e, domain, tol=tol):.12g}"
           if res.value > 0 else "  zero element")
@@ -128,10 +128,8 @@ def _cmd_cbmo(args) -> int:
         e = cfg.exponent(args.p)
         if args.variant == "var":
             res = cbmo_var_norm(f, e, grid, tol=tol)
-        elif args.variant == "inf":
-            res = cbmo_inf_norm(f, e, grid, tol=tol)
         else:
-            res = cbmo_star_norm(f, e, "ball-average", grid, tol=tol)
+            res = cbmo_inf_norm(f, e, grid)
         label = f"{args.variant} under {args.p}"
     print(f"central oscillation norm ({label}) of {args.f}: {res.value:.10g}")
     if res.diverged:
@@ -148,22 +146,20 @@ def _cmd_cbmo(args) -> int:
 def _cmd_herz(args) -> int:
     cfg = _load_config(args.config)
     e = cfg.exponent(args.p)
-    tol = args.tol if args.tol is not None else cfg.tol
     k_range = range(args.kmin, args.kmax + 1)
     if args.vector:
         from .spaces import herz_norm_vector
         fs = [cfg.func(name) for name in args.vector.split(",")]
-        res = herz_norm_vector(fs, args.lr, e, args.alpha, args.q, k_range, tol=tol)
+        res = herz_norm_vector(fs, args.lr, e, args.alpha, args.q, k_range)
         what = f"l^{args.lr:g} aggregate of {args.vector}"
     else:
-        res = herz_norm(cfg.func(args.f), e, args.alpha, args.q, k_range, tol=tol)
+        res = herz_norm(cfg.func(args.f), e, args.alpha, args.q, k_range)
         what = args.f
     print(f"Herz norm (alpha={args.alpha:g}, q={args.q:g}) of {what}: "
           f"{res.value:.10g}  (tail bound {res.tail_bound:.3g})")
     _write_csv(args.csv, ("ring_scale", "contribution"), res.breakdown)
     _write_json(args.json, {"value": res.value, "tail_bound": res.tail_bound,
-                            "breakdown": [list(t) for t in res.breakdown],
-                            "tol": tol})
+                            "breakdown": [list(t) for t in res.breakdown]})
     return 0
 
 
@@ -229,11 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "plus the statement verification harness")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=True):
         p.add_argument("--config", default=None, help="experiment config JSON")
         p.add_argument("--json", default=None, help="write JSON output here")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the working tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=None,
+                           help="override the config's tol; Luxemburg solves "
+                                "integrate at MODULAR_TOL whatever it is")
 
     p = sub.add_parser("norm", help="Luxemburg norm of a catalog function")
     common(p)
@@ -256,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--p", default="const2")
     p.add_argument("--variant", default="var",
-                   choices=("var", "classical", "star", "inf"))
+                   choices=("var", "classical", "inf"))
     p.add_argument("--p-classical", type=float, default=1.0, dest="p_classical")
     p.add_argument("--kmin", type=int, default=-10)
     p.add_argument("--kmax", type=int, default=20)
@@ -264,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_cbmo)
 
     p = sub.add_parser("herz", help="ring-weighted Herz norms")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--f", default=None)
     p.add_argument("--p", default="const2")
     p.add_argument("--alpha", type=float, default=0.0)
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("logholder", help="log-Holder regularity of an exponent")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--p", required=True)
     p.add_argument("--budget", type=int, default=2000)
     p.set_defaults(fn=_cmd_logholder)

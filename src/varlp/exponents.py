@@ -5,10 +5,12 @@ An exponent is admissible when its essential bounds satisfy
 1 < p_minus <= p(x) <= p_plus < infinity.  Bounds are exact for step
 exponents (kind "piecewise-constant"; a constant exponent is the step
 exponent with no steps) and, over the working box [-WORKING_RADIUS,
-WORKING_RADIUS], for the named smooth formulas; for custom callables they
-are sampled over that box, because an essential infimum of an arbitrary
-callable is not computable.  The step and smooth constructors refuse a
-lower bound that is not positive, and ``conjugate`` one that is not above 1.
+WORKING_RADIUS], for the named smooth formulas.  The norm layer uses them
+as certified bounds, so there is no constructor for an arbitrary callable,
+whose essential infimum is not computable; the conjugate or quotient of a
+smooth formula (kind "custom-evaluable") maps that formula's bounds.  The
+step and smooth constructors refuse a lower bound that is not positive,
+and ``conjugate`` one that is not above 1.
 
 Membership in the class of exponents whose maximal operator is bounded is
 not decidable numerically; log-Holder continuity (local plus decay at
@@ -26,7 +28,6 @@ from typing import Callable, Optional, Sequence
 from .report import CheckReport
 
 WORKING_RADIUS = 2.0 ** 20
-CUSTOM_SAMPLES = 4096
 P_MEMBERSHIP_MARGIN = 1e-9
 LOG_HOLDER_CAP = 10.0
 
@@ -39,8 +40,7 @@ class Exponent:
     holds for the named smooth formulas (each reads |x| or x * x), for a
     step exponent with no breaks (a constant), and for a conjugate or a
     quotient of an even exponent; not for a step exponent with breaks,
-    which is right-continuous and so not exactly even at a break, nor for
-    a custom callable.
+    which is right-continuous and so not exactly even at a break.
 
     Immutable after construction; instances may be shared freely across
     threads.  Use the module-level constructors rather than __init__.
@@ -212,15 +212,6 @@ def smooth_exponent(formula_id: str, params: Optional[dict] = None) -> Exponent:
                     fn, lo, hi, even=True)
 
 
-def custom_exponent(fn: Callable[[float], float],
-                    breakpoints: Sequence[float] = ()) -> Exponent:
-    """Wrap an arbitrary callable; bounds are estimated from CUSTOM_SAMPLES
-    samples over the working box."""
-    vals = [fn(x) for x in _sampling_grid()]
-    return Exponent("custom-evaluable", {"sampled_bounds": True}, fn,
-                    min(vals), max(vals), breakpoints=tuple(breakpoints))
-
-
 def _sin_range(u0: float, u1: float) -> tuple[float, float]:
     cands = [math.sin(u0), math.sin(u1)]
     k = math.ceil((u0 - math.pi / 2.0) / math.pi)
@@ -229,20 +220,6 @@ def _sin_range(u0: float, u1: float) -> tuple[float, float]:
         cands.append(math.sin(crit))
         crit += math.pi
     return min(cands), max(cands)
-
-
-def _sampling_grid() -> list[float]:
-    xs = [0.0]
-    # geometric coverage out to the box edge plus a fine linear patch near 0
-    n_geo = CUSTOM_SAMPLES // 4
-    for j in range(n_geo):
-        t = 2.0 ** (-20.0 + j * (math.log2(WORKING_RADIUS) + 20.0) / max(n_geo - 1, 1))
-        xs.extend((t, -t))
-    n_lin = CUSTOM_SAMPLES // 4
-    for j in range(1, n_lin):
-        t = 4.0 * j / n_lin
-        xs.extend((t, -t))
-    return xs
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,19 @@ made before a solve builds anything.
 
 The bisection starts from a seed on f's own scale, expands its bracket by
 factors of 4 as far as the normal floats reach, and stops when
-hi - lo <= 1e-8 hi, so small norms keep their relative accuracy.  Its
-result depends only on the seed and on how each modular it tries compares
-with 1 and with the exit band, so a pass runs only where that comparison
-is open.  Each solve runs one exact reference pass, at the largest power
-of two not above the seed: the zero test reads it, and so does the
-modular's model, a sum of w lam^-q (_model).  Only passes within a noise
-margin of the model's root run, about 3 per solve; exact passes vouch for
-every comparison skipped, and a miss reruns the search with every pass
-exact.  Results are therefore bit-identical to running every pass, and
-scaling f by a power of two scales them bit for bit.
+hi - lo <= 1e-8 hi, so small norms keep their relative accuracy.  Every
+pass of a solve integrates at MODULAR_TOL, the solve's own tolerance: no
+caller sets it, and a caller's tol reaches only modular and the pairing
+integrals of dual_pairing_sup.  The result depends only on the seed and
+on how each modular the bisection tries compares with 1 and with the exit
+band, so a pass runs only where that comparison is open.  Each solve runs
+one exact reference pass, at the largest power of two not above the
+seed: the zero test reads it, and so does the modular's model, a sum of
+w lam^-q (_model).  Only passes within a noise margin of the model's root
+run, about 3 per solve; exact passes vouch for every comparison skipped,
+and a miss reruns the search with every pass exact.  Results are
+therefore bit-identical to running every pass, and scaling f by a power
+of two scales them bit for bit.
 
 The passes of a solve run over nearly the same quadrature nodes, so it
 keeps a node table from x to (|f(x)|, p(x)), or |f(x)| alone where p is
@@ -62,7 +65,7 @@ from .funcs import Func, pointwise_product
 from .geometry import FULL_LINE, Ball, Domain
 from .quadrature import gk15_nodes, integrate_ball, integrate_shell
 
-MODULAR_TOL = 1e-11
+MODULAR_TOL = 1e-11  # the quadrature tolerance of every pass of a solve
 EXIT_BAND = 1e-10  # a bisection point with |rho - 1| <= EXIT_BAND is the root
 NOISE = 1e-9       # relative noise allowed a computed modular when predicting
 
@@ -256,9 +259,9 @@ def _seed_lambda(f, e: Exponent, domain: Domain) -> float:
     return lam0 if sys.float_info.min <= lam0 < math.inf else 1.0
 
 
-def luxemburg_norm(f, e: Exponent, domain: Domain = FULL_LINE,
-                   tol: float = 1e-9) -> NormResult:
-    """inf{lambda > 0 : modular(f / lambda) <= 1}, by bracketed bisection.
+def luxemburg_norm(f, e: Exponent, domain: Domain = FULL_LINE) -> NormResult:
+    """inf{lambda > 0 : modular(f / lambda) <= 1}, by bracketed bisection
+    over modular passes at MODULAR_TOL.
 
     Returns 0 exactly when the modular of f is 0 (f vanishes almost
     everywhere, or |f / lam|^p underflows at the reference lam).  Raises
@@ -267,12 +270,11 @@ def luxemburg_norm(f, e: Exponent, domain: Domain = FULL_LINE,
     shrinks from the seed to the smallest normal float.
     """
     _refuse(f, e, domain)
-    mod_tol = min(tol, MODULAR_TOL)
     p_const = e.constant_value_on(_components(domain))
     table: dict = {}
     try:
-        rho = _modular_passes(f, e, domain, mod_tol, p_const, table)
-        return _bisect(rho, f, e, domain, mod_tol, p_const, table)
+        rho = _modular_passes(f, e, domain, MODULAR_TOL, p_const, table)
+        return _bisect(rho, f, e, domain, p_const, table)
     finally:
         # an error's stored traceback holds the solve's frames, and the table
         table.clear()
@@ -356,8 +358,8 @@ def _model_root(model: list[tuple[float, float]]) -> float:
     return math.exp(t)
 
 
-def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float,
-            p_const: Optional[float], table: dict) -> NormResult:
+def _bisect(rho, f, e: Exponent, domain: Domain, p_const: Optional[float],
+            table: dict) -> NormResult:
     """Bracket and bisect for rho = 1 from the seed lam0: _guided on the
     model of the reference pass at lam_ref, the largest power of two not
     above lam0 (a seed tends to lie above the root).  A miss or failure, or
@@ -381,17 +383,17 @@ def _bisect(rho, f, e: Exponent, domain: Domain, mod_tol: float,
     model = _model(f, e, p_const, lam_ref, rho_ref, table, panels)
     if model:
         try:
-            return _guided(run, exact, model, lam0, e.p_minus, mod_tol)
+            return _guided(run, exact, model, lam0, e.p_minus)
         except Exception:
             # not swallowed: a pass missed the model, or failed at a lambda
             # the exact search may never try; the exact search below raises
             # again if the failure is its own
             pass
-    return _search(run, lam0, e.p_minus, mod_tol)[0]
+    return _search(run, lam0, e.p_minus)[0]
 
 
 def _guided(run, exact: dict, model: list[tuple[float, float]], lam0: float,
-            p_minus: float, mod_tol: float) -> NormResult:
+            p_minus: float) -> NormResult:
     """_search from lam0, running only the passes whose outcome is open.
 
     The result depends only on how each rho(lam) compares with 1 and with
@@ -399,12 +401,12 @@ def _guided(run, exact: dict, model: list[tuple[float, float]], lam0: float,
     lam* (1 +- delta), lam* the model's root and delta four times the
     noise over its slope, reads a stand-in just past the band on the
     model's side.  Every exact pass, those in ``exact`` too, must fit the
-    model within a relative NOISE and an absolute 2 mod_tol, or _BoundsMiss
-    is raised.  Bisection points lie ~1e-8 apart in relative terms, far
+    model within a relative NOISE and an absolute 2 MODULAR_TOL, or
+    _BoundsMiss is raised.  Bisection points lie ~1e-8 apart in relative terms, far
     above that noise, so every skipped comparison is vouched for by an
     exact pass on its side (see _search).
     """
-    noise = 2.0 * mod_tol
+    noise = 2.0 * MODULAR_TOL
     lam_star = _model_root(model)
     delta = 4.0 * (EXIT_BAND + NOISE + noise) / min(q for _, q in model)
     window = lam_star * (1.0 - delta), lam_star * (1.0 + delta)
@@ -431,7 +433,7 @@ def _guided(run, exact: dict, model: list[tuple[float, float]], lam0: float,
 
     for lam in list(exact):
         checked(lam)
-    result, checks = _search(probe, lam0, p_minus, mod_tol)
+    result, checks = _search(probe, lam0, p_minus)
     for lam in checks:
         if lam in guessed:
             value = checked(lam)
@@ -440,8 +442,7 @@ def _guided(run, exact: dict, model: list[tuple[float, float]], lam0: float,
     return result
 
 
-def _search(rho, lam0: float, p_minus: float,
-            mod_tol: float) -> tuple[NormResult, list[float]]:
+def _search(rho, lam0: float, p_minus: float) -> tuple[NormResult, list[float]]:
     """The bracket-and-bisect loop from lam0, its bracket expanded by
     factors of 4 within the normal floats.  Returns the result and the
     points whose comparisons vouch for all the others when rho decreases:
@@ -495,11 +496,11 @@ def _search(rho, lam0: float, p_minus: float,
     value = 0.5 * (lo + hi)
     # modular noise delta shifts the root by at most delta * lambda / p_minus
     # (the modular's slope at the root is at least p_minus / lambda in size)
-    root_shift = (EXIT_BAND + mod_tol) * value / p_minus
+    root_shift = (EXIT_BAND + MODULAR_TOL) * value / p_minus
     return NormResult(value, 0.5 * (hi - lo) + root_shift, iters, (lo, hi)), checks
 
 
-def chi_norm(region, e: Exponent, tol: float = 1e-9) -> NormResult:
+def chi_norm(region, e: Exponent) -> NormResult:
     """Norm of the characteristic function of a ball or dyadic ring.
 
     Uses the closed form measure^(1/p) whenever the exponent is constant
@@ -523,7 +524,7 @@ def chi_norm(region, e: Exponent, tol: float = 1e-9) -> NormResult:
 
     one = Func(lambda x: 1.0, (), math.inf, even=True, flat=True,
                power_tail=(1.0, 0.0, 1.0), kind="one")
-    return luxemburg_norm(one, e, region, tol)
+    return luxemburg_norm(one, e, region)
 
 
 def dual_extremizer(f, e: Exponent, norm_value: float) -> Func:
@@ -564,18 +565,18 @@ def dual_pairing_sup(f, e: Exponent, dual_bank: Sequence,
     upper: (1 + 1/p_minus + 1/p_plus) times the norm of f.  The true
     supremum lies in between; it is bracketed, never computed.
     """
-    nf = luxemburg_norm(f, e, tol=tol)
+    nf = luxemburg_norm(f, e)
     if nf.value == 0.0:
         return 0.0, 0.0
     e_conj = e.conjugate()
     lower = 0.0
     for g in dual_bank:
-        ng = luxemburg_norm(g, e_conj, tol=tol)
+        ng = luxemburg_norm(g, e_conj)
         if ng.value <= 0.0:
             continue
         lower = max(lower, abs(_pairing_integral(f, g, tol)) / ng.value)
     g_star = dual_extremizer(f, e, nf.value)
-    ng = luxemburg_norm(g_star, e_conj, tol=tol)
+    ng = luxemburg_norm(g_star, e_conj)
     if ng.value > 0.0:
         lower = max(lower, abs(_pairing_integral(f, g_star, tol)) / ng.value)
     upper = r_p_constant(e) * nf.value

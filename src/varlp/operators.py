@@ -39,7 +39,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Optional
 
 from .funcs import Func, combine_tails, pointwise_product
 from .quadrature import integrate_interval, integrate_shell
@@ -412,8 +412,7 @@ def _inner_edges(x: float, r: float) -> tuple[float, float]:
     return edges[0], edges[1]
 
 
-def maximal(f, x: float, radius_grid: Optional[Sequence[float]] = None,
-            tol: float = 1e-9) -> OperatorSample:
+def maximal(f, x: float, tol: float = 1e-9) -> OperatorSample:
     """Grid supremum of the centered ball averages of |f| around x.
 
     The supremum is taken over a geometric radius grid enriched with the
@@ -424,18 +423,15 @@ def maximal(f, x: float, radius_grid: Optional[Sequence[float]] = None,
     even where x +- r loses its last bits.  Averages are normalized by the
     ball measure 2r; multiply by 2 for the r^(-1) convention.
     """
-    if radius_grid is None:
-        radii = {2.0 ** (j / 4.0) for j in range(-40, 41)}
-        for s in (*f.singular_points,
-                  *((f.support_radius, -f.support_radius)
-                    if math.isfinite(f.support_radius) else ())):
-            r = abs(x - s)
-            if r > 0.0:
-                radii.add(r)
-        if math.isfinite(f.support_radius):
-            radii.add(abs(x) + f.support_radius)
-    else:
-        radii = {float(r) for r in radius_grid if r > 0.0}
+    radii = {2.0 ** (j / 4.0) for j in range(-40, 41)}
+    for s in (*f.singular_points,
+              *((f.support_radius, -f.support_radius)
+                if math.isfinite(f.support_radius) else ())):
+        r = abs(x - s)
+        if r > 0.0:
+            radii.add(r)
+    if math.isfinite(f.support_radius):
+        radii.add(abs(x) + f.support_radius)
     grid = sorted(radii)
 
     ffn = f.evaluate

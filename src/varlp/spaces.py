@@ -2,9 +2,12 @@
 
 The central BMO quantities are suprema over origin-centered balls of the
 oscillation ratio ||(f - c) chi_B|| / ||chi_B||, with the center c taken as
-the ball average (the defining variant), an arbitrary per-ball number (the
-star variant), or the minimizing constant (the inf variant, convex in c and
-found by golden-section search).  Suprema are grid-approximated on the
+the ball average (the defining variant), a per-ball number the caller
+passes (the star variant), or the minimizing constant (the inf variant,
+convex in c and found by golden-section search).  Every norm in them is a
+Luxemburg solve at the norm layer's own MODULAR_TOL, so a tol parameter
+appears only where it reaches an integral: the ball means of the defining
+variant and the classical oscillation.  Suprema are grid-approximated on the
 radius grid the caller passes (``default_radius_grid`` builds a geometric
 one); a sweep whose maximum sits at the grid edge gets a log-log growth
 fit attached so divergence claims are reproducible rather than anecdotal.
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exponents import Exponent
 from .funcs import abs_power, lr_aggregate, mean_on_ball, range_on_ball, shifted
@@ -68,17 +71,12 @@ def _sweep(grid: Sequence[float], ratio) -> SpaceNormResult:
     return _attach_divergence(SpaceNormResult(value, breakdown))
 
 
-def _center_sweep(f, e: Exponent, grid: Sequence[float],
-                  centers: Optional[Sequence[float]], tol: float) -> SpaceNormResult:
-    """Oscillation sweep about centers[i] on the i-th grid ball, or about
-    each ball's average when centers is None."""
-    pending = iter(centers) if centers is not None else None
-
+def _center_sweep(f, e: Exponent, grid: Sequence[float], center) -> SpaceNormResult:
+    """Oscillation sweep about center(B) on each grid ball B."""
     def ratio(r: float) -> float:
         ball = Ball(r)
-        c = mean_on_ball(f, ball, tol=tol).value if pending is None else next(pending)
-        num = luxemburg_norm(shifted(f, c), e, ball, tol=tol).value
-        return num / chi_norm(ball, e, tol=tol).value
+        num = luxemburg_norm(shifted(f, center(ball)), e, ball).value
+        return num / chi_norm(ball, e).value
 
     return _sweep(grid, ratio)
 
@@ -86,7 +84,8 @@ def _center_sweep(f, e: Exponent, grid: Sequence[float],
 def cbmo_var_norm(f, e: Exponent, radius_grid: Sequence[float],
                   tol: float = 1e-9) -> SpaceNormResult:
     """sup over the grid's balls of ||(f - f_B) chi_B|| / ||chi_B|| in L^p(.)."""
-    return _center_sweep(f, e, radius_grid, None, tol)
+    return _center_sweep(f, e, radius_grid,
+                         lambda ball: mean_on_ball(f, ball, tol=tol).value)
 
 
 def cbmo_classical_norm(f, p: float, radius_grid: Sequence[float],
@@ -106,27 +105,15 @@ def cbmo_classical_norm(f, p: float, radius_grid: Sequence[float],
     return _sweep(radius_grid, ratio)
 
 
-CenterRule = Union[str, Sequence[float]]
-
-
-def cbmo_star_norm(f, e: Exponent, center_rule: CenterRule,
-                   radius_grid: Sequence[float],
-                   tol: float = 1e-9) -> SpaceNormResult:
-    """Oscillation supremum over the grid's balls with per-ball centers c_B
-    supplied by the rule.
-
-    center_rule is either "ball-average" (reduces to the defining variant)
-    or a sequence of centers parallel to the radius grid.
-    """
-    if isinstance(center_rule, str):
-        if center_rule != "ball-average":
-            raise ValueError(f"unknown center rule {center_rule!r}")
-        centers = None
-    else:
-        centers = [float(c) for c in center_rule]
-        if len(centers) != len(radius_grid):
-            raise ValueError("per-ball center list must match the radius grid")
-    return _center_sweep(f, e, radius_grid, centers, tol)
+def cbmo_star_norm(f, e: Exponent, centers: Sequence[float],
+                   radius_grid: Sequence[float]) -> SpaceNormResult:
+    """Oscillation supremum over the grid's balls about centers[i] on the
+    i-th ball: the star variant, one free center per ball."""
+    centers = [float(c) for c in centers]
+    if len(centers) != len(radius_grid):
+        raise ValueError("per-ball center list must match the radius grid")
+    pending = iter(centers)
+    return _center_sweep(f, e, radius_grid, lambda ball: next(pending))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -155,8 +142,7 @@ def golden_min(fn, lo: float, hi: float) -> tuple[float, float]:
     return x, min(fc, fd)
 
 
-def cbmo_inf_norm(f, e: Exponent, radius_grid: Sequence[float],
-                  tol: float = 1e-9) -> SpaceNormResult:
+def cbmo_inf_norm(f, e: Exponent, radius_grid: Sequence[float]) -> SpaceNormResult:
     """sup over the grid's balls of inf_c ||(f - c) chi_B|| / ||chi_B||.
 
     The norm is convex in the shift c and the minimizer lies in the closed
@@ -169,9 +155,9 @@ def cbmo_inf_norm(f, e: Exponent, radius_grid: Sequence[float],
         span = hi - lo
         if span <= 1e-13 * (1.0 + max(abs(lo), abs(hi))):
             return 0.0
-        den = chi_norm(ball, e, tol=tol).value
+        den = chi_norm(ball, e).value
         _, best = golden_min(
-            lambda c: luxemburg_norm(shifted(f, c), e, ball, tol=tol).value,
+            lambda c: luxemburg_norm(shifted(f, c), e, ball).value,
             lo - 1e-6 * span, hi + 1e-6 * span)
         return best / den
 
@@ -216,8 +202,8 @@ def _ring_norm_bound(f, e: Exponent, k: int) -> float:
     return sup * max(m ** (1.0 / e.p_minus), m ** (1.0 / e.p_plus))
 
 
-def herz_breakdown(f, e: Exponent, alpha: float, k_range: Sequence[int],
-                   tol: float = 1e-9) -> tuple[list[tuple[float, float]], float]:
+def herz_breakdown(f, e: Exponent, alpha: float,
+                   k_range: Sequence[int]) -> tuple[list[tuple[float, float]], float]:
     """Per-ring contributions 2^(alpha k) ||f chi_k|| over the increasing
     k_range plus a certified bound for everything outside it.
 
@@ -230,7 +216,7 @@ def herz_breakdown(f, e: Exponent, alpha: float, k_range: Sequence[int],
         if ring.inner >= f.support_radius:
             breakdown.append((2.0 ** k, 0.0))
             continue
-        nrm = luxemburg_norm(f, e, ring, tol=tol).value
+        nrm = luxemburg_norm(f, e, ring).value
         breakdown.append((2.0 ** k, 2.0 ** (alpha * k) * nrm))
 
     tail = 0.0
@@ -266,21 +252,21 @@ def _sum_ring_bounds(f, e: Exponent, alpha: float, start_k: int, step: int) -> f
     )
 
 
-def herz_norm(f, e: Exponent, alpha: float, q: float, k_range: Sequence[int],
-              tol: float = 1e-9) -> SpaceNormResult:
+def herz_norm(f, e: Exponent, alpha: float, q: float,
+              k_range: Sequence[int]) -> SpaceNormResult:
     """Homogeneous Herz norm: the l^q aggregate over the dyadic rings of
     k_range of the weighted ring norms 2^(alpha k) ||f chi_k||."""
     if not 0.0 < q < math.inf:
         raise ValueError(f"Herz index q must be in (0, inf), got {q}")
-    breakdown, tail = herz_breakdown(f, e, alpha, k_range, tol)
+    breakdown, tail = herz_breakdown(f, e, alpha, k_range)
     value = lq_aggregate([v for _, v in breakdown], q)
     res = SpaceNormResult(value, breakdown, tail_bound=tail)
     return _attach_divergence(res)
 
 
 def herz_norm_vector(fs: Sequence, r: float, e: Exponent, alpha: float, q: float,
-                     k_range: Sequence[int], tol: float = 1e-9) -> SpaceNormResult:
+                     k_range: Sequence[int]) -> SpaceNormResult:
     """Herz norm of the pointwise l^r aggregate of finitely many functions."""
     if not 1.0 < r < math.inf:
         raise ValueError(f"vector aggregation index must be in (1, inf), got {r}")
-    return herz_norm(lr_aggregate(fs, r), e, alpha, q, k_range, tol)
+    return herz_norm(lr_aggregate(fs, r), e, alpha, q, k_range)

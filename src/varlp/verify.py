@@ -199,7 +199,7 @@ def check_duality(e: Exponent, func_bank: Sequence[tuple[str, Func]],
     worst = None
     ok = True
     for name, f in func_bank:
-        nf = luxemburg_norm(f, e, tol=tol).value
+        nf = luxemburg_norm(f, e).value
         if nf == 0.0:
             continue
         lower, upper = dual_pairing_sup(f, e, atoms, tol=tol)
@@ -236,7 +236,7 @@ def check_diening_single_family(e: Exponent,
         return 0.0
 
     rhs = funcs.Func(rhs_fn, edges, support, even=False)
-    rhs_norm = luxemburg_norm(rhs, e, tol=tol).value
+    rhs_norm = luxemburg_norm(rhs, e).value
     witnesses = []
     best_ratio, best_delta = math.inf, None
     for delta in delta_grid:
@@ -247,7 +247,7 @@ def check_diening_single_family(e: Exponent,
             return 0.0
 
         lhs = funcs.Func(lhs_fn, (*edges, *f.singular_points), support, even=False)
-        lhs_norm = luxemburg_norm(lhs, e, tol=tol).value
+        lhs_norm = luxemburg_norm(lhs, e).value
         ratio = lhs_norm / rhs_norm if rhs_norm > 0.0 else 0.0
         witnesses.append((f"{label}delta={delta:g}", ratio, cap))
         if ratio < best_ratio:
@@ -259,7 +259,7 @@ def check_diening_single_family(e: Exponent,
 
 
 def check_chi_product(e: Exponent, radius_grid: Sequence[float],
-                      tol: float = 1e-9, slope_tol: float = 0.05,
+                      slope_tol: float = 0.05,
                       label: str = "") -> CheckReport:
     """||chi_B||_p * ||chi_B||_p' / |B| stays bounded over central balls."""
     from .norms import chi_norm
@@ -267,8 +267,7 @@ def check_chi_product(e: Exponent, radius_grid: Sequence[float],
     scales, vals = [], []
     for r in radius_grid:
         ball = Ball(r)
-        v = chi_norm(ball, e, tol=tol).value * chi_norm(ball, ec, tol=tol).value \
-            / ball.measure
+        v = chi_norm(ball, e).value * chi_norm(ball, ec).value / ball.measure
         scales.append(r)
         vals.append(v)
     sup = max(vals)
@@ -286,15 +285,14 @@ def check_chi_product(e: Exponent, radius_grid: Sequence[float],
 
 def check_subset_ratios(e: Exponent,
                         pairs: Sequence[tuple[str, Ball, Func, float]],
-                        p0_grid: Sequence[float], tol: float = 1e-9,
-                        rel_tol: float = 1e-6,
+                        p0_grid: Sequence[float], rel_tol: float = 1e-6,
                         label: str = "") -> tuple[CheckReport, CheckReport]:
     """Subset-to-ball norm ratios: the doubling bound, the fitted reverse
     exponent, and its sharpened 1/p0 form.  Returns the two reports."""
     from .norms import chi_norm
-    ball_norms = {B: chi_norm(B, e, tol=tol).value
+    ball_norms = {B: chi_norm(B, e).value
                   for B in dict.fromkeys(B for _, B, _, _ in pairs)}
-    rows = [(desc, ball_norms[B], luxemburg_norm(chi_s, e, tol=tol).value,
+    rows = [(desc, ball_norms[B], luxemburg_norm(chi_s, e).value,
              B.measure, meas_s) for desc, B, chi_s, meas_s in pairs]
 
     # forward bound: ||chi_B|| / ||chi_S|| <= C |B| / |S|
@@ -391,15 +389,17 @@ def check_norm_equivalences(e: Exponent,
                             cap: float = 1e6,
                             label: str = "") -> tuple[CheckReport, CheckReport]:
     """Free-center and minimized-center oscillation norms against the
-    defining one: the ball-average rule reproduces it exactly, the infimum
-    sits below it, and their ratio kappa stays finite."""
+    defining one: the star norm about the ball means, computed here and
+    passed as its centers, reproduces it exactly, the infimum sits below
+    it, and their ratio kappa stays finite."""
     wit3, wit4 = [], []
     ok3, ok4 = True, True
     kappa_max = None
     for name, f in func_bank:
         var = cbmo_var_norm(f, e, radius_grid, tol=tol)
-        star = cbmo_star_norm(f, e, "ball-average", radius_grid, tol=tol)
-        inf_ = cbmo_inf_norm(f, e, radius_grid, tol=tol)
+        means = [mean_on_ball(f, Ball(r), tol=tol).value for r in radius_grid]
+        star = cbmo_star_norm(f, e, means, radius_grid)
+        inf_ = cbmo_inf_norm(f, e, radius_grid)
         wit3.append((f"{label}{name}: star(ball-avg) vs var", star.value, var.value))
         ok3 = ok3 and abs(star.value - var.value) <= 1e-9 * (1.0 + var.value)
         ok3 = ok3 and inf_.value <= star.value + 1e-6 * (1.0 + star.value)
@@ -480,7 +480,7 @@ def check_commutator_bounded(b: Func, e: Exponent,
     witnesses = []
     ok = True
     worst = 0.0
-    input_norms = {exp_label: [luxemburg_norm(f, ee, tol=tol).value
+    input_norms = {exp_label: [luxemburg_norm(f, ee).value
                                for _, _, f in func_bank] for exp_label, ee in exps}
     for op_kind, op_label in (("commutator_hardy", "[b,H]"),
                               ("commutator_dual_hardy", "[b,H*]")):
@@ -491,7 +491,7 @@ def check_commutator_bounded(b: Func, e: Exponent,
                 if nf == 0.0:
                     continue
                 img = OperatorImage(op_kind, f, b=b, tol=tol / 10)
-                nw = luxemburg_norm(img, ee, tol=tol).value
+                nw = luxemburg_norm(img, ee).value
                 ratio = nw / nf
                 sup = max(sup, ratio)
                 if scale is not None:
@@ -577,13 +577,12 @@ def check_vv_herz(b: Func, e: Exponent, alpha: float,
     for name, scale, fs in seq_bank:
         shift = int(round(math.log2(scale))) if scale is not None else 0
         window = [k + shift for k in base_window]
-        den_break, _ = herz_breakdown(lr_aggregate(fs, r), e, alpha, window, tol)
+        den_break, _ = herz_breakdown(lr_aggregate(fs, r), e, alpha, window)
         den_contribs = [v for _, v in den_break]
         for op_kind, op_label in (("commutator_hardy", "[b,H]"),
                                   ("commutator_dual_hardy", "[b,H*]")):
             imgs = [OperatorImage(op_kind, f, b=b, tol=tol / 10) for f in fs]
-            num_break, _ = herz_breakdown(lr_aggregate(imgs, r), e, alpha,
-                                          window, tol)
+            num_break, _ = herz_breakdown(lr_aggregate(imgs, r), e, alpha, window)
             num_contribs = [v for _, v in num_break]
             small = lq_aggregate_small(num_contribs, 1.0)
             large = lq_aggregate_large(num_contribs, 1.0)
@@ -649,7 +648,7 @@ def _run_lemma22(cfg: ExperimentConfig) -> CheckReport:
 
 def _run_lemma23(cfg: ExperimentConfig) -> CheckReport:
     grid = _radius_grid(cfg.grid("chi_product_radius_k"))
-    parts = [check_chi_product(e, grid, tol=cfg.tol,
+    parts = [check_chi_product(e, grid,
                                slope_tol=cfg.stmt_tol("lemma2.3", "slope_tol"),
                                label=f"{name} ")
              for name, e in _exponents_for(cfg, ("const2", "const3", "pw23", "pw32"))]
@@ -661,7 +660,6 @@ def _run_subsets(cfg: ExperimentConfig) -> tuple[CheckReport, CheckReport]:
     parts24, parts25 = [], []
     for name, e in _exponents_for(cfg, ("const2", "pw23")):
         r24, r25 = check_subset_ratios(e, pairs, cfg.grid("p0_grid"),
-                                       tol=cfg.tol,
                                        rel_tol=cfg.stmt_tol("lemma2.5", "rel_tol"),
                                        label=f"{name} ")
         parts24.append(r24)

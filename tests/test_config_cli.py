@@ -134,6 +134,20 @@ def test_cli_norm_json_output(tmp_path, capsys):
     assert payload["tol"] == 1e-9
 
 
+def test_cli_norm_tol_reaches_only_the_modular_and_its_json_key(tmp_path, capsys):
+    # the solve integrates at MODULAR_TOL whatever --tol says
+    runs = []
+    for tol in ([], ["--tol", "1e-2"]):
+        out = tmp_path / f"norm{len(runs)}.json"
+        rc = main(["norm", "--f", "f0_r1", "--p", "const1.5", "--json", str(out), *tol])
+        assert rc == 0
+        runs.append((capsys.readouterr().out.splitlines(), json.loads(out.read_text())))
+    ((norm, mod), default), ((norm_x, mod_x), loose) = runs
+    assert norm_x == norm and mod_x != mod
+    assert (default.pop("tol"), loose.pop("tol")) == (1e-9, 1e-2)
+    assert loose == default
+
+
 def test_cli_op_table(tmp_path, capsys):
     csv_path = tmp_path / "op.csv"
     rc = main(["op", "--kind", "hardy", "--f", "chi_pm1",
@@ -203,11 +217,26 @@ def test_cli_cbmo_breakdown_csv(tmp_path, capsys):
     assert len(rows) == 8  # header + 7 radii
 
 
-def test_cli_herz(capsys):
+def test_cli_herz(tmp_path, capsys):
+    path = tmp_path / "herz.json"
     rc = main(["herz", "--f", "ring0", "--p", "const2", "--q", "1",
-               "--kmin", "-4", "--kmax", "4"])
+               "--kmin", "-4", "--kmax", "4", "--json", str(path)])
     out = capsys.readouterr().out
     assert rc == 0 and "0.99999" in out
+    # no tol: every ring norm is a solve at MODULAR_TOL
+    assert set(json.loads(path.read_text())) == {"value", "tail_bound", "breakdown"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["herz", "--f", "ring0", "--p", "const2", "--tol", "1e-6"],
+    ["logholder", "--p", "const2", "--tol", "1e-6"],
+    ["cbmo", "--f", "sign", "--variant", "star"],
+])
+def test_cli_refuses_the_flags_that_reach_no_integral(argv, capsys):
+    # herz and logholder read no tol; the star variant with ball-average
+    # centers was the var variant under another name
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_herz_needs_function(capsys):

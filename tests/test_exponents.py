@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from varlp import (constant_exponent, custom_exponent, is_in_P,
-                   log_holder_check, piecewise_exponent, smooth_exponent)
+from varlp import (constant_exponent, is_in_P, log_holder_check,
+                   piecewise_exponent, smooth_exponent)
 from varlp.config import ConfigError, make_exponent
 
 
@@ -164,12 +164,6 @@ def test_divided_by_keeps_kind():
     assert abs(e.p_plus - 2.0) <= 1e-15
 
 
-def test_custom_exponent_sampled_bounds():
-    e = custom_exponent(lambda x: 2.0 + math.exp(-x * x))
-    assert 1.99 <= e.p_minus <= 2.01
-    assert 2.9 <= e.p_plus <= 3.0 + 1e-12
-
-
 def test_log_holder_constant_passes_with_zero():
     rep = log_holder_check(constant_exponent(2.0))
     assert rep.passed
@@ -225,12 +219,10 @@ EVEN = [d for e in (constant_exponent(2.0), constant_exponent(3.7),
         for d in _derived(e)]
 # a step exponent with breaks is unflagged, since it is right-continuous
 # and so in general not exactly even at a break, even where its breaks and
-# values are symmetric; a custom callable promises nothing, even where it
-# is even
+# values are symmetric
 UNEVEN = [d for e in (piecewise_exponent([1.0, 2.0], [2.0, 3.0, 2.0]),
                       piecewise_exponent([-1.0, 1.0], [2.0, 3.0, 2.0]),
-                      piecewise_exponent([0.0], [2.5, 2.5]),
-                      custom_exponent(lambda x: 2.0 + 1.0 / (1.0 + abs(x))))
+                      piecewise_exponent([0.0], [2.5, 2.5]))
           for d in _derived(e)]
 
 

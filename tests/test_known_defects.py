@@ -8,10 +8,11 @@ the oracle in the comment, which tightens it.
 """
 
 import math
+from unittest import mock
 
 from varlp import (Ball, OperatorImage, chi_ball, chi_interval, chi_norm,
-                   constant_exponent, integrate_ball, lincomb, luxemburg_norm, power,
-                   sign_func, smooth_exponent)
+                   constant_exponent, integrate_ball, lincomb, luxemburg_norm, norms,
+                   power, sign_func, smooth_exponent, with_sign)
 
 CONST2 = constant_exponent(2.0)
 
@@ -68,6 +69,18 @@ def test_a_dual_image_at_the_smallest_subnormal_raises():
         ("QuadratureNonConvergence", "integrand produced a non-finite panel value")
 
 
+# -- item 3: exact primitives for piecewise power sums ------------------------
+
+def test_an_odd_commutator_image_with_a_growing_tail_is_refused_far_out():
+    # exact: 0 everywhere, since f = sgn(x)|x|^-1/2 and b f = sgn(x)|x|^1/2
+    # are odd; no oddness is claimed for a product with an unbounded
+    # factor, so each point integrates [0, |x|] afresh, and far out it
+    # runs out of panels
+    img = OperatorImage("commutator_hardy", with_sign(power(-0.5)), b=power(1.0))
+    assert (img.evaluate(0.5), img.evaluate(1e100)) == (0.0, 0.0)
+    assert _raised(lambda: img.evaluate(1e300)) == _panel_budget("5e-11", "nan")
+
+
 # -- item 2: the log-domain engine ------------------------------------------
 
 def test_a_subnormal_width_is_refused():
@@ -75,6 +88,25 @@ def test_a_subnormal_width_is_refused():
     f = lincomb([chi_interval(0.0, 2.2250738585e-313)], [4.263738694110199])
     got = _raised(lambda: luxemburg_norm(f, smooth_exponent("inv_one_plus_abs")))
     assert got == _panel_budget("1e-11", "nan")
+
+
+# -- item 14's cost, which waits on item 1 ---------------------------------
+
+def test_a_chi_norm_seeded_at_the_fallback_runs_the_exact_search():
+    # wanted: the guided search alone.  The constant 1 has no abs bound,
+    # so the solve seeds at 1.0, its reference pass integrates a constant,
+    # and the model misses the root pass: the exact search runs after the
+    # guided one
+    search, searches = norms._search, []
+
+    def counted(*args):
+        searches.append(args[1])  # the seed
+        return search(*args)
+
+    with mock.patch.object(norms, "_search", counted):
+        res = chi_norm(Ball(8.0), smooth_exponent("inv_one_plus_sq"))
+    assert res.value == 3.6389371044933796
+    assert searches == [1.0, 1.0]
 
 
 # -- item 4: certified bounds on the solve's own domain -----------------------

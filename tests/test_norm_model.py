@@ -87,16 +87,15 @@ def _reference(lam0):
     return math.ldexp(1.0, math.frexp(lam0)[1] - 1)
 
 
-def _exact(f, e, domain, tol=1e-9):
+def _exact(f, e, domain):
     """The exact search's result, every pass run, after the zero test at
     the reference pass."""
-    mod_tol = min(tol, norms.MODULAR_TOL)
     p_const = e.constant_value_on(norms._components(domain))
-    rho = norms._modular_passes(f, e, domain, mod_tol, p_const, {})
+    rho = norms._modular_passes(f, e, domain, norms.MODULAR_TOL, p_const, {})
     lam0 = norms._seed_lambda(f, e, domain)
     if rho(_reference(lam0)) == 0.0:
         return norms.NormResult(0.0, 0.0, 0, (0.0, 0.0))
-    return norms._search(rho, lam0, e.p_minus, mod_tol)[0]
+    return norms._search(rho, lam0, e.p_minus)[0]
 
 
 def _outcome(call):
@@ -212,9 +211,8 @@ SYNTHETIC = {
 @pytest.mark.parametrize("name", sorted(SYNTHETIC))
 def test_two_term_modular_off_its_model_falls_back(name, monkeypatch):
     modular_of, breaks_model = SYNTHETIC[name]
-    f, e, mod_tol = chi_interval(0.0, 1.0), PW23, 1e-11
-    want = norms._search(modular_of, norms._seed_lambda(f, e, FULL_LINE),
-                         e.p_minus, mod_tol)[0]
+    f, e = chi_interval(0.0, 1.0), PW23
+    want = norms._search(modular_of, norms._seed_lambda(f, e, FULL_LINE), e.p_minus)[0]
     monkeypatch.setattr(norms, "_model", lambda *args: list(TWO_TERM_MODEL))
     passes = []
 
@@ -222,7 +220,7 @@ def test_two_term_modular_off_its_model_falls_back(name, monkeypatch):
         passes.append(lam)
         return modular_of(lam)
 
-    res = norms._bisect(rho, f, e, FULL_LINE, mod_tol, None, {})
+    res = norms._bisect(rho, f, e, FULL_LINE, None, {})
     assert TWO_TERM_REF == 1.0 and passes[0] == TWO_TERM_REF
     assert repr(res) == repr(want)
     # the exact search runs every pass (30 here); on its model, 3 or 4 run

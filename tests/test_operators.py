@@ -122,12 +122,6 @@ def test_maximal_examples():
     assert maximal(lincomb([f], [0.0]), 1.0).value == 0.0
 
 
-def test_maximal_explicit_grid():
-    f = chi_ball(1.0)
-    res = maximal(f, 3.0, radius_grid=[1.0, 2.0, 4.0, 8.0])
-    assert abs(res.value - 0.25) <= 1e-10
-
-
 def test_hardy_on_decaying_unbounded_support():
     # oracle: (1/4) int_{-4}^{4} |y|^(-1/2) dy = (1/4) * 2 * 2 * sqrt(4) = 2
     res = hardy(power(-0.5), 4.0, tol=1e-10)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varlp import (cbmo_classical_norm, cbmo_inf_norm, cbmo_star_norm,
+from varlp import (Ball, cbmo_classical_norm, cbmo_inf_norm, cbmo_star_norm,
                    cbmo_var_norm, chi_ball, chi_interval, chi_ring, constant,
                    constant_exponent, dyadic_step, herz_norm, herz_norm_vector,
-                   lincomb, piecewise_exponent, sign_func)
+                   lincomb, mean_on_ball, piecewise_exponent, sign_func)
 from varlp.spaces import lq_aggregate, lq_aggregate_large, lq_aggregate_small
 
 E2 = constant_exponent(2.0)
@@ -60,7 +60,7 @@ def test_cbmo_star_with_shifted_centers():
 def test_cbmo_star_ball_average_matches_var():
     f = lincomb([chi_interval(0.0, 1.0)], [3.0])
     var = cbmo_var_norm(f, E2, GRID)
-    star = cbmo_star_norm(f, E2, "ball-average", GRID)
+    star = cbmo_star_norm(f, E2, [mean_on_ball(f, Ball(r)).value for r in GRID], GRID)
     assert star.value == var.value
     assert star.breakdown == var.breakdown  # per-ball reduction is exact
 
